@@ -59,11 +59,8 @@ from .schedule import (
     ScheduleResult,
     TaskSchedule,
     check_feasibility,
-    cloud_utility,
     evaluate,
-    fog_utility,
     objective_value,
-    task_cost,
 )
 from .solvers import (
     Infeasible,

@@ -2,7 +2,8 @@
 scenario diagnostics, all emitting deterministic CSV.
 
 Sweep cells (sweep value x solver x repetition) are independent and may be
-computed by a process pool (FOGSCHED_WORKERS, default: available cores); rows
+computed by a process pool (FOGSCHED_WORKERS, default: the number of CPUs
+this process may run on, per its CPU affinity where the OS reports one); rows
 are sorted by (sweep_value, solver, seed) before the single writer emits
 them, so parallelism never changes the output.  Sweep CSV stores wall_time as
 0.0 to keep files byte-identical across runs; `run` and `compare` report
@@ -31,10 +32,9 @@ from .model import (
     Scenario,
     TaskGraph,
     TaskSpec,
-    validate_graph,
 )
 from .scenario_io import load_scenario, resolve_scenario_path
-from .schedule import check_feasibility, evaluate
+from .schedule import EvalContext, check_feasibility, evaluate
 
 SWEEP_PARAMETERS = ("data_size", "budget", "fog_price", "task_count")
 SOLVER_NAMES = ("greedy", "sa", "brute")
@@ -285,6 +285,8 @@ def _worker_count(workers: Optional[int]) -> int:
     env = os.environ.get("FOGSCHED_WORKERS")
     if env:
         return max(1, int(env))
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
@@ -384,31 +386,11 @@ def validate(scenario_path: Union[str, Path]) -> Diagnostics:
     for w in caught:
         warnings_.append(str(w.message))
 
-    for label, eps in (
-        ("fog", scenario.platform.fog.epsilon),
-        ("cloud", scenario.platform.cloud.epsilon),
-    ):
-        if not 2.5 <= eps <= 3.0:
-            msg = f"{label} power exponent {eps} outside [2.5, 3]"
-            if msg not in " ".join(warnings_):
-                warnings_.append(msg)
-
-    try:
-        validate_graph(scenario.graph)
-    except GraphError as exc:  # unreachable after parse, kept for safety
-        errors.append(f"{type(exc).__name__}: {exc}")
-
     if math.isfinite(scenario.budget):
-        from .costs import task_costs
-
+        ctx = EvalContext(scenario.graph, scenario.platform)
         floor = 0.0
-        for t in scenario.graph.tasks:
-            c = task_costs(t, scenario.platform)
-            floor += min(
-                c.local_energy,
-                scenario.platform.fog.price * t.data_size,
-                scenario.platform.cloud.price * t.data_size,
-            )
+        for i in range(ctx.n):
+            floor += min(ctx.e_l[i], ctx.rev_f[i], ctx.rev_c[i])
         if floor > scenario.budget:
             warnings_.append(
                 f"likely infeasible: cheapest per-task assignment already costs "

@@ -55,6 +55,16 @@ class UnknownTask(PlacementError):
     """The placement mentions a task id not present in the graph."""
 
 
+def _require_finite(where: str, obj, names) -> None:
+    """Reject NaN and +-inf fields.  NaN passes every range check (each
+    comparison with it is False) and an infinity breaks the cost model, so
+    either would silently switch a constraint off."""
+    for name in names:
+        value = getattr(obj, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{where}{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TaskSpec:
     """One sub-task: workload in CPU cycles, input data size in bits."""
@@ -64,6 +74,7 @@ class TaskSpec:
     data_size: float
 
     def __post_init__(self):
+        _require_finite(f"task {self.id}: ", self, ("workload", "data_size"))
         if self.workload < 0:
             raise ValueError(f"task {self.id}: workload must be >= 0")
         if self.data_size < 0:
@@ -93,18 +104,6 @@ class TaskGraph:
 
     def __len__(self) -> int:
         return len(self.tasks)
-
-    def task(self, task_id: int) -> TaskSpec:
-        for t in self.tasks:
-            if t.id == task_id:
-                return t
-        raise KeyError(task_id)
-
-    def predecessors(self, task_id: int) -> tuple[int, ...]:
-        return tuple(a for a, b in self.edges if b == task_id)
-
-    def successors(self, task_id: int) -> tuple[int, ...]:
-        return tuple(b for a, b in self.edges if a == task_id)
 
     def sinks(self) -> tuple[int, ...]:
         with_succ = {a for a, _ in self.edges}
@@ -153,6 +152,7 @@ class FogSpec:
     price: float = 0.0
 
     def __post_init__(self):
+        _require_finite("fog ", self, ("cpu", "alpha", "beta", "epsilon", "price"))
         if self.cpu <= 0:
             raise ValueError("fog cpu must be > 0")
         if self.price < 0:
@@ -175,6 +175,7 @@ class CloudSpec:
     price: float = 0.0
 
     def __post_init__(self):
+        _require_finite("cloud ", self, ("cpu", "alpha", "beta", "epsilon", "price"))
         if self.cpu <= 0:
             raise ValueError("cloud cpu must be > 0")
         if self.price < 0:
@@ -207,6 +208,11 @@ class RadioLink:
     def __post_init__(self):
         if self.tx_power is None:
             object.__setattr__(self, "tx_power", self.tx_power_max)
+        _require_finite(
+            "link ",
+            self,
+            ("bandwidth", "tx_power_max", "channel_gain", "noise", "interference", "tx_power"),
+        )
         if self.bandwidth <= 0:
             raise ValueError("link bandwidth must be > 0")
         if self.noise <= 0:
@@ -230,6 +236,11 @@ class Platform:
     radio: RadioLink
 
     def __post_init__(self):
+        _require_finite(
+            "",
+            self,
+            ("device_cpu", "kappa", "fog_cloud_bandwidth", "fog_forward_power"),
+        )
         if self.device_cpu <= 0:
             raise ValueError("device_cpu must be > 0")
         if self.kappa < 0:
@@ -304,6 +315,8 @@ class SAConfig:
     max_restarts: int = 50
 
     def __post_init__(self):
+        # an infinite t0 would never cool down to t_stop
+        _require_finite("", self, ("t0", "t_stop"))
         if not 0 < self.cool < 1:
             raise ValueError("cool must be in (0, 1)")
         if self.t_stop <= 0:
@@ -345,5 +358,8 @@ class Scenario:
 
     def __post_init__(self):
         object.__setattr__(self, "objective_mode", ObjectiveMode(self.objective_mode))
+        # budget = inf disables C7; NaN would do so silently
+        if math.isnan(self.budget):
+            raise ValueError("budget must be a number, got nan")
         if self.budget < 0:
             raise ValueError("budget must be >= 0")

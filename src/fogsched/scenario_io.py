@@ -88,15 +88,13 @@ def _parse_graph(node) -> TaskGraph:
     for entry in _get(node, "tasks", "graph") or []:
         entry = _as_map(entry, "graph.tasks[]")
         _check_keys(entry, ("id", "workload", "data_size"), "graph.tasks[]")
-        tasks.append(
-            TaskSpec(
-                id=_as_int(_get(entry, "id", "graph.tasks[]"), "task id"),
-                workload=_as_float(_get(entry, "workload", "graph.tasks[]"), "workload"),
-                data_size=_as_float(
-                    _get(entry, "data_size", "graph.tasks[]"), "data_size"
-                ),
-            )
-        )
+        task_id = _as_int(_get(entry, "id", "graph.tasks[]"), "task id")
+        workload = _as_float(_get(entry, "workload", "graph.tasks[]"), "workload")
+        data_size = _as_float(_get(entry, "data_size", "graph.tasks[]"), "data_size")
+        try:
+            tasks.append(TaskSpec(id=task_id, workload=workload, data_size=data_size))
+        except ValueError as exc:
+            raise ParseError(f"graph: {exc}") from exc
     edges = []
     for pair in node.get("edges") or []:
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:

@@ -24,6 +24,7 @@ Everything is pure: identical inputs give bit-identical results.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import costs as _costs
 from .model import (
@@ -128,7 +129,6 @@ class EvalContext:
         "e_s",
         "rev_f",
         "rev_c",
-        "task_costs",
     )
 
     def __init__(self, graph: TaskGraph, platform: Platform):
@@ -142,7 +142,6 @@ class EvalContext:
         self.preds = tuple(tuple(sorted(p)) for p in preds)
         self.sinks = tuple(i - 1 for i in graph.sinks())
         per_task = tuple(_costs.task_costs(t, platform) for t in graph.tasks)
-        self.task_costs = per_task
         self.data = tuple(t.data_size for t in graph.tasks)
         self.tau_l = tuple(c.local_time for c in per_task)
         self.tau_t = tuple(c.uplink_time for c in per_task)
@@ -201,74 +200,72 @@ def _tier_step(ctx, i, tier, tfl, tff, tfc, chosen):
     return ready, up, fwd, ctx.tau_c[i] + ready
 
 
-def _core_eval(ctx: EvalContext, tiers) -> tuple:
-    """Evaluate one placement given as a 0-indexed sequence of tier codes.
+class _Core(NamedTuple):
+    """Evaluation of one placement as flat per-task lists (0-indexed).
 
-    Returns (trl, trf, trc, tft, tfr, tfl, tff, tfc, chosen, cost, makespan,
-    sum_finish, total_cost, fog_utility, cloud_utility).
+    `ready` holds each task's ready time at its assigned tier; the finish
+    lists follow the module's convention (0 for tiers a task is not on).
     """
+
+    ready: list
+    finish_tx: list
+    finish_fwd: list
+    finish_local: list
+    finish_fog: list
+    finish_cloud: list
+    chosen: list
+    makespan: float
+    sum_finish: float
+    total_cost: float
+    fog_utility: float
+    cloud_utility: float
+
+
+def _core_eval(ctx: EvalContext, tiers) -> _Core:
+    """Evaluate one placement given as a 0-indexed sequence of tier codes."""
     n = ctx.n
-    trl = [0.0] * n
-    trf = [0.0] * n
-    trc = [0.0] * n
+    ready = [0.0] * n
     tft = [0.0] * n
     tfr = [0.0] * n
     tfl = [0.0] * n
     tff = [0.0] * n
     tfc = [0.0] * n
     chosen = [0.0] * n
-    cost = [0.0] * n
-    e_l = ctx.e_l
-    rev_f = ctx.rev_f
-    rev_c = ctx.rev_c
     for i in ctx.topo:
         t = tiers[i]
-        ready, up, fwd, fin = _tier_step(ctx, i, t, tfl, tff, tfc, chosen)
+        ready[i], up, fwd, fin = _tier_step(ctx, i, t, tfl, tff, tfc, chosen)
         if t == _LOCAL:
-            trl[i] = ready
             tfl[i] = fin
-            cost[i] = e_l[i]
         elif t == _FOG:
-            trf[i] = ready
             tft[i] = up
             tff[i] = fin
-            cost[i] = rev_f[i]
         else:
-            trc[i] = ready
             tft[i] = up
             tfr[i] = fwd
             tfc[i] = fin
-            cost[i] = rev_c[i]
         chosen[i] = fin
     makespan = 0.0
     for i in ctx.sinks:
         if chosen[i] > makespan:
             makespan = chosen[i]
+    rev_f = ctx.rev_f
+    rev_c = ctx.rev_c
+    cost = 0.0
     u_f = 0.0
     u_c = 0.0
     for i in range(n):
         t = tiers[i]
-        if t == _FOG:
+        if t == _LOCAL:
+            cost += ctx.e_l[i]
+        elif t == _FOG:
+            cost += rev_f[i]
             u_f += rev_f[i] - ctx.e_f[i]
-        elif t == _CLOUD:
+        else:
+            cost += rev_c[i]
             u_f -= ctx.e_s[i]
             u_c += rev_c[i] - ctx.e_c[i]
-    return (
-        trl,
-        trf,
-        trc,
-        tft,
-        tfr,
-        tfl,
-        tff,
-        tfc,
-        chosen,
-        cost,
-        makespan,
-        sum(chosen),
-        sum(cost),
-        u_f,
-        u_c,
+    return _Core(
+        ready, tft, tfr, tfl, tff, tfc, chosen, makespan, sum(chosen), cost, u_f, u_c
     )
 
 
@@ -291,32 +288,35 @@ def evaluate(
     return _result_from_core(ctx, tiers, _core_eval(ctx, tiers))
 
 
-def _result_from_core(ctx: EvalContext, tiers, core) -> ScheduleResult:
-    (trl, trf, trc, tft, tfr, tfl, tff, tfc, chosen, cost, mk, sf, tc, uf, uc) = core
-    rows = tuple(
-        TaskSchedule(
-            task_id=i + 1,
-            tier=Tier(tiers[i]),
-            ready_local=trl[i],
-            ready_fog=trf[i],
-            ready_cloud=trc[i],
-            finish_local=tfl[i],
-            finish_tx=tft[i],
-            finish_fog=tff[i],
-            finish_fwd=tfr[i],
-            finish_cloud=tfc[i],
-            chosen_finish=chosen[i],
-            cost=cost[i],
+def _result_from_core(ctx: EvalContext, tiers, core: _Core) -> ScheduleResult:
+    rows = []
+    for i in range(ctx.n):
+        t = tiers[i]
+        ready = [0.0, 0.0, 0.0]
+        ready[t - 1] = core.ready[i]
+        rows.append(
+            TaskSchedule(
+                task_id=i + 1,
+                tier=Tier(t),
+                ready_local=ready[0],
+                ready_fog=ready[1],
+                ready_cloud=ready[2],
+                finish_local=core.finish_local[i],
+                finish_tx=core.finish_tx[i],
+                finish_fog=core.finish_fog[i],
+                finish_fwd=core.finish_fwd[i],
+                finish_cloud=core.finish_cloud[i],
+                chosen_finish=core.chosen[i],
+                cost=(ctx.e_l, ctx.rev_f, ctx.rev_c)[t - 1][i],
+            )
         )
-        for i in range(ctx.n)
-    )
     return ScheduleResult(
-        tasks=rows,
-        makespan=mk,
-        sum_finish=sf,
-        total_cost=tc,
-        fog_utility=uf,
-        cloud_utility=uc,
+        tasks=tuple(rows),
+        makespan=core.makespan,
+        sum_finish=core.sum_finish,
+        total_cost=core.total_cost,
+        fog_utility=core.fog_utility,
+        cloud_utility=core.cloud_utility,
     )
 
 
@@ -325,46 +325,6 @@ def objective_value(result: ScheduleResult, mode: ObjectiveMode) -> float:
     if ObjectiveMode(mode) is ObjectiveMode.MAKESPAN:
         return result.makespan
     return result.sum_finish
-
-
-def task_cost(
-    task, tier: Tier, costs: _costs.TaskCosts, fog, cloud
-) -> float:
-    """Device-side cost of one task: its local energy, or the fog/cloud
-    per-bit price times its data size."""
-    tier = Tier(tier)
-    if tier is Tier.LOCAL:
-        return costs.local_energy
-    if tier is Tier.FOG:
-        return fog.price * task.data_size
-    return cloud.price * task.data_size
-
-
-def fog_utility(placement: Placement, graph: TaskGraph, per_task_costs, fog) -> float:
-    """Fog revenue minus fog expenses.
-
-    Earns price*data_size for each fog-placed task, pays its execution energy
-    there, and pays the forwarding energy of every cloud-placed task.
-    `per_task_costs` maps task id -> TaskCosts.
-    """
-    total = 0.0
-    for t in graph.tasks:
-        tier = placement.assignment[t.id]
-        c = per_task_costs[t.id]
-        if tier is Tier.FOG:
-            total += fog.price * t.data_size - c.fog_energy
-        elif tier is Tier.CLOUD:
-            total -= c.fog_cloud_energy
-    return total
-
-
-def cloud_utility(placement: Placement, graph: TaskGraph, per_task_costs, cloud) -> float:
-    """Cloud revenue minus cloud execution energy, over cloud-placed tasks."""
-    total = 0.0
-    for t in graph.tasks:
-        if placement.assignment[t.id] is Tier.CLOUD:
-            total += cloud.price * t.data_size - per_task_costs[t.id].cloud_energy
-    return total
 
 
 def check_feasibility(result: ScheduleResult, scenario: Scenario) -> FeasibilityReport:
@@ -377,7 +337,10 @@ def check_feasibility(result: ScheduleResult, scenario: Scenario) -> Feasibility
     All comparisons use absolute tolerance TIME_TOL.
     """
     graph = scenario.graph
-    ctx = EvalContext(graph, scenario.platform)
+    validate_graph(graph)
+    preds: list[list[int]] = [[] for _ in graph.tasks]
+    for a, b in graph.edges:  # sorted, so each list is ascending
+        preds[b - 1].append(a - 1)
     rows = result.tasks
     violations: list[tuple[str, int, str]] = []
 
@@ -388,7 +351,7 @@ def check_feasibility(result: ScheduleResult, scenario: Scenario) -> Feasibility
     for t in graph.tasks:
         i = t.id - 1
         row = rows[i]
-        ps = ctx.preds[i]
+        ps = preds[i]
         if row.tier is Tier.LOCAL:
             for k in ps:
                 if row.ready_local < _chosen(k) - TIME_TOL:
@@ -412,7 +375,8 @@ def check_feasibility(result: ScheduleResult, scenario: Scenario) -> Feasibility
                         ("C2", t.id, f"ready_fog precedes cloud finish of task {k + 1}")
                     )
         else:
-            if row.ready_cloud < row.finish_tx + ctx.tau_r[i] - TIME_TOL:
+            forward = _costs.fog_cloud_time(t, scenario.platform)
+            if row.ready_cloud < row.finish_tx + forward - TIME_TOL:
                 c3 = False
                 violations.append(("C3", t.id, "ready_cloud precedes upload + forward"))
             if row.ready_cloud < row.finish_fwd - TIME_TOL:

@@ -17,13 +17,15 @@ import numpy as np
 from .model import (
     BruteForceConfig,
     GraphError,
-    ObjectiveMode,
     Placement,
     SAConfig,
     Scenario,
     Tier,
 )
 from .schedule import (
+    _CLOUD,
+    _FOG,
+    _LOCAL,
     TIME_TOL,
     EvalContext,
     ScheduleResult,
@@ -31,11 +33,8 @@ from .schedule import (
     _result_from_core,
     _tier_step,
     check_feasibility,
+    objective_value,
 )
-
-_LOCAL = int(Tier.LOCAL)
-_FOG = int(Tier.FOG)
-_CLOUD = int(Tier.CLOUD)
 
 
 class SolverError(RuntimeError):
@@ -160,17 +159,12 @@ def metropolis_accept(delta: float, temperature: float, rng: np.random.Generator
     return rng.random() < exp(-delta / temperature)
 
 
-def _objective_from_core(core, mode: ObjectiveMode) -> float:
-    return core[10] if mode is ObjectiveMode.MAKESPAN else core[11]
-
-
 def _placement_from_tiers(tiers) -> Placement:
     return Placement({i + 1: Tier(int(t)) for i, t in enumerate(tiers)})
 
 
 def _outcome(scenario: Scenario, ctx: EvalContext, tiers, iterations, t_start) -> SolveOutcome:
-    core = _core_eval(ctx, tiers)
-    result = _result_from_core(ctx, tiers, core)
+    result = _result_from_core(ctx, tiers, _core_eval(ctx, tiers))
     report = check_feasibility(result, scenario)
     return SolveOutcome(
         placement=_placement_from_tiers(tiers),
@@ -242,7 +236,7 @@ def greedy_solve(scenario: Scenario, trace: list | None = None) -> SolveOutcome:
         iterations += 1
 
     core = _core_eval(ctx, tiers)
-    total_cost = core[12]
+    total_cost = core.total_cost
 
     # Phase 2: budget repair.
     while total_cost > budget + TIME_TOL:
@@ -262,13 +256,13 @@ def greedy_solve(scenario: Scenario, trace: list | None = None) -> SolveOutcome:
             tiers[z] = _LOCAL
             moved = z
         core = _core_eval(ctx, tiers)
-        total_cost = core[12]
+        total_cost = core.total_cost
         iterations += 1
         if trace is not None:
             trace.append((2, moved + 1, total_cost))
 
     # Phase 3: fog-utility repair.
-    fog_util = core[13]
+    fog_util = core.fog_utility
     while fog_util < -TIME_TOL:
         cloud_idx = [i for i in range(n) if tiers[i] == _CLOUD]
         heavy = [i for i in cloud_idx if ctx.e_s[i] > ctx.e_f[i]]
@@ -289,10 +283,10 @@ def greedy_solve(scenario: Scenario, trace: list | None = None) -> SolveOutcome:
             tiers[v] = _LOCAL
             moved = v
         core = _core_eval(ctx, tiers)
-        fog_util = core[13]
+        fog_util = core.fog_utility
         iterations += 1
         if trace is not None:
-            trace.append((3, moved + 1, core[12]))
+            trace.append((3, moved + 1, core.total_cost))
 
     return _outcome(scenario, ctx, tiers, iterations, t_start)
 
@@ -305,8 +299,12 @@ def sa_solve(scenario: Scenario) -> SolveOutcome:
     [-neighbor_range, neighbor_range] clamped to [1, 3], cools the
     temperature, and applies the Metropolis rule to the objective change.
     The annealing loop runs while the temperature exceeds t_stop AND both
-    utilities of the current placement are non-negative, so a placement that
-    turns a utility negative stops the run early.  If the final placement
+    utilities of the last accepted placement are non-negative, so accepting a
+    placement that turns a utility negative stops the run early.  The guard
+    starts from u_f = u_c = 0, not from the random start's utilities, so the
+    start itself never stops a run: every run makes at least one proposal
+    when t0 > t_stop.  The guard compares with >= 0 exactly, without the
+    TIME_TOL slack that check_feasibility allows.  If the final placement
     exceeds the budget the whole process restarts from a fresh random
     placement, up to max_restarts times; restart k draws from the dedicated
     RNG stream (seed, k).
@@ -327,8 +325,8 @@ def sa_solve(scenario: Scenario) -> SolveOutcome:
         )
         tiers = [int(v) for v in rng.integers(1, 4, size=n)]
         core = _core_eval(ctx, tiers)
-        obj_cur = _objective_from_core(core, mode)
-        cost_cur = core[12]
+        obj_cur = objective_value(core, mode)
+        cost_cur = core.total_cost
         u_f = 0.0
         u_c = 0.0
         tem = cfg.t0
@@ -339,14 +337,13 @@ def sa_solve(scenario: Scenario) -> SolveOutcome:
             cand[idx] = min(_CLOUD, max(_LOCAL, cand[idx] + step))
             tem *= cfg.cool
             cand_core = _core_eval(ctx, cand)
-            delta = _objective_from_core(cand_core, mode) - obj_cur
-            if metropolis_accept(delta, tem, rng):
+            obj_cand = objective_value(cand_core, mode)
+            if metropolis_accept(obj_cand - obj_cur, tem, rng):
                 tiers = cand
-                core = cand_core
-                obj_cur = _objective_from_core(core, mode)
-                cost_cur = core[12]
-                u_f = core[13]
-                u_c = core[14]
+                obj_cur = obj_cand
+                cost_cur = cand_core.total_cost
+                u_f = cand_core.fog_utility
+                u_c = cand_core.cloud_utility
             total_iterations += 1
         if cost_cur <= budget + TIME_TOL:
             return _outcome(scenario, ctx, tiers, total_iterations, t_start)
@@ -381,11 +378,11 @@ def brute_force_solve(scenario: Scenario) -> SolveOutcome:
     for tiers in itertools.product((_LOCAL, _FOG, _CLOUD), repeat=n):
         count += 1
         core = _core_eval(ctx, tiers)
-        if core[13] < -TIME_TOL or core[14] < -TIME_TOL:
+        if core.fog_utility < -TIME_TOL or core.cloud_utility < -TIME_TOL:
             continue
-        if core[12] > budget + TIME_TOL:
+        if core.total_cost > budget + TIME_TOL:
             continue
-        obj = _objective_from_core(core, mode)
+        obj = objective_value(core, mode)
         if obj < best_obj:
             best_obj = obj
             best_tiers = tiers

@@ -106,3 +106,27 @@ def cheapest_assignment_cost(graph, platform):
             platform.cloud.price * t.data_size,
         )
     return total
+
+
+def fog_utility(placement, graph, platform):
+    """Fog revenue minus fog expenses: price*data_size less execution energy
+    per fog-placed task, less the forwarding energy of each cloud-placed task."""
+    total = 0.0
+    for t in graph.tasks:
+        tier = Tier(placement.assignment[t.id])
+        c = costs.task_costs(t, platform)
+        if tier is Tier.FOG:
+            total += platform.fog.price * t.data_size - c.fog_energy
+        elif tier is Tier.CLOUD:
+            total -= c.fog_cloud_energy
+    return total
+
+
+def cloud_utility(placement, graph, platform):
+    """Cloud revenue minus cloud execution energy, over cloud-placed tasks."""
+    total = 0.0
+    for t in graph.tasks:
+        if Tier(placement.assignment[t.id]) is Tier.CLOUD:
+            c = costs.task_costs(t, platform)
+            total += platform.cloud.price * t.data_size - c.cloud_energy
+    return total

@@ -16,6 +16,7 @@ from fogsched import (
     save_scenario,
 )
 import gen
+import oracles
 
 
 def _row_key(row):
@@ -133,6 +134,18 @@ def test_sweep_task_count_brute_growth(tmp_path):
     assert 0.9 * math.log(3) <= slope <= 1.1 * math.log(3)
 
 
+def test_worker_count_default_follows_cpu_affinity(monkeypatch):
+    monkeypatch.delenv("FOGSCHED_WORKERS", raising=False)
+    monkeypatch.setattr(bench.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(bench.os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+    assert bench._worker_count(None) == 2
+    monkeypatch.delattr(bench.os, "sched_getaffinity")
+    assert bench._worker_count(None) == 64
+    monkeypatch.setenv("FOGSCHED_WORKERS", "3")
+    assert bench._worker_count(None) == 3
+    assert bench._worker_count(1) == 1
+
+
 def test_run_verify_flag():
     rows = bench.run(bundled_scenario("fig4.scn"), solver="greedy", reps=1, verify=True)
     assert rows[0].feasible
@@ -217,7 +230,9 @@ def test_validate_budget_prescreen(tmp_path):
     path = tmp_path / "tight.scn"
     save_scenario(scn, path)
     diag = bench.validate(path)
-    assert any("likely infeasible" in w for w in diag.warnings)
+    floor = oracles.cheapest_assignment_cost(scn.graph, scn.platform)
+    assert floor > scn.budget
+    assert any(f"already costs {floor!r}, above" in w for w in diag.warnings)
 
 
 def test_validate_epsilon_warning(tmp_path):
@@ -230,7 +245,9 @@ def test_validate_epsilon_warning(tmp_path):
     path.write_text(text)
     diag = bench.validate(path)
     assert diag.ok
-    assert any("power exponent" in w for w in diag.warnings)
+    assert [w for w in diag.warnings if "power exponent" in w] == [
+        "fog power exponent 3.2 outside the usual [2.5, 3] range"
+    ]
 
 
 def test_validate_parse_error_propagates(tmp_path):

@@ -1,5 +1,6 @@
 """Domain types: graph/placement validation and scenario file round-trips."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -94,6 +95,62 @@ def test_task_spec_rejects_negative():
         TaskSpec(id=1, workload=-1.0, data_size=0.0)
     with pytest.raises(ValueError):
         TaskSpec(id=1, workload=0.0, data_size=-1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_inputs_rejected(bad):
+    from fogsched import CloudSpec, FogSpec, RadioLink
+
+    base = gen.desk_platform()
+    with pytest.raises(ValueError, match="finite"):
+        TaskSpec(id=1, workload=bad, data_size=1.0)
+    with pytest.raises(ValueError, match="finite"):
+        TaskSpec(id=1, workload=1.0, data_size=bad)
+    for spec in (FogSpec, CloudSpec):
+        for name in ("cpu", "alpha", "beta", "epsilon", "price"):
+            kwargs = {"cpu": 1.0, "alpha": 0.0, "beta": 0.0, name: bad}
+            with pytest.raises(ValueError, match="finite"):
+                spec(**kwargs)
+    for name in ("bandwidth", "tx_power_max", "channel_gain", "noise", "interference", "tx_power"):
+        kwargs = {"bandwidth": 1.0, "tx_power_max": 1.0, name: bad}
+        with pytest.raises(ValueError, match="finite"):
+            RadioLink(**kwargs)
+    for name in ("device_cpu", "kappa", "fog_cloud_bandwidth", "fog_forward_power"):
+        with pytest.raises(ValueError, match="finite"):
+            replace(base, **{name: bad})
+    for name in ("t0", "t_stop"):
+        with pytest.raises(ValueError, match="finite"):
+            SAConfig(**{name: bad})
+
+
+def test_scenario_budget_nan_rejected_inf_allowed():
+    g = TaskGraph(_tasks(1))
+    with pytest.raises(ValueError):
+        Scenario(graph=g, platform=gen.desk_platform(), budget=math.nan)
+    assert Scenario(graph=g, platform=gen.desk_platform(), budget=math.inf).budget == math.inf
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("workload: 170.4", "workload: .nan"),
+        ("data_size: 170.4", "data_size: .inf"),
+        ("kappa: 1.0e-11", "kappa: .nan"),
+        ("cpu: 3.6,", "cpu: .inf,"),
+        ("price: 0.004", "price: .nan"),
+        ("bandwidth: 5.0", "bandwidth: .inf"),
+        ("budget: 6.0", "budget: .nan"),
+        ("solver: {kind: greedy}", "solver: {kind: sa, t0: .inf}"),
+        ("solver: {kind: greedy}", "solver: {kind: sa, t_stop: .nan}"),
+    ],
+)
+def test_parse_rejects_non_finite_values(old, new):
+    from fogsched import ParseError, bundled_scenario
+
+    text = bundled_scenario("fig4.scn").read_text()
+    assert old in text
+    with pytest.raises(ParseError):
+        parse_scenario(text.replace(old, new, 1))
 
 
 def test_sa_config_invariants():

@@ -11,16 +11,11 @@ from fogsched import (
     Platform,
     RadioLink,
     Scenario,
-    TaskCosts,
     TaskGraph,
     TaskSpec,
     Tier,
     check_feasibility,
-    cloud_utility,
     evaluate,
-    fog_utility,
-    task_cost,
-    task_costs,
 )
 import gen
 import oracles
@@ -144,55 +139,55 @@ def test_matches_fixed_point_oracle():
                 assert row.finish_fwd == pytest.approx(fwd, rel=1e-12)
 
 
-def _costs_with(local_energy=0.0, fog_energy=0.0, cloud_energy=0.0, fwd_energy=0.0):
-    return TaskCosts(
-        local_time=0.0,
-        local_energy=local_energy,
-        uplink_rate=1.0,
-        uplink_time=0.0,
-        uplink_energy=0.0,
-        fog_time=0.0,
-        fog_energy=fog_energy,
-        fog_cloud_time=0.0,
-        fog_cloud_energy=fwd_energy,
-        cloud_time=0.0,
-        cloud_energy=cloud_energy,
+def _priced_platform(kappa=0.0, fog_beta=0.0, cloud_beta=0.0, forward_power=0.0):
+    """Unit-speed platform (fog price 0.001, cloud price 0.004) whose energies
+    are linear in the task: local kappa*workload, fog fog_beta*workload,
+    cloud cloud_beta*workload, forwarding forward_power*data_size."""
+    return Platform(
+        device_cpu=1.0,
+        kappa=kappa,
+        fog=FogSpec(cpu=1.0, alpha=0.0, beta=fog_beta, price=0.001),
+        cloud=CloudSpec(cpu=1.0, alpha=0.0, beta=cloud_beta, price=0.004),
+        fog_cloud_bandwidth=1.0,
+        fog_forward_power=forward_power,
+        radio=RadioLink(bandwidth=1.0, tx_power_max=1.0),
     )
 
 
 def test_task_cost_rule():
-    fog = FogSpec(cpu=1.0, alpha=0.0, beta=0.0, price=0.001)
-    cloud = CloudSpec(cpu=1.0, alpha=0.0, beta=0.0, price=0.004)
-    task = TaskSpec(1, 1.0, 1000.0)
-    assert task_cost(task, Tier.LOCAL, _costs_with(local_energy=0.7), fog, cloud) == 0.7
-    assert task_cost(task, Tier.FOG, _costs_with(), fog, cloud) == pytest.approx(1.0)
-    assert task_cost(task, Tier.CLOUD, _costs_with(), fog, cloud) == pytest.approx(4.0)
+    # device cost: local energy 0.7, else price * data_size (1.0 fog, 4.0 cloud)
+    g = TaskGraph([TaskSpec(1, 1.0, 1000.0)])
+    platform = _priced_platform(kappa=0.7)
+    for tier, expected in ((Tier.LOCAL, 0.7), (Tier.FOG, 1.0), (Tier.CLOUD, 4.0)):
+        res = evaluate(g, Placement({1: tier}), platform)
+        assert res.task(1).cost == pytest.approx(expected)
+        assert res.total_cost == res.task(1).cost
 
 
 def test_fog_utility_terms():
-    fog = FogSpec(cpu=1.0, alpha=0.0, beta=0.0, price=0.001)
+    # task 1: fog revenue 1.0, fog energy 0.3; task 2: forwarding energy 0.5
     g = TaskGraph([TaskSpec(1, 1.0, 1000.0), TaskSpec(2, 1.0, 500.0)])
-    per = {1: _costs_with(fog_energy=0.3), 2: _costs_with(fwd_energy=0.5)}
-    assert fog_utility(Placement({1: Tier.LOCAL, 2: Tier.LOCAL}), g, per, fog) == 0.0
-    assert fog_utility(
-        Placement({1: Tier.FOG, 2: Tier.LOCAL}), g, per, fog
-    ) == pytest.approx(0.7)
-    assert fog_utility(
-        Placement({1: Tier.FOG, 2: Tier.CLOUD}), g, per, fog
-    ) == pytest.approx(0.2)
+    platform = _priced_platform(fog_beta=0.3, forward_power=0.001)
+
+    def fog_utility(tiers):
+        return evaluate(g, Placement(dict(zip((1, 2), tiers))), platform).fog_utility
+
+    assert fog_utility((Tier.LOCAL, Tier.LOCAL)) == 0.0
+    assert fog_utility((Tier.FOG, Tier.LOCAL)) == pytest.approx(0.7)
+    assert fog_utility((Tier.FOG, Tier.CLOUD)) == pytest.approx(0.2)
 
 
 def test_cloud_utility_terms():
-    cloud = CloudSpec(cpu=1.0, alpha=0.0, beta=0.0, price=0.004)
-    g = TaskGraph([TaskSpec(1, 1.0, 1000.0), TaskSpec(2, 1.0, 500.0)])
-    per = {1: _costs_with(cloud_energy=1.0), 2: _costs_with(cloud_energy=3.0)}
-    assert cloud_utility(Placement({1: Tier.LOCAL, 2: Tier.LOCAL}), g, per, cloud) == 0.0
-    assert cloud_utility(
-        Placement({1: Tier.CLOUD, 2: Tier.LOCAL}), g, per, cloud
-    ) == pytest.approx(3.0)
-    assert cloud_utility(
-        Placement({1: Tier.CLOUD, 2: Tier.CLOUD}), g, per, cloud
-    ) == pytest.approx(2.0)  # (4 - 1) + (2 - 3)
+    # cloud revenues 4.0 and 2.0, cloud energies 1.0 and 3.0
+    g = TaskGraph([TaskSpec(1, 1.0, 1000.0), TaskSpec(2, 3.0, 500.0)])
+    platform = _priced_platform(cloud_beta=1.0)
+
+    def cloud_utility(tiers):
+        return evaluate(g, Placement(dict(zip((1, 2), tiers))), platform).cloud_utility
+
+    assert cloud_utility((Tier.LOCAL, Tier.LOCAL)) == 0.0
+    assert cloud_utility((Tier.CLOUD, Tier.LOCAL)) == pytest.approx(3.0)
+    assert cloud_utility((Tier.CLOUD, Tier.CLOUD)) == pytest.approx(2.0)  # (4 - 1) + (2 - 3)
 
 
 def test_utilities_match_evaluator():
@@ -201,12 +196,11 @@ def test_utilities_match_evaluator():
         scn = gen.random_scenario(rng)
         placement = gen.random_placement(rng, scn.graph)
         res = evaluate(scn.graph, placement, scn.platform)
-        per = {t.id: task_costs(t, scn.platform) for t in scn.graph.tasks}
         assert res.fog_utility == pytest.approx(
-            fog_utility(placement, scn.graph, per, scn.platform.fog), abs=1e-12
+            oracles.fog_utility(placement, scn.graph, scn.platform), abs=1e-12
         )
         assert res.cloud_utility == pytest.approx(
-            cloud_utility(placement, scn.graph, per, scn.platform.cloud), abs=1e-12
+            oracles.cloud_utility(placement, scn.graph, scn.platform), abs=1e-12
         )
 
 

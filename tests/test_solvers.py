@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from fogsched import schedule
 from fogsched import (
     BruteForceConfig,
     RestartsExhausted,
@@ -12,6 +13,7 @@ from fogsched import (
     FogSpec,
     GraphError,
     Infeasible,
+    Placement,
     Platform,
     PowerRegime,
     RadioLink,
@@ -26,6 +28,7 @@ from fogsched import (
     check_feasibility,
     classify_power_case,
     decision_rule,
+    evaluate,
     greedy_solve,
     load_scenario,
     metropolis_accept,
@@ -258,6 +261,54 @@ def test_sa_respects_budget_via_restarts():
     for seed in range(5):
         out = sa_solve(replace(scn, solver_config=SAConfig(), seed=seed))
         assert out.result.total_cost <= scn.budget + 1e-9
+
+
+def test_sa_guard_ignores_random_start():
+    # The utility guard starts from u_f = u_c = 0, not from the random start's
+    # utilities, so even a start with negative utilities gets one proposal.
+    scn = load_scenario(bundled_scenario("defaults.scn"))
+    scn = replace(scn, solver_config=SAConfig())
+    stream = np.random.default_rng(np.random.SeedSequence(entropy=scn.seed, spawn_key=(0,)))
+    start = Placement({i + 1: Tier(int(v)) for i, v in enumerate(stream.integers(1, 4, size=9))})
+    res = evaluate(scn.graph, start, scn.platform)
+    assert res.fog_utility < 0 or res.cloud_utility < 0
+    out = sa_solve(scn)  # budget .inf: the first run is the one returned
+    assert out.iterations >= 1
+
+
+# ---------------------------------------------------------------- shared
+
+
+def test_one_eval_context_per_solve(monkeypatch):
+    builds = []
+    original = schedule.EvalContext.__init__
+
+    def counting_init(ctx, graph, platform):
+        builds.append(len(graph))
+        original(ctx, graph, platform)
+
+    monkeypatch.setattr(schedule.EvalContext, "__init__", counting_init)
+    fig4 = load_scenario(bundled_scenario("fig4.scn"))
+    small = replace(
+        fig4, graph=gen.chain_graph(gen.FIG4_SIZES[:5]), solver_config=BruteForceConfig()
+    )
+    sa = SAConfig(max_restarts=2)
+    cases = [
+        (greedy_solve, fig4, None),
+        (greedy_solve, replace(fig4, budget=0.0), Infeasible),
+        (sa_solve, replace(fig4, solver_config=sa), None),
+        (sa_solve, replace(fig4, budget=0.0, solver_config=sa), RestartsExhausted),
+        (brute_force_solve, small, None),
+        (brute_force_solve, replace(small, budget=0.0), Infeasible),
+    ]
+    for fn, scn, error in cases:
+        builds.clear()
+        if error is None:
+            fn(scn)
+        else:
+            with pytest.raises(error):
+                fn(scn)
+        assert builds == [len(scn.graph)], (fn.__name__, error)
 
 
 # ---------------------------------------------------------------- exhaustive
