@@ -7,14 +7,12 @@ sweep-running experiment harness (`bench`, CLI in `cli`).
 """
 from .costs import (
     TaskCosts,
-    cloud_energy,
-    cloud_exec_time,
     fog_cloud_energy,
     fog_cloud_time,
-    fog_energy,
-    fog_exec_time,
     local_energy,
     local_exec_time,
+    server_energy,
+    server_exec_time,
     task_costs,
     uplink_energy,
     uplink_rate,
@@ -36,6 +34,7 @@ from .model import (
     RadioLink,
     SAConfig,
     Scenario,
+    ServerSpec,
     TaskGraph,
     TaskSpec,
     Tier,

@@ -15,7 +15,7 @@ import csv
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -23,41 +23,20 @@ import numpy as np
 
 from . import solvers as _solvers
 from .model import (
-    BruteForceConfig,
+    SOLVER_KINDS,
     CycleDetected,
     DanglingEdge,
     GraphError,
-    GreedyConfig,
-    SAConfig,
     Scenario,
     TaskGraph,
     TaskSpec,
+    solver_kind,
 )
 from .scenario_io import load_scenario, resolve_scenario_path
 from .schedule import EvalContext, check_feasibility, evaluate
 
 SWEEP_PARAMETERS = ("data_size", "budget", "fog_price", "task_count")
-SOLVER_NAMES = ("greedy", "sa", "brute")
-
-CSV_COLUMNS = (
-    "scenario_id",
-    "solver",
-    "seed",
-    "n_tasks",
-    "sweep_value",
-    "makespan",
-    "sum_finish",
-    "total_cost",
-    "fog_utility",
-    "cloud_utility",
-    "n_local",
-    "n_fog",
-    "n_cloud",
-    "feasible",
-    "iterations",
-    "wall_time",
-    "error",
-)
+SOLVER_NAMES = tuple(SOLVER_KINDS)
 
 
 @dataclass(frozen=True)
@@ -81,6 +60,9 @@ class ResultRow:
     iterations: int
     wall_time: float
     error: str = ""
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(ResultRow))
 
 
 @dataclass(frozen=True)
@@ -133,24 +115,11 @@ class Diagnostics:
 
 
 def _solver_config(name: str, scenario: Scenario):
-    if name == "greedy":
-        return GreedyConfig()
-    if name == "sa":
-        cfg = scenario.solver_config
-        return cfg if isinstance(cfg, SAConfig) else SAConfig()
-    if name == "brute":
-        cfg = scenario.solver_config
-        return cfg if isinstance(cfg, BruteForceConfig) else BruteForceConfig()
-    raise ValueError(f"unknown solver {name!r}")
-
-
-def _solver_name(scenario: Scenario) -> str:
+    """The scenario's own settings when it names this solver, else defaults."""
+    if name not in SOLVER_KINDS:
+        raise ValueError(f"unknown solver {name!r}")
     cfg = scenario.solver_config
-    if isinstance(cfg, SAConfig):
-        return "sa"
-    if isinstance(cfg, BruteForceConfig):
-        return "brute"
-    return "greedy"
+    return cfg if solver_kind(cfg) == name else SOLVER_KINDS[name]()
 
 
 def _solve_one(
@@ -231,7 +200,7 @@ def run(
     """
     path = resolve_scenario_path(scenario_path)
     scenario = load_scenario(path)
-    solver_name = solver or _solver_name(scenario)
+    solver_name = solver or solver_kind(scenario.solver_config)
     base_seed = scenario.seed if seed is None else seed
     scenario_id = path.stem
     return [

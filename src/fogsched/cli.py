@@ -37,7 +37,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--steps", type=int, required=True)
     p_sweep.add_argument("--reps", type=int, default=1)
     p_sweep.add_argument(
-        "--solvers", default="greedy", help="comma-separated list (greedy,sa,brute)"
+        "--solvers",
+        default="greedy",
+        help=f"comma-separated list ({','.join(bench.SOLVER_NAMES)})",
     )
     p_sweep.add_argument("--out", required=True)
     p_sweep.add_argument(

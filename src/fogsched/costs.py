@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import log2
 
-from .model import CloudSpec, FogSpec, Platform, RadioLink, TaskSpec
+from .model import Platform, RadioLink, ServerSpec, TaskSpec
 
 
 @dataclass(frozen=True)
@@ -44,25 +44,15 @@ def local_energy(task: TaskSpec, platform: Platform) -> float:
     return platform.kappa * task.workload * platform.device_cpu**2
 
 
-def fog_exec_time(task: TaskSpec, fog: FogSpec) -> float:
-    """workload / fog CPU speed."""
-    return task.workload / fog.cpu
+def server_exec_time(task: TaskSpec, server: ServerSpec) -> float:
+    """workload / server CPU speed."""
+    return task.workload / server.cpu
 
 
-def fog_energy(task: TaskSpec, fog: FogSpec) -> float:
-    """(alpha * cpu^epsilon + beta) * execution time on the fog node."""
-    return (fog.alpha * fog.cpu**fog.epsilon + fog.beta) * fog_exec_time(task, fog)
-
-
-def cloud_exec_time(task: TaskSpec, cloud: CloudSpec) -> float:
-    """workload / cloud CPU speed."""
-    return task.workload / cloud.cpu
-
-
-def cloud_energy(task: TaskSpec, cloud: CloudSpec) -> float:
-    """(alpha * cpu^epsilon + beta) * execution time on the cloud server."""
-    return (cloud.alpha * cloud.cpu**cloud.epsilon + cloud.beta) * cloud_exec_time(
-        task, cloud
+def server_energy(task: TaskSpec, server: ServerSpec) -> float:
+    """(alpha * cpu^epsilon + beta) * execution time on the fog node or cloud server."""
+    return (server.alpha * server.cpu**server.epsilon + server.beta) * server_exec_time(
+        task, server
     )
 
 
@@ -94,10 +84,10 @@ def task_costs(task: TaskSpec, platform: Platform) -> TaskCosts:
         uplink_rate=uplink_rate(platform.radio),
         uplink_time=uplink_time(task, platform.radio),
         uplink_energy=uplink_energy(task, platform.radio),
-        fog_time=fog_exec_time(task, platform.fog),
-        fog_energy=fog_energy(task, platform.fog),
+        fog_time=server_exec_time(task, platform.fog),
+        fog_energy=server_energy(task, platform.fog),
         fog_cloud_time=fog_cloud_time(task, platform),
         fog_cloud_energy=fog_cloud_energy(task, platform),
-        cloud_time=cloud_exec_time(task, platform.cloud),
-        cloud_energy=cloud_energy(task, platform.cloud),
+        cloud_time=server_exec_time(task, platform.cloud),
+        cloud_energy=server_energy(task, platform.cloud),
     )

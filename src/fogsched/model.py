@@ -11,8 +11,9 @@ from __future__ import annotations
 import heapq
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum, IntEnum
+from numbers import Real
 from typing import Mapping, Optional, Union
 
 
@@ -55,13 +56,14 @@ class UnknownTask(PlacementError):
     """The placement mentions a task id not present in the graph."""
 
 
-def _require_finite(where: str, obj, names) -> None:
-    """Reject NaN and +-inf fields.  NaN passes every range check (each
-    comparison with it is False) and an infinity breaks the cost model, so
-    either would silently switch a constraint off."""
-    for name in names:
+def _require_finite(where: str, obj, names=None) -> None:
+    """Reject NaN and +-inf fields (by default every numeric field).  NaN
+    passes every range check (each comparison with it is False) and an
+    infinity breaks the cost model, so either would silently switch a
+    constraint off."""
+    for name in names or [f.name for f in fields(obj)]:
         value = getattr(obj, name)
-        if not math.isfinite(value):
+        if isinstance(value, Real) and not math.isfinite(value):
             raise ValueError(f"{where}{name} must be finite, got {value!r}")
 
 
@@ -74,7 +76,7 @@ class TaskSpec:
     data_size: float
 
     def __post_init__(self):
-        _require_finite(f"task {self.id}: ", self, ("workload", "data_size"))
+        _require_finite(f"task {self.id}: ", self)
         if self.workload < 0:
             raise ValueError(f"task {self.id}: workload must be >= 0")
         if self.data_size < 0:
@@ -142,8 +144,10 @@ def validate_graph(graph: TaskGraph) -> list[int]:
 
 
 @dataclass(frozen=True)
-class FogSpec:
-    """Fog node: CPU speed, power model (alpha*cpu^epsilon + beta), per-bit price."""
+class ServerSpec:
+    """Fog node or cloud server: CPU speed, power model
+    (alpha*cpu^epsilon + beta), per-bit price.  `label` names the tier in
+    error and warning messages."""
 
     cpu: float
     alpha: float
@@ -151,40 +155,33 @@ class FogSpec:
     epsilon: float = 3.0
     price: float = 0.0
 
+    label = "server"
+
     def __post_init__(self):
-        _require_finite("fog ", self, ("cpu", "alpha", "beta", "epsilon", "price"))
+        _require_finite(f"{self.label} ", self)
         if self.cpu <= 0:
-            raise ValueError("fog cpu must be > 0")
+            raise ValueError(f"{self.label} cpu must be > 0")
+        # negative coefficients give negative energies, inflating the utility
+        if self.alpha < 0:
+            raise ValueError(f"{self.label} alpha must be >= 0")
+        if self.beta < 0:
+            raise ValueError(f"{self.label} beta must be >= 0")
         if self.price < 0:
-            raise ValueError("fog price must be >= 0")
+            raise ValueError(f"{self.label} price must be >= 0")
         if not 2.5 <= self.epsilon <= 3.0:
             warnings.warn(
-                f"fog power exponent {self.epsilon} outside the usual [2.5, 3] range",
+                f"{self.label} power exponent {self.epsilon} outside the usual "
+                "[2.5, 3] range",
                 stacklevel=2,
             )
 
 
-@dataclass(frozen=True)
-class CloudSpec:
-    """Cloud server: CPU speed, power model (alpha*cpu^epsilon + beta), per-bit price."""
+class FogSpec(ServerSpec):
+    label = "fog"
 
-    cpu: float
-    alpha: float
-    beta: float
-    epsilon: float = 3.0
-    price: float = 0.0
 
-    def __post_init__(self):
-        _require_finite("cloud ", self, ("cpu", "alpha", "beta", "epsilon", "price"))
-        if self.cpu <= 0:
-            raise ValueError("cloud cpu must be > 0")
-        if self.price < 0:
-            raise ValueError("cloud price must be >= 0")
-        if not 2.5 <= self.epsilon <= 3.0:
-            warnings.warn(
-                f"cloud power exponent {self.epsilon} outside the usual [2.5, 3] range",
-                stacklevel=2,
-            )
+class CloudSpec(ServerSpec):
+    label = "cloud"
 
 
 @dataclass(frozen=True)
@@ -208,13 +205,11 @@ class RadioLink:
     def __post_init__(self):
         if self.tx_power is None:
             object.__setattr__(self, "tx_power", self.tx_power_max)
-        _require_finite(
-            "link ",
-            self,
-            ("bandwidth", "tx_power_max", "channel_gain", "noise", "interference", "tx_power"),
-        )
+        _require_finite("link ", self)
         if self.bandwidth <= 0:
             raise ValueError("link bandwidth must be > 0")
+        if self.channel_gain <= 0:
+            raise ValueError("link channel_gain must be > 0")
         if self.noise <= 0:
             raise ValueError("link noise must be > 0")
         if self.interference < 0:
@@ -236,11 +231,7 @@ class Platform:
     radio: RadioLink
 
     def __post_init__(self):
-        _require_finite(
-            "",
-            self,
-            ("device_cpu", "kappa", "fog_cloud_bandwidth", "fog_forward_power"),
-        )
+        _require_finite("", self)
         if self.device_cpu <= 0:
             raise ValueError("device_cpu must be > 0")
         if self.kappa < 0:
@@ -343,6 +334,14 @@ class BruteForceConfig:
 
 
 SolverConfig = Union[GreedyConfig, SAConfig, BruteForceConfig]
+
+# solver kind, as named in scenario files and on the command line -> config
+SOLVER_KINDS = {"greedy": GreedyConfig, "sa": SAConfig, "brute": BruteForceConfig}
+
+
+def solver_kind(config: SolverConfig) -> str:
+    """The kind name of a solver configuration."""
+    return next(k for k, cls in SOLVER_KINDS.items() if isinstance(config, cls))
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,11 @@
 
 A scenario file is a YAML document (conventionally `.scn`) with the sections
 `graph`, `platform`, `budget`, `objective_mode`, `seed` and `solver`, plus an
-optional `placement` section pinning a tier per task.  Field names match the
-domain types exactly.  Unknown keys are rejected so typos fail loudly.
+optional `placement` section pinning a tier per task.  Tasks, the platform
+with its fog, cloud and radio specs, and the settings of each solver kind are
+read and written from the fields of their dataclasses, so the file keys are
+the field names; the one exception is the exhaustive solver's `cap`, written
+`brute_cap`.  Unknown keys are rejected so typos fail loudly.
 
 Numeric fields are coerced with float()/int() after YAML parsing, so plain
 exponent notation like `1e-11` is accepted even where YAML would read it as a
@@ -11,26 +14,29 @@ string.
 """
 from __future__ import annotations
 
+import dataclasses
+import functools
+import typing
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Optional, Union
 
 import yaml
 
 from .model import (
+    SOLVER_KINDS,
     BruteForceConfig,
-    CloudSpec,
-    FogSpec,
     GreedyConfig,
     ObjectiveMode,
     Placement,
     Platform,
     RadioLink,
-    SAConfig,
     Scenario,
     SolverConfig,
     TaskGraph,
     TaskSpec,
     Tier,
+    solver_kind,
     validate_graph,
     validate_placement,
 )
@@ -40,10 +46,21 @@ class ParseError(ValueError):
     """The scenario file is malformed."""
 
 
-_TIER_BY_NAME = {"local": Tier.LOCAL, "fog": Tier.FOG, "cloud": Tier.CLOUD}
+_TIER_BY_NAME = {t.name.lower(): t for t in Tier}
 _NAME_BY_TIER = {v: k for k, v in _TIER_BY_NAME.items()}
 
-_SOLVER_KINDS = ("greedy", "sa", "brute")
+# file keys that differ from the field name
+_FILE_KEYS = {(BruteForceConfig, "cap"): "brute_cap"}
+
+
+@functools.lru_cache(maxsize=None)
+def _fields(cls) -> tuple[tuple[dataclasses.Field, str, type], ...]:
+    """(field, file key, resolved type) for each field of dataclass `cls`."""
+    hints = typing.get_type_hints(cls)
+    return tuple(
+        (f, _FILE_KEYS.get((cls, f.name), f.name), hints[f.name])
+        for f in dataclasses.fields(cls)
+    )
 
 
 def _as_map(node, where: str) -> dict:
@@ -53,7 +70,7 @@ def _as_map(node, where: str) -> dict:
 
 
 def _check_keys(node: dict, allowed, where: str) -> None:
-    unknown = sorted(set(node) - set(allowed))
+    unknown = sorted(set(node) - set(allowed), key=str)
     if unknown:
         raise ParseError(f"{where}: unknown keys {unknown}")
 
@@ -81,154 +98,79 @@ def _as_int(value, where: str) -> int:
     return out
 
 
+@contextmanager
+def _reraise(prefix: str):
+    """Report a domain type's ValueError as a ParseError."""
+    try:
+        yield
+    except ParseError:
+        raise
+    except ValueError as exc:
+        raise ParseError(f"{prefix}{exc}") from exc
+
+
+def _build(cls, node, where: str):
+    """Build dataclass `cls` from a mapping keyed by its file keys.  Fields
+    without a default are required, a null counts as absent where the default
+    is None (an Optional field), and nested dataclass fields recurse."""
+    node = _as_map(node, where)
+    fields = _fields(cls)
+    _check_keys(node, [key for _, key, _ in fields], where)
+    kwargs = {}
+    for f, key, kind in fields:
+        value = node.get(key)
+        if value is None and (key not in node or f.default is None):
+            if f.default is dataclasses.MISSING:
+                raise ParseError(f"{where}: missing required key '{key}'")
+            continue
+        at = f"{where}.{key}"
+        if dataclasses.is_dataclass(kind):
+            kwargs[f.name] = _build(kind, value, at)
+        else:
+            kwargs[f.name] = (_as_int if kind is int else _as_float)(value, at)
+    return cls(**kwargs)
+
+
 def _parse_graph(node) -> TaskGraph:
     node = _as_map(node, "graph")
     _check_keys(node, ("tasks", "edges"), "graph")
-    tasks = []
-    for entry in _get(node, "tasks", "graph") or []:
-        entry = _as_map(entry, "graph.tasks[]")
-        _check_keys(entry, ("id", "workload", "data_size"), "graph.tasks[]")
-        task_id = _as_int(_get(entry, "id", "graph.tasks[]"), "task id")
-        workload = _as_float(_get(entry, "workload", "graph.tasks[]"), "workload")
-        data_size = _as_float(_get(entry, "data_size", "graph.tasks[]"), "data_size")
-        try:
-            tasks.append(TaskSpec(id=task_id, workload=workload, data_size=data_size))
-        except ValueError as exc:
-            raise ParseError(f"graph: {exc}") from exc
-    edges = []
-    for pair in node.get("edges") or []:
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise ParseError(f"graph.edges: expected [pred, succ] pairs, got {pair!r}")
-        edges.append((_as_int(pair[0], "edge pred"), _as_int(pair[1], "edge succ")))
-    try:
+    with _reraise("graph: "):
+        tasks = [
+            _build(TaskSpec, entry, "graph.tasks[]")
+            for entry in _get(node, "tasks", "graph") or []
+        ]
+        edges = []
+        for pair in node.get("edges") or []:
+            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+                raise ParseError(f"graph.edges: expected [pred, succ] pairs, got {pair!r}")
+            edges.append((_as_int(pair[0], "edge pred"), _as_int(pair[1], "edge succ")))
         return TaskGraph(tasks, edges)
-    except ValueError as exc:
-        raise ParseError(f"graph: {exc}") from exc
-
-
-def _parse_platform(node) -> Platform:
-    node = _as_map(node, "platform")
-    _check_keys(
-        node,
-        (
-            "device_cpu",
-            "kappa",
-            "fog",
-            "cloud",
-            "fog_cloud_bandwidth",
-            "fog_forward_power",
-            "radio",
-        ),
-        "platform",
-    )
-    fog = _as_map(_get(node, "fog", "platform"), "platform.fog")
-    _check_keys(fog, ("cpu", "alpha", "beta", "epsilon", "price"), "platform.fog")
-    cloud = _as_map(_get(node, "cloud", "platform"), "platform.cloud")
-    _check_keys(cloud, ("cpu", "alpha", "beta", "epsilon", "price"), "platform.cloud")
-    radio = _as_map(_get(node, "radio", "platform"), "platform.radio")
-    _check_keys(
-        radio,
-        (
-            "bandwidth",
-            "tx_power",
-            "tx_power_max",
-            "channel_gain",
-            "noise",
-            "interference",
-        ),
-        "platform.radio",
-    )
-    try:
-        return Platform(
-            device_cpu=_as_float(_get(node, "device_cpu", "platform"), "device_cpu"),
-            kappa=_as_float(_get(node, "kappa", "platform"), "kappa"),
-            fog=FogSpec(
-                cpu=_as_float(_get(fog, "cpu", "platform.fog"), "fog.cpu"),
-                alpha=_as_float(_get(fog, "alpha", "platform.fog"), "fog.alpha"),
-                beta=_as_float(_get(fog, "beta", "platform.fog"), "fog.beta"),
-                epsilon=_as_float(fog.get("epsilon", 3.0), "fog.epsilon"),
-                price=_as_float(fog.get("price", 0.0), "fog.price"),
-            ),
-            cloud=CloudSpec(
-                cpu=_as_float(_get(cloud, "cpu", "platform.cloud"), "cloud.cpu"),
-                alpha=_as_float(_get(cloud, "alpha", "platform.cloud"), "cloud.alpha"),
-                beta=_as_float(_get(cloud, "beta", "platform.cloud"), "cloud.beta"),
-                epsilon=_as_float(cloud.get("epsilon", 3.0), "cloud.epsilon"),
-                price=_as_float(cloud.get("price", 0.0), "cloud.price"),
-            ),
-            fog_cloud_bandwidth=_as_float(
-                _get(node, "fog_cloud_bandwidth", "platform"), "fog_cloud_bandwidth"
-            ),
-            fog_forward_power=_as_float(
-                _get(node, "fog_forward_power", "platform"), "fog_forward_power"
-            ),
-            radio=RadioLink(
-                bandwidth=_as_float(_get(radio, "bandwidth", "platform.radio"), "bandwidth"),
-                tx_power_max=_as_float(
-                    _get(radio, "tx_power_max", "platform.radio"), "tx_power_max"
-                ),
-                channel_gain=_as_float(radio.get("channel_gain", 1.0), "channel_gain"),
-                noise=_as_float(radio.get("noise", 1.0), "noise"),
-                interference=_as_float(radio.get("interference", 0.0), "interference"),
-                tx_power=(
-                    _as_float(radio["tx_power"], "tx_power")
-                    if radio.get("tx_power") is not None
-                    else None
-                ),
-            ),
-        )
-    except ValueError as exc:
-        if isinstance(exc, ParseError):
-            raise
-        raise ParseError(f"platform: {exc}") from exc
 
 
 def _parse_solver(node) -> SolverConfig:
     if node is None:
         return GreedyConfig()
     node = _as_map(node, "solver")
-    _check_keys(
-        node,
-        ("kind", "t0", "cool", "t_stop", "neighbor_range", "max_restarts", "brute_cap"),
-        "solver",
-    )
     kind = node.get("kind", "greedy")
-    if kind not in _SOLVER_KINDS:
-        raise ParseError(f"solver.kind must be one of {_SOLVER_KINDS}, got {kind!r}")
-    try:
-        if kind == "sa":
-            defaults = SAConfig()
-            return SAConfig(
-                t0=_as_float(node.get("t0", defaults.t0), "solver.t0"),
-                cool=_as_float(node.get("cool", defaults.cool), "solver.cool"),
-                t_stop=_as_float(node.get("t_stop", defaults.t_stop), "solver.t_stop"),
-                neighbor_range=_as_int(
-                    node.get("neighbor_range", defaults.neighbor_range),
-                    "solver.neighbor_range",
-                ),
-                max_restarts=_as_int(
-                    node.get("max_restarts", defaults.max_restarts),
-                    "solver.max_restarts",
-                ),
-            )
-        if kind == "brute":
-            return BruteForceConfig(
-                cap=_as_int(node.get("brute_cap", BruteForceConfig().cap), "solver.brute_cap")
-            )
-        return GreedyConfig()
-    except ValueError as exc:
-        if isinstance(exc, ParseError):
-            raise
-        raise ParseError(f"solver: {exc}") from exc
+    if not isinstance(kind, str) or kind not in SOLVER_KINDS:
+        kinds = tuple(SOLVER_KINDS)
+        raise ParseError(f"solver.kind must be one of {kinds}, got {kind!r}")
+    settings = {k: v for k, v in node.items() if k != "kind"}
+    with _reraise("solver: "):
+        return _build(SOLVER_KINDS[kind], settings, "solver")
 
 
-def parse_scenario(text: str) -> Scenario:
-    """Parse a scenario document.  Validates the graph (including acyclicity)."""
+def _document(text: str) -> dict:
     try:
         doc = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ParseError(f"not valid YAML: {exc}") from exc
-    doc = _as_map(doc, "scenario")
+    return _as_map(doc, "scenario")
+
+
+def parse_scenario(text: str) -> Scenario:
+    """Parse a scenario document.  Validates the graph (including acyclicity)."""
+    doc = _document(text)
     _check_keys(
         doc,
         ("graph", "platform", "budget", "objective_mode", "seed", "solver", "placement"),
@@ -236,7 +178,8 @@ def parse_scenario(text: str) -> Scenario:
     )
     graph = _parse_graph(_get(doc, "graph", "scenario"))
     validate_graph(graph)
-    platform = _parse_platform(_get(doc, "platform", "scenario"))
+    with _reraise("platform: "):
+        platform = _build(Platform, _get(doc, "platform", "scenario"), "platform")
     mode_raw = doc.get("objective_mode", "makespan")
     try:
         mode = ObjectiveMode(mode_raw)
@@ -244,7 +187,7 @@ def parse_scenario(text: str) -> Scenario:
         raise ParseError(
             f"objective_mode must be 'makespan' or 'sum_finish', got {mode_raw!r}"
         ) from None
-    try:
+    with _reraise(""):
         return Scenario(
             graph=graph,
             platform=platform,
@@ -253,19 +196,11 @@ def parse_scenario(text: str) -> Scenario:
             seed=_as_int(doc.get("seed", 0), "seed"),
             solver_config=_parse_solver(doc.get("solver")),
         )
-    except ValueError as exc:
-        if isinstance(exc, ParseError):
-            raise
-        raise ParseError(str(exc)) from exc
 
 
 def parse_placement(text: str, graph: TaskGraph) -> Optional[Placement]:
     """Extract the optional placement section; None when absent."""
-    try:
-        doc = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise ParseError(f"not valid YAML: {exc}") from exc
-    doc = _as_map(doc, "scenario")
+    doc = _document(text)
     node = doc.get("placement")
     if node is None:
         return None
@@ -295,19 +230,43 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _text(value, kind: type) -> str:
+    if dataclasses.is_dataclass(kind):
+        return _flow(value)
+    return str(value) if kind is int else _fmt(value)
+
+
+def _flow(obj, head=()) -> str:
+    """`obj` as a one-line YAML mapping of its fields, in field order."""
+    items = [*head]
+    for f, key, kind in _fields(type(obj)):
+        items.append(f"{key}: {_text(getattr(obj, f.name), kind)}")
+    return "{" + ", ".join(items) + "}"
+
+
+def _block(obj, indent: str) -> list[str]:
+    """`obj` as YAML lines, one field per line.  The radio link nests as a
+    block and the fog and cloud specs as one-line mappings, as in the bundled
+    files."""
+    lines = []
+    for f, key, kind in _fields(type(obj)):
+        value = getattr(obj, f.name)
+        if isinstance(value, RadioLink):
+            lines += [f"{indent}{key}:", *_block(value, indent + "  ")]
+        else:
+            lines.append(f"{indent}{key}: {_text(value, kind)}")
+    return lines
+
+
 def render_scenario(scenario: Scenario, placement: Optional[Placement] = None) -> str:
     """Serialize a scenario (and optional placement) to scenario-file text.
 
     Floats are written with repr, so a load/save/load cycle is bit-exact.
     """
     g = scenario.graph
-    p = scenario.platform
+    cfg = scenario.solver_config
     lines = ["graph:", "  tasks:"]
-    for t in g.tasks:
-        lines.append(
-            f"    - {{id: {t.id}, workload: {_fmt(t.workload)}, "
-            f"data_size: {_fmt(t.data_size)}}}"
-        )
+    lines += [f"    - {_flow(t)}" for t in g.tasks]
     if g.edges:
         lines.append("  edges:")
         for a, b in g.edges:
@@ -316,38 +275,12 @@ def render_scenario(scenario: Scenario, placement: Optional[Placement] = None) -
         lines.append("  edges: []")
     lines += [
         "platform:",
-        f"  device_cpu: {_fmt(p.device_cpu)}",
-        f"  kappa: {_fmt(p.kappa)}",
-        f"  fog: {{cpu: {_fmt(p.fog.cpu)}, alpha: {_fmt(p.fog.alpha)}, "
-        f"beta: {_fmt(p.fog.beta)}, epsilon: {_fmt(p.fog.epsilon)}, "
-        f"price: {_fmt(p.fog.price)}}}",
-        f"  cloud: {{cpu: {_fmt(p.cloud.cpu)}, alpha: {_fmt(p.cloud.alpha)}, "
-        f"beta: {_fmt(p.cloud.beta)}, epsilon: {_fmt(p.cloud.epsilon)}, "
-        f"price: {_fmt(p.cloud.price)}}}",
-        f"  fog_cloud_bandwidth: {_fmt(p.fog_cloud_bandwidth)}",
-        f"  fog_forward_power: {_fmt(p.fog_forward_power)}",
-        "  radio:",
-        f"    bandwidth: {_fmt(p.radio.bandwidth)}",
-        f"    tx_power: {_fmt(p.radio.tx_power)}",
-        f"    tx_power_max: {_fmt(p.radio.tx_power_max)}",
-        f"    channel_gain: {_fmt(p.radio.channel_gain)}",
-        f"    noise: {_fmt(p.radio.noise)}",
-        f"    interference: {_fmt(p.radio.interference)}",
+        *_block(scenario.platform, "  "),
         f"budget: {_fmt(scenario.budget)}",
         f"objective_mode: {scenario.objective_mode.value}",
         f"seed: {scenario.seed}",
+        f"solver: {_flow(cfg, (f'kind: {solver_kind(cfg)}',))}",
     ]
-    cfg = scenario.solver_config
-    if isinstance(cfg, SAConfig):
-        lines.append(
-            f"solver: {{kind: sa, t0: {_fmt(cfg.t0)}, cool: {_fmt(cfg.cool)}, "
-            f"t_stop: {_fmt(cfg.t_stop)}, neighbor_range: {cfg.neighbor_range}, "
-            f"max_restarts: {cfg.max_restarts}}}"
-        )
-    elif isinstance(cfg, BruteForceConfig):
-        lines.append(f"solver: {{kind: brute, brute_cap: {cfg.cap}}}")
-    else:
-        lines.append("solver: {kind: greedy}")
     if placement is not None:
         lines.append("placement:")
         for task_id in sorted(placement.assignment):

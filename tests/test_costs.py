@@ -15,14 +15,12 @@ from fogsched import (
     Platform,
     RadioLink,
     TaskSpec,
-    cloud_energy,
-    cloud_exec_time,
     fog_cloud_energy,
     fog_cloud_time,
-    fog_energy,
-    fog_exec_time,
     local_energy,
     local_exec_time,
+    server_energy,
+    server_exec_time,
     task_costs,
     uplink_energy,
     uplink_rate,
@@ -103,33 +101,33 @@ def test_local_energy():
 
 def test_fog_exec_time():
     fog = FogSpec(cpu=3.6e9, alpha=0.5, beta=0.4)
-    assert fog_exec_time(TaskSpec(1, 3.6e9, 0), fog) == 1.0
-    assert fog_exec_time(TaskSpec(1, 0, 0), fog) == 0.0
-    assert fog_exec_time(TaskSpec(1, 7.2e9, 0), fog) == 2.0
+    assert server_exec_time(TaskSpec(1, 3.6e9, 0), fog) == 1.0
+    assert server_exec_time(TaskSpec(1, 0, 0), fog) == 0.0
+    assert server_exec_time(TaskSpec(1, 7.2e9, 0), fog) == 2.0
 
 
 def test_fog_energy():
     fog = FogSpec(cpu=2.0, alpha=0.5, beta=0.4, epsilon=3.0)
     # power draw 0.5 * 8 + 0.4 = 4.4 over one second of work
-    assert fog_energy(TaskSpec(1, 2.0, 0), fog) == pytest.approx(4.4, rel=1e-15)
-    assert fog_energy(TaskSpec(1, 0.0, 0), fog) == 0.0
+    assert server_energy(TaskSpec(1, 2.0, 0), fog) == pytest.approx(4.4, rel=1e-15)
+    assert server_energy(TaskSpec(1, 0.0, 0), fog) == 0.0
     flat = FogSpec(cpu=1.0, alpha=0.0, beta=1.0)
-    assert fog_energy(TaskSpec(1, 2.0, 0), flat) == 2.0
+    assert server_energy(TaskSpec(1, 2.0, 0), flat) == 2.0
 
 
 def test_cloud_exec_time():
     cloud = CloudSpec(cpu=3.6e10, alpha=0.6, beta=0.6)
-    assert cloud_exec_time(TaskSpec(1, 3.6e10, 0), cloud) == 1.0
-    assert cloud_exec_time(TaskSpec(1, 0, 0), cloud) == 0.0
-    assert cloud_exec_time(TaskSpec(1, 1.8e10, 0), cloud) == 0.5
+    assert server_exec_time(TaskSpec(1, 3.6e10, 0), cloud) == 1.0
+    assert server_exec_time(TaskSpec(1, 0, 0), cloud) == 0.0
+    assert server_exec_time(TaskSpec(1, 1.8e10, 0), cloud) == 0.5
 
 
 def test_cloud_energy():
     cloud = CloudSpec(cpu=1.0, alpha=0.6, beta=0.6, epsilon=3.0)
-    assert cloud_energy(TaskSpec(1, 1.0, 0), cloud) == pytest.approx(1.2, rel=1e-15)
-    assert cloud_energy(TaskSpec(1, 0.0, 0), cloud) == 0.0
+    assert server_energy(TaskSpec(1, 1.0, 0), cloud) == pytest.approx(1.2, rel=1e-15)
+    assert server_energy(TaskSpec(1, 0.0, 0), cloud) == 0.0
     flat = CloudSpec(cpu=1.0, alpha=0.0, beta=0.5)
-    assert cloud_energy(TaskSpec(1, 4.0, 0), flat) == 2.0
+    assert server_energy(TaskSpec(1, 4.0, 0), flat) == 2.0
 
 
 def test_uplink_time_and_energy():
@@ -174,12 +172,12 @@ def test_task_costs_matches_components():
         assert c.uplink_rate == uplink_rate(platform.radio)
         assert c.uplink_time == uplink_time(task, platform.radio)
         assert c.uplink_energy == uplink_energy(task, platform.radio)
-        assert c.fog_time == fog_exec_time(task, platform.fog)
-        assert c.fog_energy == fog_energy(task, platform.fog)
+        assert c.fog_time == server_exec_time(task, platform.fog)
+        assert c.fog_energy == server_energy(task, platform.fog)
         assert c.fog_cloud_time == fog_cloud_time(task, platform)
         assert c.fog_cloud_energy == fog_cloud_energy(task, platform)
-        assert c.cloud_time == cloud_exec_time(task, platform.cloud)
-        assert c.cloud_energy == cloud_energy(task, platform.cloud)
+        assert c.cloud_time == server_exec_time(task, platform.cloud)
+        assert c.cloud_energy == server_energy(task, platform.cloud)
 
 
 def test_task_costs_zero_task():

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from fogsched import (
+    BruteForceConfig,
     CycleDetected,
     DanglingEdge,
     GraphError,
+    GreedyConfig,
     MissingTask,
     Placement,
     SAConfig,
@@ -25,6 +27,7 @@ from fogsched import (
     validate_graph,
     validate_placement,
 )
+from fogsched.scenario_io import bundled_scenario
 import gen
 
 
@@ -180,12 +183,19 @@ def test_epsilon_warning_outside_range():
 def test_scenario_file_roundtrip_bit_exact(tmp_path):
     rng = np.random.default_rng(11)
     scn = gen.random_scenario(rng)
+    # random_scenario always anneals; the other kinds render differently
+    cases = [replace(scn, solver_config=cfg)
+             for cfg in (scn.solver_config, GreedyConfig(), BruteForceConfig(cap=9))]
+    cases += [load_scenario(bundled_scenario(name))
+              for name in ("defaults.scn", "fig4.scn", "chain40.scn")]
     path = tmp_path / "roundtrip.scn"
-    save_scenario(scn, path)
-    again = load_scenario(path)
-    assert again == scn
-    # a second cycle is byte-stable
-    assert render_scenario(again) == render_scenario(scn)
+    for scn in cases:
+        save_scenario(scn, path)
+        again = load_scenario(path)
+        assert again == scn
+        assert repr(again) == repr(scn)
+        # a second cycle is byte-stable
+        assert render_scenario(again) == render_scenario(scn)
 
 
 def test_placement_roundtrip_bit_exact(tmp_path):
@@ -213,6 +223,9 @@ def test_parse_rejects_unknown_keys():
     text = render_scenario(scn) + "extra_section: 1\n"
     with pytest.raises(ParseError):
         parse_scenario(text)
+    # YAML keys of mixed types are reported, not compared
+    with pytest.raises(ParseError, match=r"unknown keys \[1, 'zz'\]"):
+        parse_scenario(render_scenario(scn) + "1: 2\nzz: 3\n")
 
 
 def test_parse_rejects_bad_objective():
@@ -229,3 +242,44 @@ def test_plain_exponent_floats_accepted():
     text = render_scenario(scn).replace("kappa: 1e-11", "kappa: 1e-11")
     parsed = parse_scenario(text)
     assert parsed.platform.kappa == 1e-11
+
+
+def test_physical_ranges_rejected():
+    from fogsched import CloudSpec, FogSpec, ParseError, RadioLink
+
+    for gain in (0.0, -2.0):
+        with pytest.raises(ValueError, match="channel_gain must be > 0"):
+            RadioLink(bandwidth=1.0, tx_power_max=1.0, channel_gain=gain)
+    for spec, label in ((FogSpec, "fog"), (CloudSpec, "cloud")):
+        with pytest.raises(ValueError, match=f"{label} alpha must be >= 0"):
+            spec(cpu=1.0, alpha=-1e-5, beta=0.0)
+        with pytest.raises(ValueError, match=f"{label} beta must be >= 0"):
+            spec(cpu=1.0, alpha=0.0, beta=-5.0)
+        assert spec(cpu=1.0, alpha=0.0, beta=0.0).alpha == 0.0
+    text = bundled_scenario("fig4.scn").read_text()
+    assert "    channel_gain: 1.0" in text
+    with pytest.raises(ParseError, match="channel_gain"):
+        parse_scenario(text.replace("    channel_gain: 1.0", "    channel_gain: 0", 1))
+
+
+@pytest.mark.parametrize(
+    "solver", ["{kind: greedy, t0: 5}", "{kind: sa, brute_cap: 3}", "{kind: brute, cap: 3}"]
+)
+def test_parse_rejects_keys_of_another_solver_kind(solver):
+    from fogsched import ParseError
+
+    text = bundled_scenario("fig4.scn").read_text()
+    assert "solver: {kind: greedy}" in text
+    with pytest.raises(ParseError, match="unknown keys"):
+        parse_scenario(text.replace("solver: {kind: greedy}", f"solver: {solver}", 1))
+
+
+def test_null_is_absent_only_for_optional_fields():
+    from fogsched import ParseError
+
+    text = bundled_scenario("fig4.scn").read_text()
+    text = text.replace("    tx_power_max: 1.0", "    tx_power_max: 2.0", 1)
+    parsed = parse_scenario(text.replace("    tx_power: 1.0", "    tx_power: ~", 1))
+    assert parsed.platform.radio.tx_power == 2.0
+    with pytest.raises(ParseError, match="expected a number"):
+        parse_scenario(text.replace("epsilon: 3.0, price: 0.001", "epsilon: ~, price: 0.001", 1))
