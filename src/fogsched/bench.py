@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -282,6 +281,10 @@ def sweep(
     ]
     n_workers = _worker_count(workers)
     if n_workers > 1 and len(cells) > 1:
+        # imported here: the pool pulls in multiprocessing (about 1 MB of
+        # modules), which run, compare and validate never use
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             rows = list(pool.map(_sweep_cell, cells, chunksize=8))
     else:

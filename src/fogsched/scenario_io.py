@@ -82,6 +82,9 @@ def _get(node: dict, key: str, where: str):
 
 
 def _as_float(value, where: str) -> float:
+    # float() and int() take booleans as 1 and 0; a YAML `true` is no number
+    if isinstance(value, bool):
+        raise ParseError(f"{where}: expected a number, got {value!r}")
     try:
         return float(value)
     except (TypeError, ValueError):
@@ -89,6 +92,8 @@ def _as_float(value, where: str) -> float:
 
 
 def _as_int(value, where: str) -> int:
+    if isinstance(value, bool):
+        raise ParseError(f"{where}: expected an integer, got {value!r}")
     try:
         out = int(value)
     except (TypeError, ValueError):

@@ -14,6 +14,12 @@ derives every ready/finish time:
   forward of latest fog predecessor) and finishes after its cloud execution
   time.
 
+Makespan is the largest sink finish time.  The sum of finish times, the
+device cost and the two utilities are accumulated in the same topological
+walk, so each sum adds its per-task terms in topological order (id order
+when the ids are a topological order); the exhaustive search relies on this
+to carry bit-identical running sums down its search tree.
+
 Finish-time fields for tiers a task is not assigned to are stored as 0, so
 predecessor maxima can be taken uniformly.  Tasks without predecessors take 0
 for every predecessor maximum.  There is no machine contention: any number of
@@ -222,7 +228,11 @@ class _Core(NamedTuple):
 
 
 def _core_eval(ctx: EvalContext, tiers) -> _Core:
-    """Evaluate one placement given as a 0-indexed sequence of tier codes."""
+    """Evaluate one placement given as a 0-indexed sequence of tier codes.
+
+    Finish times, cost and utilities are all accumulated in one walk in
+    `ctx.topo` order, so every sum adds its terms in topological order.
+    """
     n = ctx.n
     ready = [0.0] * n
     tft = [0.0] * n
@@ -231,41 +241,38 @@ def _core_eval(ctx: EvalContext, tiers) -> _Core:
     tff = [0.0] * n
     tfc = [0.0] * n
     chosen = [0.0] * n
+    rev_f = ctx.rev_f
+    rev_c = ctx.rev_c
+    sum_finish = 0.0
+    cost = 0.0
+    u_f = 0.0
+    u_c = 0.0
     for i in ctx.topo:
         t = tiers[i]
         ready[i], up, fwd, fin = _tier_step(ctx, i, t, tfl, tff, tfc, chosen)
         if t == _LOCAL:
             tfl[i] = fin
+            cost += ctx.e_l[i]
         elif t == _FOG:
             tft[i] = up
             tff[i] = fin
+            cost += rev_f[i]
+            u_f += rev_f[i] - ctx.e_f[i]
         else:
             tft[i] = up
             tfr[i] = fwd
             tfc[i] = fin
+            cost += rev_c[i]
+            u_f -= ctx.e_s[i]
+            u_c += rev_c[i] - ctx.e_c[i]
         chosen[i] = fin
+        sum_finish += fin
     makespan = 0.0
     for i in ctx.sinks:
         if chosen[i] > makespan:
             makespan = chosen[i]
-    rev_f = ctx.rev_f
-    rev_c = ctx.rev_c
-    cost = 0.0
-    u_f = 0.0
-    u_c = 0.0
-    for i in range(n):
-        t = tiers[i]
-        if t == _LOCAL:
-            cost += ctx.e_l[i]
-        elif t == _FOG:
-            cost += rev_f[i]
-            u_f += rev_f[i] - ctx.e_f[i]
-        else:
-            cost += rev_c[i]
-            u_f -= ctx.e_s[i]
-            u_c += rev_c[i] - ctx.e_c[i]
     return _Core(
-        ready, tft, tfr, tfl, tff, tfc, chosen, makespan, sum(chosen), cost, u_f, u_c
+        ready, tft, tfr, tfl, tff, tfc, chosen, makespan, sum_finish, cost, u_f, u_c
     )
 
 

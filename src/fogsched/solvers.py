@@ -6,7 +6,6 @@ across scenarios (no shared mutable state).
 """
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -17,6 +16,7 @@ import numpy as np
 from .model import (
     BruteForceConfig,
     GraphError,
+    ObjectiveMode,
     Placement,
     SAConfig,
     Scenario,
@@ -59,7 +59,8 @@ class SolveOutcome:
 
     `feasible` is the verdict of check_feasibility on the returned placement;
     `iterations` counts solver steps (greedy: initial pass plus repair moves,
-    annealing: proposals across restarts, exhaustive: evaluated placements).
+    annealing: proposals across restarts, exhaustive: the 3^N placements
+    enumerated).
     """
 
     placement: Placement
@@ -356,11 +357,16 @@ def sa_solve(scenario: Scenario) -> SolveOutcome:
 def brute_force_solve(scenario: Scenario) -> SolveOutcome:
     """Enumerate all 3^N placements and return the feasible optimum.
 
-    A placement is feasible when both utilities are non-negative and total
-    cost is within budget (precedence constraints hold by construction of
-    the evaluator).  Ties keep the first optimum in lexicographic placement
-    order (local < fog < cloud, task order ascending).  Raises TooLarge above
-    the configured cap and Infeasible when nothing qualifies.
+    The enumeration is a depth-first walk over tasks in topological order:
+    depth d places task topo[d] on local, fog, then cloud, and each
+    search-tree node takes one ready-time step from its prefix's finish
+    times, running makespan, sum of finish times, cost and utilities, which
+    are added in the same order as the evaluator adds them.  A placement is
+    feasible when both utilities are non-negative and total cost is within
+    budget (precedence constraints hold by construction).  Ties keep the
+    optimum whose tiers, read in task-id order, come first lexicographically
+    (local < fog < cloud).  Raises TooLarge above the configured cap and
+    Infeasible when nothing qualifies.
     """
     t_start = time.perf_counter()
     cfg = scenario.solver_config
@@ -369,26 +375,59 @@ def brute_force_solve(scenario: Scenario) -> SolveOutcome:
     if n > cap:
         raise TooLarge(f"{n} tasks exceed the exhaustive-search cap of {cap}")
     ctx = EvalContext(scenario.graph, scenario.platform)
-    mode = scenario.objective_mode
-    budget = scenario.budget
-
-    best_tiers = None
+    by_sum = ObjectiveMode(scenario.objective_mode) is ObjectiveMode.SUM_FINISH
+    limit = scenario.budget + TIME_TOL
+    topo = ctx.topo
+    is_sink = [False] * n
+    for i in ctx.sinks:
+        is_sink[i] = True
+    e_l, e_f, e_c, e_s = ctx.e_l, ctx.e_f, ctx.e_c, ctx.e_s
+    rev_f, rev_c = ctx.rev_f, ctx.rev_c
+    tiers = [_LOCAL] * n
+    tfl = [0.0] * n
+    tff = [0.0] * n
+    tfc = [0.0] * n
+    chosen = [0.0] * n
     best_obj = inf
-    count = 0
-    for tiers in itertools.product((_LOCAL, _FOG, _CLOUD), repeat=n):
-        count += 1
-        core = _core_eval(ctx, tiers)
-        if core.fog_utility < -TIME_TOL or core.cloud_utility < -TIME_TOL:
-            continue
-        if core.total_cost > budget + TIME_TOL:
-            continue
-        obj = objective_value(core, mode)
-        if obj < best_obj:
-            best_obj = obj
-            best_tiers = tiers
+    best_tiers = None
+
+    def visit(d, makespan, sum_finish, cost, u_f, u_c):
+        nonlocal best_obj, best_tiers
+        if d == n:
+            if u_f < -TIME_TOL or u_c < -TIME_TOL or cost > limit:
+                return
+            obj = sum_finish if by_sum else makespan
+            if obj < best_obj or (
+                obj == best_obj and best_tiers is not None and tiers < best_tiers
+            ):
+                best_obj = obj
+                best_tiers = list(tiers)
+            return
+        i = topo[d]
+        sink = is_sink[i]
+        fin = _tier_step(ctx, i, _LOCAL, tfl, tff, tfc, chosen)[3]
+        tiers[i] = _LOCAL
+        tfl[i] = chosen[i] = fin
+        visit(d + 1, fin if sink and fin > makespan else makespan,
+              sum_finish + fin, cost + e_l[i], u_f, u_c)
+        tfl[i] = 0.0
+        fin = _tier_step(ctx, i, _FOG, tfl, tff, tfc, chosen)[3]
+        tiers[i] = _FOG
+        tff[i] = chosen[i] = fin
+        visit(d + 1, fin if sink and fin > makespan else makespan,
+              sum_finish + fin, cost + rev_f[i], u_f + (rev_f[i] - e_f[i]), u_c)
+        tff[i] = 0.0
+        fin = _tier_step(ctx, i, _CLOUD, tfl, tff, tfc, chosen)[3]
+        tiers[i] = _CLOUD
+        tfc[i] = chosen[i] = fin
+        visit(d + 1, fin if sink and fin > makespan else makespan,
+              sum_finish + fin, cost + rev_c[i], u_f - e_s[i], u_c + (rev_c[i] - e_c[i]))
+        tfc[i] = chosen[i] = 0.0
+
+    visit(0, 0.0, 0.0, 0.0, 0.0, 0.0)
     if best_tiers is None:
         raise Infeasible("no placement satisfies the utility and budget constraints")
-    return _outcome(scenario, ctx, list(best_tiers), count, t_start)
+    return _outcome(scenario, ctx, best_tiers, 3**n, t_start)
 
 
 def solve(scenario: Scenario) -> SolveOutcome:

@@ -8,6 +8,8 @@ exhaustive solver's optimum well defined.
 """
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from fogsched import (
@@ -50,6 +52,14 @@ def random_dag(rng: np.random.Generator, n: int, p_edge: float = 0.35) -> TaskGr
         if rng.random() < p_edge
     ]
     return TaskGraph(tasks, edges)
+
+
+def permute_ids(rng: np.random.Generator, graph: TaskGraph) -> TaskGraph:
+    """The same DAG with its task ids shuffled, so that the ids are usually
+    not a topological order."""
+    new = [int(v) + 1 for v in rng.permutation(len(graph))]
+    tasks = sorted((replace(t, id=new[t.id - 1]) for t in graph.tasks), key=lambda t: t.id)
+    return TaskGraph(tasks, [(new[a - 1], new[b - 1]) for a, b in graph.edges])
 
 
 def desk_platform(rng: np.random.Generator | None = None) -> Platform:

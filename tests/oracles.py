@@ -1,12 +1,17 @@
-"""Independent reference implementations used only as oracles in tests.
+"""Reference implementations used only as oracles in tests.
 
-Nothing here shares logic with the package's evaluator: the fixed-point
-evaluator recomputes every task's times from the current estimates in
-reverse id order until the values stop changing, with no topological walk.
+The fixed-point evaluator shares no logic with the package's evaluator: it
+recomputes every task's times from the current estimates in reverse id
+order until the values stop changing, with no topological walk.  The
+exhaustive search is the straightforward one that the package's
+prefix-sharing walk replaces: one full evaluation per placement.
 """
 from __future__ import annotations
 
-from fogsched import Tier, costs
+import itertools
+import math
+
+from fogsched import Tier, costs, schedule
 
 
 def fixed_point_times(graph, placement, platform, sweeps=None):
@@ -130,3 +135,29 @@ def cloud_utility(placement, graph, platform):
             c = costs.task_costs(t, platform)
             total += platform.cloud.price * t.data_size - c.cloud_energy
     return total
+
+
+def exhaustive_optimum(scenario):
+    """Evaluate every placement in task-id lexicographic order (local < fog
+    < cloud) with the package's evaluator and keep the first optimum among
+    those with non-negative utilities and cost within budget.
+
+    Returns (tiers of the optimum in id order or None, placements evaluated).
+    """
+    ctx = schedule.EvalContext(scenario.graph, scenario.platform)
+    tol = schedule.TIME_TOL
+    best_tiers = None
+    best_obj = math.inf
+    count = 0
+    for tiers in itertools.product((1, 2, 3), repeat=ctx.n):
+        count += 1
+        core = schedule._core_eval(ctx, tiers)
+        if core.fog_utility < -tol or core.cloud_utility < -tol:
+            continue
+        if core.total_cost > scenario.budget + tol:
+            continue
+        obj = schedule.objective_value(core, scenario.objective_mode)
+        if obj < best_obj:
+            best_obj = obj
+            best_tiers = tiers
+    return best_tiers, count

@@ -156,6 +156,27 @@ def test_parse_rejects_non_finite_values(old, new):
         parse_scenario(text.replace(old, new, 1))
 
 
+@pytest.mark.parametrize(
+    "old, new, where",
+    [
+        ("seed: 1", "seed: true", "seed"),
+        ("solver: {kind: greedy}", "solver: {kind: sa, neighbor_range: true}",
+         "solver.neighbor_range"),
+        ("{id: 1, workload", "{id: true, workload", r"graph.tasks\[\].id"),
+        ("workload: 170.4", "workload: false", r"graph.tasks\[\].workload"),
+        ("budget: 6.0", "budget: true", "budget"),
+        ("    - [1, 2]", "    - [true, 2]", "edge pred"),
+    ],
+)
+def test_parse_rejects_booleans_as_numbers(old, new, where):
+    from fogsched import ParseError, bundled_scenario
+
+    text = bundled_scenario("fig4.scn").read_text()
+    assert old in text
+    with pytest.raises(ParseError, match=f"^{where}: expected an? (number|integer)"):
+        parse_scenario(text.replace(old, new, 1))
+
+
 def test_sa_config_invariants():
     with pytest.raises(ValueError):
         SAConfig(cool=1.0)

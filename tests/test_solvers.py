@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fogsched import schedule
+from fogsched import schedule, solvers
 from fogsched import (
     BruteForceConfig,
     RestartsExhausted,
@@ -13,6 +13,7 @@ from fogsched import (
     FogSpec,
     GraphError,
     Infeasible,
+    ObjectiveMode,
     Placement,
     Platform,
     PowerRegime,
@@ -39,6 +40,7 @@ from fogsched import (
 from dataclasses import replace
 
 import gen
+import oracles
 
 
 def test_decision_rule_examples():
@@ -356,10 +358,10 @@ def test_brute_too_large():
         brute_force_solve(scn)
 
 
-def test_brute_tie_break_prefers_local():
-    # all three tiers finish at exactly 1.0 and cost nothing
-    g = TaskGraph([TaskSpec(1, 1.0, 0.5)])
-    platform = Platform(
+def _tie_platform():
+    """Every tier of a TaskSpec(_, 1.0, 0.5) task takes exactly 1.0 and
+    nothing costs or earns anything, so many placements tie exactly."""
+    return Platform(
         device_cpu=1.0,
         kappa=0.0,
         fog=FogSpec(cpu=2.0, alpha=0.0, beta=0.0, price=0.0),
@@ -368,11 +370,126 @@ def test_brute_tie_break_prefers_local():
         fog_forward_power=0.0,
         radio=RadioLink(bandwidth=1.0, tx_power_max=1.0),
     )
+
+
+def test_brute_tie_break_prefers_local():
+    # all three tiers finish at exactly 1.0 and cost nothing
+    g = TaskGraph([TaskSpec(1, 1.0, 0.5)])
     out = brute_force_solve(
-        Scenario(graph=g, platform=platform, solver_config=BruteForceConfig())
+        Scenario(graph=g, platform=_tie_platform(), solver_config=BruteForceConfig())
     )
     assert out.result.makespan == 1.0
     assert out.placement.assignment[1] is Tier.LOCAL
+
+
+def _assert_brute_matches_oracle(scn):
+    """The prefix-sharing walk against the straightforward enumeration:
+    same placement, same evaluation, same count, or Infeasible from both."""
+    want, count = oracles.exhaustive_optimum(scn)
+    if want is None:
+        with pytest.raises(Infeasible):
+            brute_force_solve(scn)
+        return False
+    got = brute_force_solve(scn)
+    placement = Placement({i + 1: Tier(t) for i, t in enumerate(want)})
+    assert got.placement == placement
+    assert repr(got.result) == repr(evaluate(scn.graph, placement, scn.platform))
+    assert got.iterations == count == 3 ** len(scn.graph)
+    return True
+
+
+def test_brute_matches_oracle_on_random_scenarios():
+    rng = np.random.default_rng(2024)
+    solved = 0
+    for k in range(240):
+        mode = ObjectiveMode.MAKESPAN if k % 2 else ObjectiveMode.SUM_FINISH
+        scn = gen.random_scenario(rng, n_max=7, mode=mode)
+        solved += _assert_brute_matches_oracle(replace(scn, solver_config=BruteForceConfig()))
+    assert solved == 240
+
+
+def test_brute_matches_oracle_when_ids_are_not_topological():
+    rng = np.random.default_rng(2025)
+    shuffled = 0
+    for k in range(60):
+        graph = gen.permute_ids(rng, gen.random_dag(rng, int(rng.integers(3, 8)), p_edge=0.5))
+        shuffled += any(a > b for a, b in graph.edges)
+        platform = gen.desk_platform(rng)
+        all_fog_cost = platform.fog.price * sum(t.data_size for t in graph.tasks)
+        scn = Scenario(
+            graph=graph,
+            platform=platform,
+            budget=float(rng.uniform(0.3, 1.5)) * all_fog_cost,
+            objective_mode=ObjectiveMode.MAKESPAN if k % 2 else ObjectiveMode.SUM_FINISH,
+            solver_config=BruteForceConfig(),
+        )
+        _assert_brute_matches_oracle(scn)
+    assert shuffled > 40
+
+
+def test_brute_matches_oracle_on_exact_ties():
+    # zero-cost platform: the optimum is decided by the tie rule alone, in
+    # id order even where the ids are not a topological order
+    rng = np.random.default_rng(2026)
+    for k in range(40):
+        n = int(rng.integers(2, 7))
+        graph = gen.random_dag(rng, n, p_edge=0.4)
+        graph = TaskGraph([TaskSpec(t.id, 1.0, 0.5) for t in graph.tasks], graph.edges)
+        if k % 2:
+            graph = gen.permute_ids(rng, graph)
+        scn = Scenario(
+            graph=graph,
+            platform=_tie_platform(),
+            objective_mode=ObjectiveMode.SUM_FINISH if k % 4 < 2 else ObjectiveMode.MAKESPAN,
+            solver_config=BruteForceConfig(),
+        )
+        assert _assert_brute_matches_oracle(scn)
+
+
+def test_brute_matches_oracle_at_the_budget_tolerance():
+    # the budget sits half a tolerance under the unconstrained optimum's
+    # cost: C7 allows that much slack, so the optimum stays feasible
+    rng = np.random.default_rng(2028)
+    for _ in range(20):
+        scn = replace(gen.random_scenario(rng, n_max=6), budget=float("inf"),
+                      solver_config=BruteForceConfig())
+        cost = brute_force_solve(scn).result.total_cost
+        scn = replace(scn, budget=max(0.0, cost - schedule.TIME_TOL / 2))
+        assert _assert_brute_matches_oracle(scn)
+        assert brute_force_solve(scn).result.total_cost == cost
+
+
+def test_brute_matches_oracle_when_infeasible():
+    rng = np.random.default_rng(2027)
+    for k in range(20):
+        scn = gen.random_scenario(rng, n_max=6)
+        # device energy well above the tolerance, so a budget just under the
+        # cheapest placement's cost rules every placement out
+        platform = replace(scn.platform, kappa=1e-6)
+        cheapest = oracles.cheapest_assignment_cost(scn.graph, platform)
+        budget = 0.0 if k % 2 else cheapest * (1.0 - 1e-3)
+        scn = replace(scn, platform=platform, budget=budget, solver_config=BruteForceConfig())
+        assert not _assert_brute_matches_oracle(scn)
+
+
+def test_brute_evaluates_only_the_returned_placement(monkeypatch):
+    calls = []
+    original = schedule._core_eval
+
+    def counting_eval(ctx, tiers):
+        calls.append(list(tiers))
+        return original(ctx, tiers)
+
+    monkeypatch.setattr(schedule, "_core_eval", counting_eval)
+    monkeypatch.setattr(solvers, "_core_eval", counting_eval)
+    fig4 = replace(load_scenario(bundled_scenario("fig4.scn")), solver_config=BruteForceConfig())
+    out = brute_force_solve(fig4)
+    assert out.iterations == 3**9
+    assert calls == [[int(out.placement.assignment[i + 1]) for i in range(9)]]
+    calls.clear()
+    with pytest.raises(Infeasible):
+        brute_force_solve(replace(fig4, budget=0.0))
+    assert calls == []
 
 
 def test_brute_dominates_other_solvers():
