@@ -63,7 +63,6 @@ from .schedule import (
 )
 from .solvers import (
     Infeasible,
-    PowerCase,
     PowerRegime,
     RestartsExhausted,
     SolveOutcome,

@@ -16,7 +16,7 @@ import math
 import os
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence, TextIO, Union
 
 import numpy as np
 
@@ -64,6 +64,11 @@ class ResultRow:
 CSV_COLUMNS = tuple(f.name for f in fields(ResultRow))
 
 
+def _check_reps(reps: int) -> None:
+    if reps < 1:
+        raise ValueError("reps must be >= 1")
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """A one-parameter sweep: `steps` evenly spaced values in [start, stop].
@@ -87,8 +92,7 @@ class SweepSpec:
             raise ValueError(f"parameter must be one of {SWEEP_PARAMETERS}")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
-        if self.reps < 1:
-            raise ValueError("reps must be >= 1")
+        _check_reps(self.reps)
         if self.start > self.stop:
             raise ValueError("start must be <= stop")
         bad = [s for s in self.solvers if s not in SOLVER_NAMES]
@@ -156,7 +160,7 @@ def _solve_one(
             error=f"{type(exc).__name__}: {exc}",
         )
     if verify and outcome.feasible:
-        again = evaluate(scn.graph, outcome.placement, scn.platform, scn.objective_mode)
+        again = evaluate(scn.graph, outcome.placement, scn.platform)
         report = check_feasibility(again, scn)
         if not report.feasible:
             raise AssertionError(
@@ -197,6 +201,7 @@ def run(
     Solver errors are recorded per row (feasible=false, error column) rather
     than aborting the batch.
     """
+    _check_reps(reps)
     path = resolve_scenario_path(scenario_path)
     scenario = load_scenario(path)
     solver_name = solver or solver_kind(scenario.solver_config)
@@ -301,6 +306,7 @@ def compare(
 ) -> dict:
     """Run greedy, sa and brute on the same scenario and report mean makespan
     per solver and the relative gap (solver - brute) / brute."""
+    _check_reps(reps)
     path = resolve_scenario_path(scenario_path)
     scenario = load_scenario(path)
     base_seed = scenario.seed if seed is None else seed
@@ -361,8 +367,8 @@ def validate(scenario_path: Union[str, Path]) -> Diagnostics:
     if math.isfinite(scenario.budget):
         ctx = EvalContext(scenario.graph, scenario.platform)
         floor = 0.0
-        for i in range(ctx.n):
-            floor += min(ctx.e_l[i], ctx.rev_f[i], ctx.rev_c[i])
+        for terms in zip(*ctx.cost[1:]):
+            floor += min(terms)
         if floor > scenario.budget:
             warnings_.append(
                 f"likely infeasible: cheapest per-task assignment already costs "
@@ -380,12 +386,18 @@ def _format_value(value) -> str:
     return str(value)
 
 
+def write_rows(rows: Sequence[ResultRow], fh: TextIO) -> None:
+    """Write a header row and `rows` in the fixed column order to a text
+    stream, with LF endings."""
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    for row in rows:
+        writer.writerow([_format_value(getattr(row, col)) for col in CSV_COLUMNS])
+
+
 def write_csv(rows: Sequence[ResultRow], path: Union[str, Path]) -> Path:
-    """Write rows in the fixed column order; UTF-8, LF endings, header row."""
+    """Write rows as by `write_rows` to a UTF-8 file."""
     path = Path(path)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for row in rows:
-            writer.writerow([_format_value(getattr(row, col)) for col in CSV_COLUMNS])
+        write_rows(rows, fh)
     return path

@@ -72,9 +72,7 @@ def _cmd_run(args) -> int:
         bench.write_csv(rows, args.out)
         print(f"wrote {len(rows)} rows to {args.out}")
     else:
-        print(",".join(bench.CSV_COLUMNS))
-        for row in rows:
-            print(",".join(bench._format_value(getattr(row, c)) for c in bench.CSV_COLUMNS))
+        bench.write_rows(rows, sys.stdout)
     return 0
 
 

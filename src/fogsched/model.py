@@ -255,9 +255,6 @@ class Placement:
             {int(k): Tier(v) for k, v in dict(self.assignment).items()},
         )
 
-    def tier(self, task_id: int) -> Tier:
-        return self.assignment[task_id]
-
     def counts(self) -> tuple[int, int, int]:
         """(n_local, n_fog, n_cloud)."""
         tiers = list(self.assignment.values())

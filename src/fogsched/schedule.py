@@ -14,22 +14,28 @@ derives every ready/finish time:
   forward of latest fog predecessor) and finishes after its cloud execution
   time.
 
-Makespan is the largest sink finish time.  The sum of finish times, the
-device cost and the two utilities are accumulated in the same topological
-walk, so each sum adds its per-task terms in topological order (id order
-when the ids are a topological order); the exhaustive search relies on this
-to carry bit-identical running sums down its search tree.
+The walk state is one (tier code, finish time) pair per task: a step reads
+each predecessor's tier to tell which of the three maxima its finish time
+feeds.  Tasks without predecessors take 0 for every predecessor maximum.
+Only the public TaskSchedule spreads a task over per-tier fields, with 0 on
+the tiers the task is not assigned to.  There is no machine contention: any
+number of tasks may execute concurrently on one tier, only precedence
+serializes work.
 
-Finish-time fields for tiers a task is not assigned to are stored as 0, so
-predecessor maxima can be taken uniformly.  Tasks without predecessors take 0
-for every predecessor maximum.  There is no machine contention: any number of
-tasks may execute concurrently on one tier, only precedence serializes work.
+Each per-tier cost and utility term is defined once, as a table on
+EvalContext indexed by tier code.  Makespan is the largest sink finish time.
+The sum of finish times, the device cost and the two utilities are
+accumulated in the same topological walk, so each sum adds its per-task
+terms in topological order (id order when the ids are a topological order);
+the exhaustive search relies on this to carry bit-identical running sums
+down its search tree.
 
 Everything is pure: identical inputs give bit-identical results.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import neg, sub
 from typing import NamedTuple
 
 from . import costs as _costs
@@ -115,7 +121,13 @@ class FeasibilityReport:
 class EvalContext:
     """Per-scenario precomputation shared by the evaluator and the solvers.
 
-    Task ids are 1..N, so index i corresponds to task id i+1.
+    Task ids are 1..N, so index i corresponds to task id i+1.  The per-tier
+    terms are tables indexed [tier code][task] (slot 0 unused): `cost` is
+    what the device pays (local energy, or the serving tier's price for the
+    task's data), `du_f` what the task adds to the fog's utility (revenue
+    minus execution energy on the fog, minus forwarding energy on the
+    cloud) and `du_c` what it adds to the cloud's (revenue minus execution
+    energy on the cloud).
     """
 
     __slots__ = (
@@ -129,12 +141,14 @@ class EvalContext:
         "tau_f",
         "tau_r",
         "tau_c",
-        "e_l",
         "e_f",
         "e_c",
         "e_s",
         "rev_f",
         "rev_c",
+        "cost",
+        "du_f",
+        "du_c",
     )
 
     def __init__(self, graph: TaskGraph, platform: Platform):
@@ -154,16 +168,25 @@ class EvalContext:
         self.tau_f = tuple(c.fog_time for c in per_task)
         self.tau_r = tuple(c.fog_cloud_time for c in per_task)
         self.tau_c = tuple(c.cloud_time for c in per_task)
-        self.e_l = tuple(c.local_energy for c in per_task)
         self.e_f = tuple(c.fog_energy for c in per_task)
         self.e_c = tuple(c.cloud_energy for c in per_task)
         self.e_s = tuple(c.fog_cloud_energy for c in per_task)
         self.rev_f = tuple(platform.fog.price * d for d in self.data)
         self.rev_c = tuple(platform.cloud.price * d for d in self.data)
+        zero = (0.0,) * n
+        self.cost = (None, tuple(c.local_energy for c in per_task), self.rev_f, self.rev_c)
+        self.du_f = (
+            None,
+            zero,
+            tuple(map(sub, self.rev_f, self.e_f)),
+            tuple(map(neg, self.e_s)),
+        )
+        self.du_c = (None, zero, zero, tuple(map(sub, self.rev_c, self.e_c)))
 
 
-def _tier_step(ctx, i, tier, tfl, tff, tfc, chosen):
-    """Ready/finish times of task i at `tier`, given predecessor finish arrays.
+def _tier_step(ctx, i, tier, tiers, chosen):
+    """Ready/finish times of task i at `tier`, given every predecessor's tier
+    code in `tiers` and finish time in `chosen`.
 
     Returns (ready, uplink_finish, forward_finish, finish); the two transfer
     finishes are 0 where the tier involves no such transfer.
@@ -180,14 +203,15 @@ def _tier_step(ctx, i, tier, tfl, tff, tfc, chosen):
     mf = 0.0
     mc = 0.0
     for k in ps:
-        v = tfl[k]
-        if v > ml:
-            ml = v
-        v = tff[k]
-        if v > mf:
-            mf = v
-        v = tfc[k]
-        if v > mc:
+        v = chosen[k]
+        t = tiers[k]
+        if t == _LOCAL:
+            if v > ml:
+                ml = v
+        elif t == _FOG:
+            if v > mf:
+                mf = v
+        elif v > mc:
             mc = v
     up = ctx.tau_t[i] + ml
     if tier == _FOG:
@@ -209,16 +233,14 @@ def _tier_step(ctx, i, tier, tfl, tff, tfc, chosen):
 class _Core(NamedTuple):
     """Evaluation of one placement as flat per-task lists (0-indexed).
 
-    `ready` holds each task's ready time at its assigned tier; the finish
-    lists follow the module's convention (0 for tiers a task is not on).
+    `ready` holds each task's ready time and `chosen` its finish time, both
+    at its assigned tier; the transfer finishes are 0 where a task makes no
+    such transfer.
     """
 
     ready: list
     finish_tx: list
     finish_fwd: list
-    finish_local: list
-    finish_fog: list
-    finish_cloud: list
     chosen: list
     makespan: float
     sum_finish: float
@@ -237,58 +259,32 @@ def _core_eval(ctx: EvalContext, tiers) -> _Core:
     ready = [0.0] * n
     tft = [0.0] * n
     tfr = [0.0] * n
-    tfl = [0.0] * n
-    tff = [0.0] * n
-    tfc = [0.0] * n
     chosen = [0.0] * n
-    rev_f = ctx.rev_f
-    rev_c = ctx.rev_c
+    cost_t, du_f, du_c = ctx.cost, ctx.du_f, ctx.du_c
     sum_finish = 0.0
     cost = 0.0
     u_f = 0.0
     u_c = 0.0
     for i in ctx.topo:
         t = tiers[i]
-        ready[i], up, fwd, fin = _tier_step(ctx, i, t, tfl, tff, tfc, chosen)
-        if t == _LOCAL:
-            tfl[i] = fin
-            cost += ctx.e_l[i]
-        elif t == _FOG:
-            tft[i] = up
-            tff[i] = fin
-            cost += rev_f[i]
-            u_f += rev_f[i] - ctx.e_f[i]
-        else:
-            tft[i] = up
-            tfr[i] = fwd
-            tfc[i] = fin
-            cost += rev_c[i]
-            u_f -= ctx.e_s[i]
-            u_c += rev_c[i] - ctx.e_c[i]
+        ready[i], tft[i], tfr[i], fin = _tier_step(ctx, i, t, tiers, chosen)
         chosen[i] = fin
         sum_finish += fin
+        cost += cost_t[t][i]
+        u_f += du_f[t][i]
+        u_c += du_c[t][i]
     makespan = 0.0
     for i in ctx.sinks:
         if chosen[i] > makespan:
             makespan = chosen[i]
-    return _Core(
-        ready, tft, tfr, tfl, tff, tfc, chosen, makespan, sum_finish, cost, u_f, u_c
-    )
+    return _Core(ready, tft, tfr, chosen, makespan, sum_finish, cost, u_f, u_c)
 
 
-def evaluate(
-    graph: TaskGraph,
-    placement: Placement,
-    platform: Platform,
-    mode: ObjectiveMode = ObjectiveMode.MAKESPAN,
-) -> ScheduleResult:
+def evaluate(graph: TaskGraph, placement: Placement, platform: Platform) -> ScheduleResult:
     """Compute the full schedule of `placement` on `platform`.
 
-    `mode` does not change any computed value (both makespan and the sum of
-    finish times are always reported); it is accepted so call sites can carry
-    the scenario's objective through uniformly.
+    Both makespan and the sum of finish times are always reported.
     """
-    del mode
     validate_placement(placement, graph)
     ctx = EvalContext(graph, platform)
     tiers = [int(placement.assignment[t.id]) for t in graph.tasks]
@@ -301,6 +297,8 @@ def _result_from_core(ctx: EvalContext, tiers, core: _Core) -> ScheduleResult:
         t = tiers[i]
         ready = [0.0, 0.0, 0.0]
         ready[t - 1] = core.ready[i]
+        finish = [0.0, 0.0, 0.0]
+        finish[t - 1] = core.chosen[i]
         rows.append(
             TaskSchedule(
                 task_id=i + 1,
@@ -308,13 +306,13 @@ def _result_from_core(ctx: EvalContext, tiers, core: _Core) -> ScheduleResult:
                 ready_local=ready[0],
                 ready_fog=ready[1],
                 ready_cloud=ready[2],
-                finish_local=core.finish_local[i],
+                finish_local=finish[0],
                 finish_tx=core.finish_tx[i],
-                finish_fog=core.finish_fog[i],
+                finish_fog=finish[1],
                 finish_fwd=core.finish_fwd[i],
-                finish_cloud=core.finish_cloud[i],
+                finish_cloud=finish[2],
                 chosen_finish=core.chosen[i],
-                cost=(ctx.e_l, ctx.rev_f, ctx.rev_c)[t - 1][i],
+                cost=ctx.cost[t][i],
             )
         )
     return ScheduleResult(

@@ -81,18 +81,6 @@ class PowerRegime(Enum):
     CLOUD_CASE_III = "cloud:forward-bound"
 
 
-@dataclass(frozen=True)
-class PowerCase:
-    """Regime classification plus the delay-optimal transmit power.
-
-    Maximum transmit power minimizes the objective in every regime, so
-    `recommended_power` always equals the link's tx_power_max.
-    """
-
-    regime: PowerRegime
-    recommended_power: float
-
-
 def decision_rule(tf_local: float, tf_fog: float, tf_cloud: float) -> Tier:
     """Tier with the smallest candidate finish time.
 
@@ -113,15 +101,15 @@ def classify_power_case(
     max_pred_cloud: float,
     forward_time: float = 0.0,
     finish_fwd: float = 0.0,
-    tx_power_max: float = 1.0,
-) -> PowerCase:
+) -> PowerRegime:
     """Classify which term of the ready-time maximum binds for a task
-    offloaded to `target`, and recommend the transmit power.
+    offloaded to `target`.
 
     Fog target compares (upload completion, latest fog predecessor, latest
     cloud predecessor); cloud target compares (upload + forward, latest cloud
     predecessor, forward completion).  Exact ties resolve to the
-    lowest-numbered case.
+    lowest-numbered case.  Whatever the regime, transmitting at the link's
+    maximum power is delay-optimal: a higher power only shortens the upload.
     """
     target = Tier(target)
     if target is Tier.FOG:
@@ -144,7 +132,7 @@ def classify_power_case(
     for j in (1, 2):
         if candidates[j] > candidates[best]:
             best = j
-    return PowerCase(regime=regimes[best], recommended_power=tx_power_max)
+    return regimes[best]
 
 
 def metropolis_accept(delta: float, temperature: float, rng: np.random.Generator) -> bool:
@@ -210,31 +198,20 @@ def greedy_solve(scenario: Scenario, trace: list | None = None) -> SolveOutcome:
     n = ctx.n
     budget = scenario.budget
 
-    # Phase 1: initial pass over tasks in order, keeping the convention that
-    # only the chosen tier's finish time is non-zero.
+    # Phase 1: initial pass over tasks in order.
     tiers = [0] * n
-    tfl = [0.0] * n
-    tff = [0.0] * n
-    tfc = [0.0] * n
     chosen = [0.0] * n
-    iterations = 0
     for i in range(n):
-        _, _, _, fin_l = _tier_step(ctx, i, _LOCAL, tfl, tff, tfc, chosen)
-        _, _, _, fin_f = _tier_step(ctx, i, _FOG, tfl, tff, tfc, chosen)
-        _, _, _, fin_c = _tier_step(ctx, i, _CLOUD, tfl, tff, tfc, chosen)
+        fin_l = _tier_step(ctx, i, _LOCAL, tiers, chosen)[3]
+        fin_f = _tier_step(ctx, i, _FOG, tiers, chosen)[3]
+        fin_c = _tier_step(ctx, i, _CLOUD, tiers, chosen)[3]
         if fin_l < fin_f and fin_l < fin_c:
-            tiers[i] = _LOCAL
-            tfl[i] = fin_l
-            chosen[i] = fin_l
+            tiers[i], chosen[i] = _LOCAL, fin_l
         elif ctx.rev_c[i] >= ctx.e_c[i]:
-            tiers[i] = _CLOUD
-            tfc[i] = fin_c
-            chosen[i] = fin_c
+            tiers[i], chosen[i] = _CLOUD, fin_c
         else:
-            tiers[i] = _FOG
-            tff[i] = fin_f
-            chosen[i] = fin_f
-        iterations += 1
+            tiers[i], chosen[i] = _FOG, fin_f
+    iterations = n
 
     core = _core_eval(ctx, tiers)
     total_cost = core.total_cost
@@ -359,9 +336,10 @@ def brute_force_solve(scenario: Scenario) -> SolveOutcome:
 
     The enumeration is a depth-first walk over tasks in topological order:
     depth d places task topo[d] on local, fog, then cloud, and each
-    search-tree node takes one ready-time step from its prefix's finish
-    times, running makespan, sum of finish times, cost and utilities, which
-    are added in the same order as the evaluator adds them.  A placement is
+    search-tree node takes one ready-time step from its prefix's tier codes
+    and finish times, and adds its terms from the context's tables to the
+    prefix's running makespan, sum of finish times, cost and utilities, in
+    the same order as the evaluator adds them.  A placement is
     feasible when both utilities are non-negative and total cost is within
     budget (precedence constraints hold by construction).  Ties keep the
     optimum whose tiers, read in task-id order, come first lexicographically
@@ -381,12 +359,13 @@ def brute_force_solve(scenario: Scenario) -> SolveOutcome:
     is_sink = [False] * n
     for i in ctx.sinks:
         is_sink[i] = True
-    e_l, e_f, e_c, e_s = ctx.e_l, ctx.e_f, ctx.e_c, ctx.e_s
-    rev_f, rev_c = ctx.rev_f, ctx.rev_c
+    # (tier, cost, fog-utility and cloud-utility term) per task and tier,
+    # read from the context's tables once per solve
+    steps = [
+        tuple((t, ctx.cost[t][i], ctx.du_f[t][i], ctx.du_c[t][i]) for t in (_LOCAL, _FOG, _CLOUD))
+        for i in range(n)
+    ]
     tiers = [_LOCAL] * n
-    tfl = [0.0] * n
-    tff = [0.0] * n
-    tfc = [0.0] * n
     chosen = [0.0] * n
     best_obj = inf
     best_tiers = None
@@ -405,24 +384,12 @@ def brute_force_solve(scenario: Scenario) -> SolveOutcome:
             return
         i = topo[d]
         sink = is_sink[i]
-        fin = _tier_step(ctx, i, _LOCAL, tfl, tff, tfc, chosen)[3]
-        tiers[i] = _LOCAL
-        tfl[i] = chosen[i] = fin
-        visit(d + 1, fin if sink and fin > makespan else makespan,
-              sum_finish + fin, cost + e_l[i], u_f, u_c)
-        tfl[i] = 0.0
-        fin = _tier_step(ctx, i, _FOG, tfl, tff, tfc, chosen)[3]
-        tiers[i] = _FOG
-        tff[i] = chosen[i] = fin
-        visit(d + 1, fin if sink and fin > makespan else makespan,
-              sum_finish + fin, cost + rev_f[i], u_f + (rev_f[i] - e_f[i]), u_c)
-        tff[i] = 0.0
-        fin = _tier_step(ctx, i, _CLOUD, tfl, tff, tfc, chosen)[3]
-        tiers[i] = _CLOUD
-        tfc[i] = chosen[i] = fin
-        visit(d + 1, fin if sink and fin > makespan else makespan,
-              sum_finish + fin, cost + rev_c[i], u_f - e_s[i], u_c + (rev_c[i] - e_c[i]))
-        tfc[i] = chosen[i] = 0.0
+        for t, c, df, dc in steps[i]:
+            fin = _tier_step(ctx, i, t, tiers, chosen)[3]
+            tiers[i] = t
+            chosen[i] = fin
+            visit(d + 1, fin if sink and fin > makespan else makespan, sum_finish + fin,
+                  cost + c, u_f + df, u_c + dc)
 
     visit(0, 0.0, 0.0, 0.0, 0.0, 0.0)
     if best_tiers is None:

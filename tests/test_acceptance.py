@@ -164,7 +164,7 @@ def test_criterion_03_constraint_soundness():
             if not out.feasible:
                 continue
             checked += 1
-            res = evaluate(scn.graph, out.placement, scn.platform, scn.objective_mode)
+            res = evaluate(scn.graph, out.placement, scn.platform)
             report = check_feasibility(res, scn)
             if not report.feasible:
                 unsound += 1

@@ -1,6 +1,9 @@
 """Harness: run/sweep/compare/validate behavior, CSV determinism, CLI."""
+import csv
+import io
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -302,6 +305,43 @@ def test_cli_compare(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "brute" in out and "greedy" in out
+    # the README's example output, verbatim
+    command = "$ fogsched compare --scenario fig4.scn --seed 1 --reps 3\n"
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    documented = readme.split(command, 1)[1].split("```", 1)[0]
+    rc = cli.main(["compare", "--scenario", "fig4.scn", "--seed", "1", "--reps", "3"])
+    assert rc == 0
+    assert capsys.readouterr().out == documented
+
+
+def test_cli_run_stdout_is_the_csv_file(tmp_path, capsys):
+    # budget 0: every greedy row is an error whose message holds a comma
+    text = bundled_scenario("fig4.scn").read_text(encoding="utf-8")
+    path = tmp_path / "fig4_b0.scn"
+    path.write_text(text.replace("\nbudget: 6.0\n", "\nbudget: 0.0\n"), encoding="utf-8")
+    out = tmp_path / "rows.csv"
+    assert cli.main(["run", "--scenario", str(path), "--reps", "2", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert cli.main(["run", "--scenario", str(path), "--reps", "2"]) == 0
+    stdout = capsys.readouterr().out
+    assert stdout == out.read_text(encoding="utf-8")
+    rows = list(csv.reader(io.StringIO(stdout)))
+    assert len(rows) == 3
+    assert all(len(r) == len(bench.CSV_COLUMNS) == 17 for r in rows)
+    assert rows[1][-1].startswith("Infeasible: all tasks local, total energy")
+
+
+def test_reps_below_one_rejected(capsys):
+    fig4 = bundled_scenario("fig4.scn")
+    with pytest.raises(ValueError, match="reps must be >= 1"):
+        bench.run(fig4, reps=0)
+    with pytest.raises(ValueError, match="reps must be >= 1"):
+        bench.compare(fig4, reps=0)
+    assert cli.main(["compare", "--scenario", "fig4.scn", "--reps", "0"]) == 2
+    assert cli.main(["run", "--scenario", "fig4.scn", "--reps", "-2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: reps must be >= 1\n" * 2
 
 
 def test_cli_validate_bad_file_nonzero(tmp_path, capsys):
