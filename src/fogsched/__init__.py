@@ -70,7 +70,6 @@ from .solvers import (
     TooLarge,
     brute_force_solve,
     classify_power_case,
-    decision_rule,
     greedy_solve,
     metropolis_accept,
     sa_solve,

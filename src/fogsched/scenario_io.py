@@ -165,9 +165,14 @@ def _parse_solver(node) -> SolverConfig:
         return _build(SOLVER_KINDS[kind], settings, "solver")
 
 
+# libyaml's safe loader when PyYAML was built with it: the same documents,
+# parsed about seven times faster
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def _document(text: str) -> dict:
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_LOADER)
     except yaml.YAMLError as exc:
         raise ParseError(f"not valid YAML: {exc}") from exc
     return _as_map(doc, "scenario")

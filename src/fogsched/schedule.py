@@ -28,7 +28,9 @@ The sum of finish times, the device cost and the two utilities are
 accumulated in the same topological walk, so each sum adds its per-task
 terms in topological order (id order when the ids are a topological order);
 the exhaustive search relies on this to carry bit-identical running sums
-down its search tree.
+down its search tree, and the evaluator keeps the running sums at every
+topological position, so a placement that differs from an evaluated one
+only from some position on is evaluated by resuming the walk there.
 
 Everything is pure: identical inputs give bit-identical results.
 """
@@ -121,18 +123,20 @@ class FeasibilityReport:
 class EvalContext:
     """Per-scenario precomputation shared by the evaluator and the solvers.
 
-    Task ids are 1..N, so index i corresponds to task id i+1.  The per-tier
-    terms are tables indexed [tier code][task] (slot 0 unused): `cost` is
-    what the device pays (local energy, or the serving tier's price for the
-    task's data), `du_f` what the task adds to the fog's utility (revenue
-    minus execution energy on the fog, minus forwarding energy on the
-    cloud) and `du_c` what it adds to the cloud's (revenue minus execution
-    energy on the cloud).
+    Task ids are 1..N, so index i corresponds to task id i+1.  `topo` lists
+    the task indices in topological order and `pos[i]` is task i's position
+    in it.  The per-tier terms are tables indexed [tier code][task] (slot 0
+    unused): `cost` is what the device pays (local energy, or the serving
+    tier's price for the task's data), `du_f` what the task adds to the
+    fog's utility (revenue minus execution energy on the fog, minus
+    forwarding energy on the cloud) and `du_c` what it adds to the cloud's
+    (revenue minus execution energy on the cloud).
     """
 
     __slots__ = (
         "n",
         "topo",
+        "pos",
         "preds",
         "sinks",
         "data",
@@ -156,6 +160,10 @@ class EvalContext:
         n = len(graph)
         self.n = n
         self.topo = tuple(i - 1 for i in order)
+        pos = [0] * n
+        for d, i in enumerate(self.topo):
+            pos[i] = d
+        self.pos = tuple(pos)
         preds: list[list[int]] = [[] for _ in range(n)]
         for a, b in graph.edges:
             preds[b - 1].append(a - 1)
@@ -235,7 +243,9 @@ class _Core(NamedTuple):
 
     `ready` holds each task's ready time and `chosen` its finish time, both
     at its assigned tier; the transfer finishes are 0 where a task makes no
-    such transfer.
+    such transfer.  `run[d]` holds the running (sum of finish times, cost,
+    fog utility, cloud utility) over the tasks at topological positions
+    before d, so `run[n]` holds the totals.
     """
 
     ready: list
@@ -247,25 +257,40 @@ class _Core(NamedTuple):
     total_cost: float
     fog_utility: float
     cloud_utility: float
+    run: list
 
 
-def _core_eval(ctx: EvalContext, tiers) -> _Core:
+def _core_eval(ctx: EvalContext, tiers, prev: _Core | None = None, start: int = 0) -> _Core:
     """Evaluate one placement given as a 0-indexed sequence of tier codes.
 
     Finish times, cost and utilities are all accumulated in one walk in
     `ctx.topo` order, so every sum adds its terms in topological order.
+    With `prev`, the evaluation of a placement whose tasks at topological
+    positions before `start` sit on the same tiers as in `tiers`, the walk
+    resumes at `start` from `prev`'s state there: it makes the same
+    additions in the same order as a full walk, so the result is
+    bit-identical to one.  `start == n` returns `prev` itself.
     """
     n = ctx.n
-    ready = [0.0] * n
-    tft = [0.0] * n
-    tfr = [0.0] * n
-    chosen = [0.0] * n
+    if prev is None:
+        start = 0
+        ready = [0.0] * n
+        tft = [0.0] * n
+        tfr = [0.0] * n
+        chosen = [0.0] * n
+        run = [(0.0, 0.0, 0.0, 0.0)] * (n + 1)
+    elif start >= n:
+        return prev
+    else:
+        ready = prev.ready.copy()
+        tft = prev.finish_tx.copy()
+        tfr = prev.finish_fwd.copy()
+        chosen = prev.chosen.copy()
+        run = prev.run.copy()
     cost_t, du_f, du_c = ctx.cost, ctx.du_f, ctx.du_c
-    sum_finish = 0.0
-    cost = 0.0
-    u_f = 0.0
-    u_c = 0.0
-    for i in ctx.topo:
+    sum_finish, cost, u_f, u_c = run[start]
+    d = start
+    for i in ctx.topo[start:]:
         t = tiers[i]
         ready[i], tft[i], tfr[i], fin = _tier_step(ctx, i, t, tiers, chosen)
         chosen[i] = fin
@@ -273,11 +298,13 @@ def _core_eval(ctx: EvalContext, tiers) -> _Core:
         cost += cost_t[t][i]
         u_f += du_f[t][i]
         u_c += du_c[t][i]
+        d += 1
+        run[d] = (sum_finish, cost, u_f, u_c)
     makespan = 0.0
     for i in ctx.sinks:
         if chosen[i] > makespan:
             makespan = chosen[i]
-    return _Core(ready, tft, tfr, chosen, makespan, sum_finish, cost, u_f, u_c)
+    return _Core(ready, tft, tfr, chosen, makespan, sum_finish, cost, u_f, u_c, run)
 
 
 def evaluate(graph: TaskGraph, placement: Placement, platform: Platform) -> ScheduleResult:

@@ -1,5 +1,5 @@
 """Placement solvers: greedy repair heuristic, simulated annealing, exhaustive
-search, plus the closed-form per-task tier rule and transmit-power case rule.
+search, plus the closed-form transmit-power case rule.
 
 All solvers are deterministic given the scenario seed and may run in parallel
 across scenarios (no shared mutable state).
@@ -9,6 +9,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from enum import Enum
+from heapq import heapify, heappop, heappush
+from itertools import accumulate
 from math import exp, inf
 
 import numpy as np
@@ -33,7 +35,6 @@ from .schedule import (
     _result_from_core,
     _tier_step,
     check_feasibility,
-    objective_value,
 )
 
 
@@ -79,18 +80,6 @@ class PowerRegime(Enum):
     CLOUD_CASE_I = "cloud:upload-forward-bound"
     CLOUD_CASE_II = "cloud:cloud-predecessor-bound"
     CLOUD_CASE_III = "cloud:forward-bound"
-
-
-def decision_rule(tf_local: float, tf_fog: float, tf_cloud: float) -> Tier:
-    """Tier with the smallest candidate finish time.
-
-    Ties prefer the cheaper tier: local over fog over cloud.
-    """
-    if tf_local <= tf_fog and tf_local <= tf_cloud:
-        return Tier.LOCAL
-    if tf_fog <= tf_cloud:
-        return Tier.FOG
-    return Tier.CLOUD
 
 
 def classify_power_case(
@@ -179,9 +168,17 @@ def greedy_solve(scenario: Scenario, trace: list | None = None) -> SolveOutcome:
     Phase 3 repairs fog utility: while it is negative, pull the cloud task
     with the largest forwarding/execution energy ratio (when that ratio
     exceeds 1) back to the fog; otherwise drop the fog task with the smallest
-    revenue/energy ratio to the device.  The full schedule is re-evaluated
-    after every move, and each move only ever demotes a task cloud->fog or
-    fog->local, so the loop count is bounded by 2N.
+    revenue/energy ratio to the device.  Each move only ever demotes a task
+    cloud->fog or fog->local, so the loop count is bounded by 2N.  Ties
+    between candidate tasks go to the lowest task id.
+
+    The repairs read only the total cost and the fog utility.  Both are kept
+    as running sums before each topological position, and a move re-adds
+    them from the moved task's position with the evaluator's additions in
+    the evaluator's order, so every repair decision sees the bits a full
+    evaluation would give; the schedule itself is evaluated once, for the
+    returned placement.  Each phase picks its moves from heaps keyed by its
+    rules, built when the phase starts.
 
     If `trace` is given, (phase, task_id, total_cost) is appended per move.
     Raises Infeasible when all tasks are local and the budget still cannot be
@@ -213,58 +210,75 @@ def greedy_solve(scenario: Scenario, trace: list | None = None) -> SolveOutcome:
             tiers[i], chosen[i] = _FOG, fin_f
     iterations = n
 
-    core = _core_eval(ctx, tiers)
-    total_cost = core.total_cost
+    # cost and fog-utility term of the task at each topological position,
+    # and the running sums before each position (index n: the totals)
+    pos = ctx.pos
+    cost_terms = [ctx.cost[tiers[i]][i] for i in ctx.topo]
+    fog_terms = [ctx.du_f[tiers[i]][i] for i in ctx.topo]
+    run_cost = list(accumulate(cost_terms, initial=0.0))
+    run_fog = list(accumulate(fog_terms, initial=0.0))
+
+    def move(i, tier):
+        tiers[i] = tier
+        d = pos[i]
+        cost_terms[d] = ctx.cost[tier][i]
+        fog_terms[d] = ctx.du_f[tier][i]
+        run_cost[d:] = accumulate(cost_terms[d:], initial=run_cost[d])
+        run_fog[d:] = accumulate(fog_terms[d:], initial=run_fog[d])
+
+    def on_tier(tier, key):
+        # (key, index) heap of the tasks on `tier`; a task leaves a tier only
+        # through the heap that picked it, so no entry goes stale
+        heap = [(key(i), i) for i in range(n) if tiers[i] == tier]
+        heapify(heap)
+        return heap
+
+    def margin(i):
+        return ctx.rev_f[i] / ctx.e_f[i] if ctx.e_f[i] > 0 else inf
 
     # Phase 2: budget repair.
-    while total_cost > budget + TIME_TOL:
-        cloud_idx = [i for i in range(n) if tiers[i] == _CLOUD]
-        if cloud_idx:
-            y = min(cloud_idx, key=lambda i: ctx.e_c[i])
-            tiers[y] = _FOG
-            moved = y
+    cloud_heap = on_tier(_CLOUD, lambda i: ctx.e_c[i])
+    fog_heap = on_tier(_FOG, lambda i: ctx.e_f[i])
+    while run_cost[n] > budget + TIME_TOL:
+        if cloud_heap:
+            moved = heappop(cloud_heap)[1]
+            move(moved, _FOG)
+            heappush(fog_heap, (ctx.e_f[moved], moved))
+        elif fog_heap:
+            moved = heappop(fog_heap)[1]
+            move(moved, _LOCAL)
         else:
-            fog_idx = [i for i in range(n) if tiers[i] == _FOG]
-            if not fog_idx:
-                raise Infeasible(
-                    f"all tasks local, total energy {total_cost} still exceeds "
-                    f"budget {budget}"
-                )
-            z = min(fog_idx, key=lambda i: ctx.e_f[i])
-            tiers[z] = _LOCAL
-            moved = z
-        core = _core_eval(ctx, tiers)
-        total_cost = core.total_cost
+            raise Infeasible(
+                f"all tasks local, total energy {run_cost[n]} still exceeds "
+                f"budget {budget}"
+            )
         iterations += 1
         if trace is not None:
-            trace.append((2, moved + 1, total_cost))
+            trace.append((2, moved + 1, run_cost[n]))
 
     # Phase 3: fog-utility repair.
-    fog_util = core.fog_utility
-    while fog_util < -TIME_TOL:
-        cloud_idx = [i for i in range(n) if tiers[i] == _CLOUD]
-        heavy = [i for i in cloud_idx if ctx.e_s[i] > ctx.e_f[i]]
-        if heavy:
-            u = max(heavy, key=lambda i: ctx.e_s[i] / ctx.e_f[i] if ctx.e_f[i] > 0 else inf)
-            tiers[u] = _FOG
-            moved = u
+    heavy_heap = [
+        (-(ctx.e_s[i] / ctx.e_f[i]) if ctx.e_f[i] > 0 else -inf, i)
+        for i in range(n)
+        if tiers[i] == _CLOUD and ctx.e_s[i] > ctx.e_f[i]
+    ]
+    heapify(heavy_heap)
+    fog_heap = on_tier(_FOG, margin)
+    while run_fog[n] < -TIME_TOL:
+        if heavy_heap:
+            moved = heappop(heavy_heap)[1]
+            move(moved, _FOG)
+            heappush(fog_heap, (margin(moved), moved))
+        elif fog_heap:
+            moved = heappop(fog_heap)[1]
+            move(moved, _LOCAL)
         else:
-            fog_idx = [i for i in range(n) if tiers[i] == _FOG]
-            if not fog_idx:
-                # No move can raise fog utility; return as-is, the
-                # feasibility check will flag the utility constraint.
-                break
-            v = min(
-                fog_idx,
-                key=lambda i: ctx.rev_f[i] / ctx.e_f[i] if ctx.e_f[i] > 0 else inf,
-            )
-            tiers[v] = _LOCAL
-            moved = v
-        core = _core_eval(ctx, tiers)
-        fog_util = core.fog_utility
+            # No move can raise fog utility; return as-is, the
+            # feasibility check will flag the utility constraint.
+            break
         iterations += 1
         if trace is not None:
-            trace.append((3, moved + 1, core.total_cost))
+            trace.append((3, moved + 1, run_cost[n]))
 
     return _outcome(scenario, ctx, tiers, iterations, t_start)
 
@@ -285,7 +299,10 @@ def sa_solve(scenario: Scenario) -> SolveOutcome:
     TIME_TOL slack that check_feasibility allows.  If the final placement
     exceeds the budget the whole process restarts from a fresh random
     placement, up to max_restarts times; restart k draws from the dedicated
-    RNG stream (seed, k).
+    RNG stream (seed, k).  A proposal is evaluated by resuming the walk of
+    the current placement's evaluation at the moved task's topological
+    position, and re-walks nothing when the clamped step leaves the task's
+    tier unchanged.
     """
     t_start = time.perf_counter()
     cfg = scenario.solver_config
@@ -293,7 +310,7 @@ def sa_solve(scenario: Scenario) -> SolveOutcome:
         raise TypeError("sa_solve needs a Scenario carrying an SAConfig")
     ctx = EvalContext(scenario.graph, scenario.platform)
     n = ctx.n
-    mode = scenario.objective_mode
+    by_sum = ObjectiveMode(scenario.objective_mode) is ObjectiveMode.SUM_FINISH
     budget = scenario.budget
     total_iterations = 0
 
@@ -303,8 +320,7 @@ def sa_solve(scenario: Scenario) -> SolveOutcome:
         )
         tiers = [int(v) for v in rng.integers(1, 4, size=n)]
         core = _core_eval(ctx, tiers)
-        obj_cur = objective_value(core, mode)
-        cost_cur = core.total_cost
+        obj_cur = core.sum_finish if by_sum else core.makespan
         u_f = 0.0
         u_c = 0.0
         tem = cfg.t0
@@ -314,16 +330,19 @@ def sa_solve(scenario: Scenario) -> SolveOutcome:
             cand = list(tiers)
             cand[idx] = min(_CLOUD, max(_LOCAL, cand[idx] + step))
             tem *= cfg.cool
-            cand_core = _core_eval(ctx, cand)
-            obj_cand = objective_value(cand_core, mode)
+            # re-walk from the moved task's position, or nothing when the
+            # clamped step left its tier as it was
+            start = ctx.pos[idx] if cand[idx] != tiers[idx] else n
+            cand_core = _core_eval(ctx, cand, core, start)
+            obj_cand = cand_core.sum_finish if by_sum else cand_core.makespan
             if metropolis_accept(obj_cand - obj_cur, tem, rng):
                 tiers = cand
+                core = cand_core
                 obj_cur = obj_cand
-                cost_cur = cand_core.total_cost
                 u_f = cand_core.fog_utility
                 u_c = cand_core.cloud_utility
             total_iterations += 1
-        if cost_cur <= budget + TIME_TOL:
+        if core.total_cost <= budget + TIME_TOL:
             return _outcome(scenario, ctx, tiers, total_iterations, t_start)
 
     raise RestartsExhausted(

@@ -4,14 +4,29 @@ The fixed-point evaluator shares no logic with the package's evaluator: it
 recomputes every task's times from the current estimates in reverse id
 order until the values stop changing, with no topological walk.  The
 exhaustive search is the straightforward one that the package's
-prefix-sharing walk replaces: one full evaluation per placement.
+prefix-sharing walk replaces: one full evaluation per placement.  The greedy
+and annealing references are the straightforward loops that the package's
+incremental ones replace: one full evaluation per repair move or proposal,
+and a rescan of all tasks for every greedy pick.
 """
 from __future__ import annotations
 
 import itertools
 import math
+import time
 
-from fogsched import Tier, costs, schedule
+import numpy as np
+
+from fogsched import (
+    GraphError,
+    Infeasible,
+    RestartsExhausted,
+    SAConfig,
+    Tier,
+    costs,
+    schedule,
+    solvers,
+)
 
 
 def fixed_point_times(graph, placement, platform, sweeps=None):
@@ -161,3 +176,121 @@ def exhaustive_optimum(scenario):
             best_obj = obj
             best_tiers = tiers
     return best_tiers, count
+
+
+def greedy_reference(scenario, trace=None):
+    """greedy_solve's phases, re-evaluating the whole placement after every
+    repair move and picking each move by a scan over all tasks."""
+    t_start = time.perf_counter()
+    graph = scenario.graph
+    if any(a >= b for a, b in graph.edges):
+        raise GraphError(
+            "greedy_solve requires task ids to be a topological order "
+            "(every edge must go from a lower to a higher id)"
+        )
+    ctx = schedule.EvalContext(graph, scenario.platform)
+    n = ctx.n
+    budget = scenario.budget
+    local, fog, cloud = int(Tier.LOCAL), int(Tier.FOG), int(Tier.CLOUD)
+
+    tiers = [0] * n
+    chosen = [0.0] * n
+    for i in range(n):
+        fin_l = schedule._tier_step(ctx, i, local, tiers, chosen)[3]
+        fin_f = schedule._tier_step(ctx, i, fog, tiers, chosen)[3]
+        fin_c = schedule._tier_step(ctx, i, cloud, tiers, chosen)[3]
+        if fin_l < fin_f and fin_l < fin_c:
+            tiers[i], chosen[i] = local, fin_l
+        elif ctx.rev_c[i] >= ctx.e_c[i]:
+            tiers[i], chosen[i] = cloud, fin_c
+        else:
+            tiers[i], chosen[i] = fog, fin_f
+    iterations = n
+
+    core = schedule._core_eval(ctx, tiers)
+    total_cost = core.total_cost
+    while total_cost > budget + schedule.TIME_TOL:
+        cloud_idx = [i for i in range(n) if tiers[i] == cloud]
+        if cloud_idx:
+            moved = min(cloud_idx, key=lambda i: ctx.e_c[i])
+            tiers[moved] = fog
+        else:
+            fog_idx = [i for i in range(n) if tiers[i] == fog]
+            if not fog_idx:
+                raise Infeasible(
+                    f"all tasks local, total energy {total_cost} still exceeds "
+                    f"budget {budget}"
+                )
+            moved = min(fog_idx, key=lambda i: ctx.e_f[i])
+            tiers[moved] = local
+        core = schedule._core_eval(ctx, tiers)
+        total_cost = core.total_cost
+        iterations += 1
+        if trace is not None:
+            trace.append((2, moved + 1, total_cost))
+
+    while core.fog_utility < -schedule.TIME_TOL:
+        heavy = [i for i in range(n) if tiers[i] == cloud and ctx.e_s[i] > ctx.e_f[i]]
+        if heavy:
+            moved = max(
+                heavy, key=lambda i: ctx.e_s[i] / ctx.e_f[i] if ctx.e_f[i] > 0 else math.inf
+            )
+            tiers[moved] = fog
+        else:
+            fog_idx = [i for i in range(n) if tiers[i] == fog]
+            if not fog_idx:
+                break
+            moved = min(
+                fog_idx,
+                key=lambda i: ctx.rev_f[i] / ctx.e_f[i] if ctx.e_f[i] > 0 else math.inf,
+            )
+            tiers[moved] = local
+        core = schedule._core_eval(ctx, tiers)
+        iterations += 1
+        if trace is not None:
+            trace.append((3, moved + 1, core.total_cost))
+
+    return solvers._outcome(scenario, ctx, tiers, iterations, t_start)
+
+
+def anneal_reference(scenario):
+    """sa_solve's loop, evaluating every proposal with a full walk."""
+    t_start = time.perf_counter()
+    cfg = scenario.solver_config
+    assert isinstance(cfg, SAConfig)
+    ctx = schedule.EvalContext(scenario.graph, scenario.platform)
+    n = ctx.n
+    mode = scenario.objective_mode
+    local, cloud = int(Tier.LOCAL), int(Tier.CLOUD)
+    total_iterations = 0
+    for restart in range(cfg.max_restarts + 1):
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=scenario.seed, spawn_key=(restart,))
+        )
+        tiers = [int(v) for v in rng.integers(1, 4, size=n)]
+        core = schedule._core_eval(ctx, tiers)
+        obj_cur = schedule.objective_value(core, mode)
+        cost_cur = core.total_cost
+        u_f = 0.0
+        u_c = 0.0
+        tem = cfg.t0
+        while tem > cfg.t_stop and u_f >= 0 and u_c >= 0:
+            step = int(rng.integers(-cfg.neighbor_range, cfg.neighbor_range + 1))
+            idx = int(rng.integers(0, n))
+            cand = list(tiers)
+            cand[idx] = min(cloud, max(local, cand[idx] + step))
+            tem *= cfg.cool
+            cand_core = schedule._core_eval(ctx, cand)
+            obj_cand = schedule.objective_value(cand_core, mode)
+            if solvers.metropolis_accept(obj_cand - obj_cur, tem, rng):
+                tiers = cand
+                obj_cur = obj_cand
+                cost_cur = cand_core.total_cost
+                u_f = cand_core.fog_utility
+                u_c = cand_core.cloud_utility
+            total_iterations += 1
+        if cost_cur <= scenario.budget + schedule.TIME_TOL:
+            return solvers._outcome(scenario, ctx, tiers, total_iterations, t_start)
+    raise RestartsExhausted(
+        f"no budget-feasible placement in {cfg.max_restarts + 1} annealing runs"
+    )

@@ -4,7 +4,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import yaml
 
+from fogsched import scenario_io
 from fogsched import (
     BruteForceConfig,
     CycleDetected,
@@ -12,6 +14,7 @@ from fogsched import (
     GraphError,
     GreedyConfig,
     MissingTask,
+    ParseError,
     Placement,
     SAConfig,
     Scenario,
@@ -21,6 +24,7 @@ from fogsched import (
     UnknownTask,
     load_placement,
     load_scenario,
+    parse_placement,
     parse_scenario,
     render_scenario,
     save_scenario,
@@ -217,6 +221,37 @@ def test_scenario_file_roundtrip_bit_exact(tmp_path):
         assert repr(again) == repr(scn)
         # a second cycle is byte-stable
         assert render_scenario(again) == render_scenario(scn)
+
+
+def test_libyaml_loader_reads_the_same_scenarios(monkeypatch):
+    if not hasattr(yaml, "CSafeLoader"):
+        pytest.skip("PyYAML was built without libyaml")
+    rng = np.random.default_rng(12)
+    texts = [bundled_scenario(name).read_text(encoding="utf-8")
+             for name in ("defaults.scn", "fig4.scn", "chain40.scn")]
+    kinds = (SAConfig(), GreedyConfig(), BruteForceConfig(cap=9))
+    for k in range(300):
+        scn = gen.random_scenario(rng, n_max=12, benign=k % 5 == 0)
+        scn = replace(scn, solver_config=kinds[k % 3])
+        placement = gen.random_placement(rng, scn.graph) if k % 2 else None
+        texts.append(render_scenario(scn, placement))
+    malformed = ["graph: {tasks: [}\n", "budget: [1, 2\n", "a:\n  - b\n c: d\n",
+                 "seed: 'open\n", "\tgraph: 1\n", "budget: *x\n"]
+    seen = {}
+    for loader in (yaml.SafeLoader, yaml.CSafeLoader):
+        monkeypatch.setattr(scenario_io, "_LOADER", loader)
+        parsed = []
+        for text in texts:
+            scn = parse_scenario(text)
+            parsed.append(repr((scn, parse_placement(text, scn.graph))))
+        errors = []
+        for text in malformed:
+            with pytest.raises(ParseError) as err:
+                parse_scenario(text)
+            cause = err.value.__cause__
+            errors.append((type(cause), cause.problem_mark.line, cause.problem_mark.column))
+        seen[loader] = parsed, errors
+    assert seen[yaml.SafeLoader] == seen[yaml.CSafeLoader]
 
 
 def test_placement_roundtrip_bit_exact(tmp_path):

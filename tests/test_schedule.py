@@ -16,6 +16,7 @@ from fogsched import (
     Tier,
     check_feasibility,
     evaluate,
+    schedule,
 )
 import gen
 import oracles
@@ -137,6 +138,28 @@ def test_matches_fixed_point_oracle():
                 assert row.finish_tx == pytest.approx(tx, rel=1e-12)
             if row.tier is Tier.CLOUD:
                 assert row.finish_fwd == pytest.approx(fwd, rel=1e-12)
+
+
+def test_resumed_walk_matches_full_walk():
+    rng = np.random.default_rng(63)
+    for k in range(300):
+        scn = gen.random_scenario(rng, n_max=12)
+        graph = gen.permute_ids(rng, scn.graph) if k % 2 else scn.graph
+        ctx = schedule.EvalContext(graph, scn.platform)
+        n = ctx.n
+        assert [ctx.topo[ctx.pos[i]] for i in range(n)] == list(range(n))
+        tiers = [int(v) for v in rng.integers(1, 4, size=n)]
+        prev = schedule._core_eval(ctx, tiers)
+        before = repr(prev)
+        assert repr(schedule._core_eval(ctx, list(tiers), prev, n)) == before
+        start = int(rng.integers(0, n))
+        cand = list(tiers)
+        for d in range(start, n):
+            if d == start or rng.random() < 0.3:
+                cand[ctx.topo[d]] = int(rng.integers(1, 4))
+        resumed = schedule._core_eval(ctx, cand, prev, start)
+        assert repr(resumed) == repr(schedule._core_eval(ctx, cand))
+        assert repr(prev) == before
 
 
 def _priced_platform(kappa=0.0, fog_beta=0.0, cloud_beta=0.0, forward_power=0.0):

@@ -1,5 +1,4 @@
-"""Solvers: greedy phases, annealing contract, exhaustive search, tier and
-power rules."""
+"""Solvers: greedy phases, annealing contract, exhaustive search, power rule."""
 import warnings
 
 import numpy as np
@@ -20,6 +19,7 @@ from fogsched import (
     RadioLink,
     SAConfig,
     Scenario,
+    SolverError,
     TaskGraph,
     TaskSpec,
     Tier,
@@ -28,7 +28,6 @@ from fogsched import (
     bundled_scenario,
     check_feasibility,
     classify_power_case,
-    decision_rule,
     evaluate,
     greedy_solve,
     load_scenario,
@@ -37,26 +36,11 @@ from fogsched import (
     sa_solve,
     solve,
 )
+from collections import Counter
 from dataclasses import replace
 
 import gen
 import oracles
-
-
-def test_decision_rule_examples():
-    assert decision_rule(1, 2, 3) is Tier.LOCAL
-    assert decision_rule(2, 1, 3) is Tier.FOG
-    assert decision_rule(3, 2, 1) is Tier.CLOUD
-    assert decision_rule(2, 2, 2) is Tier.LOCAL
-    assert decision_rule(2, 1, 1) is Tier.FOG
-
-
-def test_decision_rule_shift_invariance():
-    rng = np.random.default_rng(41)
-    for _ in range(300):
-        a, b, c = (int(v) for v in rng.integers(0, 50, size=3))
-        t = int(rng.integers(0, 1000))
-        assert decision_rule(a, b, c) is decision_rule(a + t, b + t, c + t)
 
 
 def test_classify_power_case_fog_upload_bound():
@@ -199,7 +183,111 @@ def test_greedy_fog_utility_repair_runs():
     assert out.result.fog_utility >= -1e-9
 
 
+def _outcome_or_error(solver, scn, *trace):
+    try:
+        out = solver(scn, *trace)
+    except (SolverError, GraphError) as exc:
+        return type(exc), str(exc)
+    return out.placement, repr(out.result), out.feasible, out.iterations
+
+
+def test_greedy_matches_reference_loop():
+    # running sums and heaps against full re-evaluation and rescans: same
+    # moves in the same order, same outcome or the same error
+    rng = np.random.default_rng(61)
+    seen = Counter()
+    for k in range(320):
+        mode = ObjectiveMode.MAKESPAN if k % 2 else ObjectiveMode.SUM_FINISH
+        scn = gen.random_scenario(rng, n_max=12, mode=mode, allow_infinite_budget=k % 4 == 0)
+        n = len(scn.graph)
+        if k % 5 == 0:
+            # equal tasks: every pick is decided by the lowest-index tie rule
+            scn = replace(scn, graph=gen.chain_graph([400.0] * n, [600.0] * n))
+        elif k % 5 == 1:
+            # forwarding-heavy cloud: the fog-utility repair does most moves
+            sizes = rng.uniform(100.0, 1000.0, size=n)
+            scn = replace(scn, graph=gen.chain_graph(sizes), platform=gen.desk_platform(),
+                          budget=float("inf"))
+        elif k % 10 == 9:
+            # device energy above any budget: all-local still does not fit
+            scn = replace(scn, platform=replace(scn.platform, kappa=1e-6), budget=0.0)
+        got_trace, want_trace = [], []
+        got = _outcome_or_error(greedy_solve, scn, got_trace)
+        want = _outcome_or_error(oracles.greedy_reference, scn, want_trace)
+        assert got == want
+        assert repr(got_trace) == repr(want_trace)
+        seen.update(phase for phase, _, _ in got_trace)
+        seen["error"] += got[0] is Infeasible
+    assert seen[2] > 1000 and seen[3] > 200 and seen["error"] > 20, seen
+
+
+def test_greedy_repairs_evaluate_only_the_returned_placement(monkeypatch):
+    calls = []
+    original = schedule._core_eval
+
+    def counting_eval(ctx, tiers, *resume):
+        calls.append(list(tiers))
+        return original(ctx, tiers, *resume)
+
+    monkeypatch.setattr(solvers, "_core_eval", counting_eval)
+    platform = gen.desk_platform()
+    for n, repairs in ((300, 165), (1000, 531), (3000, 1631)):
+        sizes = np.random.default_rng(n).uniform(100, 1000, size=n)
+        scn = Scenario(graph=gen.chain_graph(sizes), platform=platform, budget=float("inf"))
+        calls.clear()
+        out = greedy_solve(scn)
+        assert out.iterations == n + repairs
+        assert calls == [[int(out.placement.assignment[i + 1]) for i in range(n)]]
+
+
 # ---------------------------------------------------------------- annealing
+
+
+def test_anneal_matches_reference_loop():
+    # resumed walks against a full evaluation per proposal
+    rng = np.random.default_rng(62)
+    seen = Counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        cold = SAConfig(t0=0.05, t_stop=0.1)
+    for k in range(440):
+        mode = ObjectiveMode.MAKESPAN if k % 2 else ObjectiveMode.SUM_FINISH
+        scn = gen.random_scenario(rng, n_max=10, mode=mode, benign=k % 6 == 0)
+        if k < 120:
+            scn = replace(scn, graph=gen.permute_ids(rng, scn.graph))
+        cfg = SAConfig(neighbor_range=1 + k % 3, max_restarts=k % 3)
+        scn = replace(scn, solver_config=cold if k % 20 == 7 else cfg)
+        got = _outcome_or_error(sa_solve, scn)
+        assert got == _outcome_or_error(oracles.anneal_reference, scn)
+        seen[got[0] if isinstance(got[0], type) else "solved"] += 1
+    assert seen[RestartsExhausted] > 50 and seen["solved"] > 150, seen
+
+
+def test_anneal_evaluates_each_proposal_once(monkeypatch):
+    # one evaluation, then one Metropolis test, per proposal, including the
+    # proposals whose clamped step leaves the tier unchanged
+    calls = []
+    original_eval = schedule._core_eval
+    original_accept = solvers.metropolis_accept
+
+    def counting_eval(ctx, tiers, *resume):
+        calls.append("eval")
+        return original_eval(ctx, tiers, *resume)
+
+    def counting_accept(delta, temperature, rng):
+        calls.append("accept")
+        return original_accept(delta, temperature, rng)
+
+    monkeypatch.setattr(solvers, "_core_eval", counting_eval)
+    monkeypatch.setattr(solvers, "metropolis_accept", counting_accept)
+    rng = np.random.default_rng(64)
+    for k in range(6):
+        scn = gen.random_scenario(rng, n_max=10, benign=True)
+        scn = replace(scn, budget=float("inf"), solver_config=SAConfig(neighbor_range=3))
+        calls.clear()
+        out = sa_solve(scn)
+        assert out.iterations > 0
+        assert calls == ["eval"] + ["eval", "accept"] * out.iterations + ["eval"]
 
 
 def test_sa_degenerate_schedule_returns_initial_placement():
