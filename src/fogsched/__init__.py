@@ -6,15 +6,12 @@ three placement solvers (`solvers`), scenario file I/O (`scenario_io`) and a
 sweep-running experiment harness (`bench`, CLI in `cli`).
 """
 from .costs import (
-    TaskCosts,
     fog_cloud_energy,
     fog_cloud_time,
     local_energy,
     local_exec_time,
     server_energy,
     server_exec_time,
-    task_costs,
-    uplink_energy,
     uplink_rate,
     uplink_time,
 )
@@ -63,13 +60,11 @@ from .schedule import (
 )
 from .solvers import (
     Infeasible,
-    PowerRegime,
     RestartsExhausted,
     SolveOutcome,
     SolverError,
     TooLarge,
     brute_force_solve,
-    classify_power_case,
     greedy_solve,
     metropolis_accept,
     sa_solve,

@@ -29,6 +29,7 @@ from .model import (
     Scenario,
     TaskGraph,
     TaskSpec,
+    _require_finite,
     solver_kind,
 )
 from .scenario_io import load_scenario, resolve_scenario_path
@@ -93,8 +94,14 @@ class SweepSpec:
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
         _check_reps(self.reps)
+        _require_finite("sweep ", self, ("start", "stop"))
         if self.start > self.stop:
             raise ValueError("start must be <= stop")
+        size = tuple(self.task_size_range)
+        if not (len(size) == 2 and all(map(math.isfinite, size)) and 0 <= size[0] <= size[1]):
+            raise ValueError(
+                f"task_size_range must be finite lo,hi with 0 <= lo <= hi, got {size}"
+            )
         bad = [s for s in self.solvers if s not in SOLVER_NAMES]
         if bad:
             raise ValueError(f"unknown solvers {bad}")

@@ -5,27 +5,9 @@ placement or on other tasks.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import log2
 
 from .model import Platform, RadioLink, ServerSpec, TaskSpec
-
-
-@dataclass(frozen=True)
-class TaskCosts:
-    """All per-task quantities, bundled once per (task, platform) pair."""
-
-    local_time: float
-    local_energy: float
-    uplink_rate: float
-    uplink_time: float
-    uplink_energy: float
-    fog_time: float
-    fog_energy: float
-    fog_cloud_time: float
-    fog_cloud_energy: float
-    cloud_time: float
-    cloud_energy: float
 
 
 def uplink_rate(link: RadioLink) -> float:
@@ -61,11 +43,6 @@ def uplink_time(task: TaskSpec, link: RadioLink) -> float:
     return task.data_size / uplink_rate(link)
 
 
-def uplink_energy(task: TaskSpec, link: RadioLink) -> float:
-    """Transmit power * uplink time."""
-    return link.tx_power * uplink_time(task, link)
-
-
 def fog_cloud_time(task: TaskSpec, platform: Platform) -> float:
     """data_size / fog-to-cloud bandwidth."""
     return task.data_size / platform.fog_cloud_bandwidth
@@ -74,20 +51,3 @@ def fog_cloud_time(task: TaskSpec, platform: Platform) -> float:
 def fog_cloud_energy(task: TaskSpec, platform: Platform) -> float:
     """Forwarding power * fog-to-cloud transfer time, paid by the fog node."""
     return platform.fog_forward_power * fog_cloud_time(task, platform)
-
-
-def task_costs(task: TaskSpec, platform: Platform) -> TaskCosts:
-    """Evaluate every single-quantity function for one task."""
-    return TaskCosts(
-        local_time=local_exec_time(task, platform),
-        local_energy=local_energy(task, platform),
-        uplink_rate=uplink_rate(platform.radio),
-        uplink_time=uplink_time(task, platform.radio),
-        uplink_energy=uplink_energy(task, platform.radio),
-        fog_time=server_exec_time(task, platform.fog),
-        fog_energy=server_energy(task, platform.fog),
-        fog_cloud_time=fog_cloud_time(task, platform),
-        fog_cloud_energy=fog_cloud_energy(task, platform),
-        cloud_time=server_exec_time(task, platform.cloud),
-        cloud_energy=server_energy(task, platform.cloud),
-    )

@@ -192,7 +192,7 @@ class RadioLink:
     transmitters, a configured scalar (default 0): the solvers never schedule
     concurrent transmissions, so it is an input rather than a derived value.
     `tx_power` defaults to `tx_power_max`; transmitting at maximum power is
-    delay-optimal in every regime (see solvers.classify_power_case).
+    delay-optimal: a higher power only shortens the upload.
     """
 
     bandwidth: float

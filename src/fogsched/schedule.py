@@ -91,6 +91,8 @@ class ScheduleResult:
     cloud_utility: float
 
     def task(self, task_id: int) -> TaskSchedule:
+        if not 1 <= task_id <= len(self.tasks):
+            raise IndexError(f"no task {task_id!r}: ids are 1..{len(self.tasks)}")
         return self.tasks[task_id - 1]
 
 
@@ -125,7 +127,8 @@ class EvalContext:
 
     Task ids are 1..N, so index i corresponds to task id i+1.  `topo` lists
     the task indices in topological order and `pos[i]` is task i's position
-    in it.  The per-tier terms are tables indexed [tier code][task] (slot 0
+    in it.  Each per-task column is filled straight from its `costs`
+    function.  The per-tier terms are tables indexed [tier code][task] (slot 0
     unused): `cost` is what the device pays (local energy, or the serving
     tier's price for the task's data), `du_f` what the task adds to the
     fog's utility (revenue minus execution energy on the fog, minus
@@ -139,7 +142,6 @@ class EvalContext:
         "pos",
         "preds",
         "sinks",
-        "data",
         "tau_l",
         "tau_t",
         "tau_f",
@@ -158,31 +160,29 @@ class EvalContext:
     def __init__(self, graph: TaskGraph, platform: Platform):
         order = validate_graph(graph)
         n = len(graph)
+        tasks = graph.tasks
+        fog, cloud = platform.fog, platform.cloud
         self.n = n
         self.topo = tuple(i - 1 for i in order)
         pos = [0] * n
         for d, i in enumerate(self.topo):
             pos[i] = d
         self.pos = tuple(pos)
-        preds: list[list[int]] = [[] for _ in range(n)]
-        for a, b in graph.edges:
-            preds[b - 1].append(a - 1)
-        self.preds = tuple(tuple(sorted(p)) for p in preds)
+        self.preds = tuple(map(tuple, _pred_lists(graph)))
         self.sinks = tuple(i - 1 for i in graph.sinks())
-        per_task = tuple(_costs.task_costs(t, platform) for t in graph.tasks)
-        self.data = tuple(t.data_size for t in graph.tasks)
-        self.tau_l = tuple(c.local_time for c in per_task)
-        self.tau_t = tuple(c.uplink_time for c in per_task)
-        self.tau_f = tuple(c.fog_time for c in per_task)
-        self.tau_r = tuple(c.fog_cloud_time for c in per_task)
-        self.tau_c = tuple(c.cloud_time for c in per_task)
-        self.e_f = tuple(c.fog_energy for c in per_task)
-        self.e_c = tuple(c.cloud_energy for c in per_task)
-        self.e_s = tuple(c.fog_cloud_energy for c in per_task)
-        self.rev_f = tuple(platform.fog.price * d for d in self.data)
-        self.rev_c = tuple(platform.cloud.price * d for d in self.data)
+        self.tau_l = tuple(_costs.local_exec_time(t, platform) for t in tasks)
+        self.tau_t = tuple(_costs.uplink_time(t, platform.radio) for t in tasks)
+        self.tau_f = tuple(_costs.server_exec_time(t, fog) for t in tasks)
+        self.tau_r = tuple(_costs.fog_cloud_time(t, platform) for t in tasks)
+        self.tau_c = tuple(_costs.server_exec_time(t, cloud) for t in tasks)
+        self.e_f = tuple(_costs.server_energy(t, fog) for t in tasks)
+        self.e_c = tuple(_costs.server_energy(t, cloud) for t in tasks)
+        self.e_s = tuple(_costs.fog_cloud_energy(t, platform) for t in tasks)
+        self.rev_f = tuple(fog.price * t.data_size for t in tasks)
+        self.rev_c = tuple(cloud.price * t.data_size for t in tasks)
         zero = (0.0,) * n
-        self.cost = (None, tuple(c.local_energy for c in per_task), self.rev_f, self.rev_c)
+        local = tuple(_costs.local_energy(t, platform) for t in tasks)
+        self.cost = (None, local, self.rev_f, self.rev_c)
         self.du_f = (
             None,
             zero,
@@ -190,6 +190,15 @@ class EvalContext:
             tuple(map(neg, self.e_s)),
         )
         self.du_c = (None, zero, zero, tuple(map(sub, self.rev_c, self.e_c)))
+
+
+def _pred_lists(graph: TaskGraph) -> list[list[int]]:
+    """Each task's predecessor indices (0-indexed), ascending because the
+    graph keeps its edges sorted."""
+    preds: list[list[int]] = [[] for _ in graph.tasks]
+    for a, b in graph.edges:
+        preds[b - 1].append(a - 1)
+    return preds
 
 
 def _tier_step(ctx, i, tier, tiers, chosen):
@@ -370,9 +379,7 @@ def check_feasibility(result: ScheduleResult, scenario: Scenario) -> Feasibility
     """
     graph = scenario.graph
     validate_graph(graph)
-    preds: list[list[int]] = [[] for _ in graph.tasks]
-    for a, b in graph.edges:  # sorted, so each list is ascending
-        preds[b - 1].append(a - 1)
+    preds = _pred_lists(graph)
     rows = result.tasks
     violations: list[tuple[str, int, str]] = []
 

@@ -1,5 +1,5 @@
 """Placement solvers: greedy repair heuristic, simulated annealing, exhaustive
-search, plus the closed-form transmit-power case rule.
+search.
 
 All solvers are deterministic given the scenario seed and may run in parallel
 across scenarios (no shared mutable state).
@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from enum import Enum
 from heapq import heapify, heappop, heappush
 from itertools import accumulate
 from math import exp, inf
@@ -22,7 +21,6 @@ from .model import (
     Placement,
     SAConfig,
     Scenario,
-    Tier,
 )
 from .schedule import (
     _CLOUD,
@@ -71,59 +69,6 @@ class SolveOutcome:
     wall_time: float
 
 
-class PowerRegime(Enum):
-    """Which term pins the ready time of an offloaded task."""
-
-    FOG_CASE_I = "fog:upload-bound"
-    FOG_CASE_II = "fog:fog-predecessor-bound"
-    FOG_CASE_III = "fog:cloud-predecessor-bound"
-    CLOUD_CASE_I = "cloud:upload-forward-bound"
-    CLOUD_CASE_II = "cloud:cloud-predecessor-bound"
-    CLOUD_CASE_III = "cloud:forward-bound"
-
-
-def classify_power_case(
-    target: Tier,
-    *,
-    finish_tx: float,
-    max_pred_fog: float,
-    max_pred_cloud: float,
-    forward_time: float = 0.0,
-    finish_fwd: float = 0.0,
-) -> PowerRegime:
-    """Classify which term of the ready-time maximum binds for a task
-    offloaded to `target`.
-
-    Fog target compares (upload completion, latest fog predecessor, latest
-    cloud predecessor); cloud target compares (upload + forward, latest cloud
-    predecessor, forward completion).  Exact ties resolve to the
-    lowest-numbered case.  Whatever the regime, transmitting at the link's
-    maximum power is delay-optimal: a higher power only shortens the upload.
-    """
-    target = Tier(target)
-    if target is Tier.FOG:
-        candidates = (finish_tx, max_pred_fog, max_pred_cloud)
-        regimes = (
-            PowerRegime.FOG_CASE_I,
-            PowerRegime.FOG_CASE_II,
-            PowerRegime.FOG_CASE_III,
-        )
-    elif target is Tier.CLOUD:
-        candidates = (finish_tx + forward_time, max_pred_cloud, finish_fwd)
-        regimes = (
-            PowerRegime.CLOUD_CASE_I,
-            PowerRegime.CLOUD_CASE_II,
-            PowerRegime.CLOUD_CASE_III,
-        )
-    else:
-        raise ValueError("power cases apply to offloaded tasks only (fog or cloud)")
-    best = 0
-    for j in (1, 2):
-        if candidates[j] > candidates[best]:
-            best = j
-    return regimes[best]
-
-
 def metropolis_accept(delta: float, temperature: float, rng: np.random.Generator) -> bool:
     """Accept a candidate whose objective changed by `delta`.
 
@@ -137,15 +82,11 @@ def metropolis_accept(delta: float, temperature: float, rng: np.random.Generator
     return rng.random() < exp(-delta / temperature)
 
 
-def _placement_from_tiers(tiers) -> Placement:
-    return Placement({i + 1: Tier(int(t)) for i, t in enumerate(tiers)})
-
-
 def _outcome(scenario: Scenario, ctx: EvalContext, tiers, iterations, t_start) -> SolveOutcome:
     result = _result_from_core(ctx, tiers, _core_eval(ctx, tiers))
     report = check_feasibility(result, scenario)
     return SolveOutcome(
-        placement=_placement_from_tiers(tiers),
+        placement=Placement(dict(enumerate(tiers, 1))),
         result=result,
         feasible=report.feasible,
         iterations=iterations,

@@ -36,7 +36,7 @@ def fixed_point_times(graph, placement, platform, sweeps=None):
     Finish times of unassigned tiers stay 0, mirroring the convention that
     predecessor maxima only see the tier a task actually ran on.
     """
-    per = {t.id: costs.task_costs(t, platform) for t in graph.tasks}
+    task = {t.id: t for t in graph.tasks}
     pre = {t.id: [a for (a, b) in graph.edges if b == t.id] for t in graph.tasks}
     tier = {t.id: Tier(placement.assignment[t.id]) for t in graph.tasks}
     ids = [t.id for t in graph.tasks]
@@ -50,38 +50,43 @@ def fixed_point_times(graph, placement, platform, sweeps=None):
     for _ in range(sweeps):
         changed = False
         for n in reversed(ids):
-            c = per[n]
+            t = task[n]
             ps = pre[n]
             if tier[n] is Tier.LOCAL:
                 ready = max(
                     (max(tf_local[k], tf_fog[k], tf_cloud[k]) for k in ps),
                     default=0.0,
                 )
-                new = c.local_time + ready
+                new = costs.local_exec_time(t, platform) + ready
                 if new != tf_local[n]:
                     tf_local[n] = new
                     changed = True
             elif tier[n] is Tier.FOG:
-                tx = c.uplink_time + max((tf_local[k] for k in ps), default=0.0)
+                tx = costs.uplink_time(t, platform.radio) + max(
+                    (tf_local[k] for k in ps), default=0.0
+                )
                 ready = max(
                     tx,
                     max((tf_fog[k] for k in ps), default=0.0),
                     max((tf_cloud[k] for k in ps), default=0.0),
                 )
-                new = c.fog_time + ready
+                new = costs.server_exec_time(t, platform.fog) + ready
                 if tx != tf_tx[n] or new != tf_fog[n]:
                     tf_tx[n] = tx
                     tf_fog[n] = new
                     changed = True
             else:
-                tx = c.uplink_time + max((tf_local[k] for k in ps), default=0.0)
-                fwd = c.fog_cloud_time + max((tf_fog[k] for k in ps), default=0.0)
+                forward = costs.fog_cloud_time(t, platform)
+                tx = costs.uplink_time(t, platform.radio) + max(
+                    (tf_local[k] for k in ps), default=0.0
+                )
+                fwd = forward + max((tf_fog[k] for k in ps), default=0.0)
                 ready = max(
-                    tx + c.fog_cloud_time,
+                    tx + forward,
                     max((tf_cloud[k] for k in ps), default=0.0),
                     fwd,
                 )
-                new = c.cloud_time + ready
+                new = costs.server_exec_time(t, platform.cloud) + ready
                 if tx != tf_tx[n] or fwd != tf_fwd[n] or new != tf_cloud[n]:
                     tf_tx[n] = tx
                     tf_fwd[n] = fwd
@@ -119,9 +124,8 @@ def cheapest_assignment_cost(graph, platform):
     """Sum over tasks of the cheapest single-tier cost, for budget prescreens."""
     total = 0.0
     for t in graph.tasks:
-        c = costs.task_costs(t, platform)
         total += min(
-            c.local_energy,
+            costs.local_energy(t, platform),
             platform.fog.price * t.data_size,
             platform.cloud.price * t.data_size,
         )
@@ -134,11 +138,10 @@ def fog_utility(placement, graph, platform):
     total = 0.0
     for t in graph.tasks:
         tier = Tier(placement.assignment[t.id])
-        c = costs.task_costs(t, platform)
         if tier is Tier.FOG:
-            total += platform.fog.price * t.data_size - c.fog_energy
+            total += platform.fog.price * t.data_size - costs.server_energy(t, platform.fog)
         elif tier is Tier.CLOUD:
-            total -= c.fog_cloud_energy
+            total -= costs.fog_cloud_energy(t, platform)
     return total
 
 
@@ -147,8 +150,9 @@ def cloud_utility(placement, graph, platform):
     total = 0.0
     for t in graph.tasks:
         if Tier(placement.assignment[t.id]) is Tier.CLOUD:
-            c = costs.task_costs(t, platform)
-            total += platform.cloud.price * t.data_size - c.cloud_energy
+            total += platform.cloud.price * t.data_size - costs.server_energy(
+                t, platform.cloud
+            )
     return total
 
 

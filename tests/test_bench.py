@@ -2,6 +2,7 @@
 import csv
 import io
 import math
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -286,6 +287,39 @@ def test_cli_sweep_and_exit_codes(tmp_path, capsys):
     )
     assert rc == 0
     assert out.exists()
+
+
+def test_sweep_rejects_bad_ranges_up_front(tmp_path, capsys):
+    # a non-finite end point, or task sizes outside 0 <= lo <= hi, fail when
+    # the sweep is specified rather than inside its cells
+    for start, stop, sizes in [
+        (0.0, math.inf, (100.0, 1000.0)),
+        (math.nan, 1.0, (100.0, 1000.0)),
+        (5.0, 6.0, (math.nan, 10.0)),
+        (5.0, 6.0, (0.0, math.inf)),
+        (5.0, 6.0, (1000.0, 100.0)),
+        (5.0, 6.0, (-50.0, 10.0)),
+        (5.0, 6.0, (1.0, 2.0, 3.0)),
+    ]:
+        with pytest.raises(ValueError):
+            bench.SweepSpec("task_count", start, stop, 2, task_size_range=sizes)
+    bench.SweepSpec("task_count", 5.0, 5.0, 1, task_size_range=(0.0, 0.0))
+    out = tmp_path / "x.csv"
+    argv = ["sweep", "--scenario", "fig4.scn", "--from", "5", "--steps", "2", "--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for extra in (
+            ["--param", "task_count", "--to", "6", "--task-size-range", "nan,10"],
+            ["--param", "task_count", "--to", "6", "--task-size-range=-50,10"],
+            ["--param", "budget", "--to", "inf"],
+        ):
+            assert cli.main(argv + extra) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        "error: task_size_range must be finite lo,hi with 0 <= lo <= hi, got (nan, 10.0)\n"
+        "error: task_size_range must be finite lo,hi with 0 <= lo <= hi, got (-50.0, 10.0)\n"
+        "error: sweep stop must be finite, got inf\n"
+    )
 
 
 def test_cli_run_with_solver_errors_exits_zero(tmp_path, capsys):

@@ -14,6 +14,7 @@ from fogsched import (
     FogSpec,
     Platform,
     RadioLink,
+    TaskGraph,
     TaskSpec,
     fog_cloud_energy,
     fog_cloud_time,
@@ -21,11 +22,10 @@ from fogsched import (
     local_exec_time,
     server_energy,
     server_exec_time,
-    task_costs,
-    uplink_energy,
     uplink_rate,
     uplink_time,
 )
+from fogsched.schedule import EvalContext
 import gen
 
 mpmath.mp.dps = 50
@@ -135,11 +135,6 @@ def test_uplink_time_and_energy():
     assert uplink_time(TaskSpec(1, 0, 5e6), link) == pytest.approx(1.0, rel=1e-15)
     assert uplink_time(TaskSpec(1, 0, 0.0), link) == 0.0
     assert uplink_time(TaskSpec(1, 0, 1e7), link) == pytest.approx(2.0, rel=1e-15)
-    assert uplink_energy(TaskSpec(1, 0, 5e6), link) == pytest.approx(1.0, rel=1e-15)
-    assert uplink_energy(TaskSpec(1, 0, 0.0), link) == 0.0
-    half = RadioLink(bandwidth=5e6, tx_power_max=0.5)
-    d = 4.0 * uplink_rate(half)
-    assert uplink_energy(TaskSpec(1, 0, d), half) == pytest.approx(2.0, rel=1e-15)
 
 
 def test_fog_cloud_time_and_energy():
@@ -161,53 +156,87 @@ def test_fog_cloud_time_and_energy():
     assert fog_cloud_energy(TaskSpec(1, 0, 3e5), p1) == pytest.approx(3.0, rel=1e-15)
 
 
+def _columns(ctx):
+    """EvalContext's per-task columns, by the quantity each one holds (local
+    energy is the device's cost on the local tier)."""
+    return {
+        "local_time": ctx.tau_l,
+        "local_energy": ctx.cost[1],
+        "uplink_time": ctx.tau_t,
+        "fog_time": ctx.tau_f,
+        "fog_energy": ctx.e_f,
+        "fog_cloud_time": ctx.tau_r,
+        "fog_cloud_energy": ctx.e_s,
+        "cloud_time": ctx.tau_c,
+        "cloud_energy": ctx.e_c,
+        "fog_revenue": ctx.rev_f,
+        "cloud_revenue": ctx.rev_c,
+    }
+
+
+def _formulas(platform):
+    """The function of one task behind each column of `_columns`."""
+    return {
+        "local_time": lambda t: local_exec_time(t, platform),
+        "local_energy": lambda t: local_energy(t, platform),
+        "uplink_time": lambda t: uplink_time(t, platform.radio),
+        "fog_time": lambda t: server_exec_time(t, platform.fog),
+        "fog_energy": lambda t: server_energy(t, platform.fog),
+        "fog_cloud_time": lambda t: fog_cloud_time(t, platform),
+        "fog_cloud_energy": lambda t: fog_cloud_energy(t, platform),
+        "cloud_time": lambda t: server_exec_time(t, platform.cloud),
+        "cloud_energy": lambda t: server_energy(t, platform.cloud),
+        "fog_revenue": lambda t: platform.fog.price * t.data_size,
+        "cloud_revenue": lambda t: platform.cloud.price * t.data_size,
+    }
+
+
+def _task_columns(task, platform):
+    """The per-task column values of a one-task graph."""
+    ctx = EvalContext(TaskGraph([task]), platform)
+    return {name: column[0] for name, column in _columns(ctx).items()}
+
+
 def test_task_costs_matches_components():
+    # column i holds its cost function of task id i+1, also when the ids
+    # are not a topological order
     rng = np.random.default_rng(21)
-    for _ in range(50):
-        platform = gen.desk_platform(rng)
-        task = TaskSpec(1, float(rng.uniform(0, 1000)), float(rng.uniform(0, 1000)))
-        c = task_costs(task, platform)
-        assert c.local_time == local_exec_time(task, platform)
-        assert c.local_energy == local_energy(task, platform)
-        assert c.uplink_rate == uplink_rate(platform.radio)
-        assert c.uplink_time == uplink_time(task, platform.radio)
-        assert c.uplink_energy == uplink_energy(task, platform.radio)
-        assert c.fog_time == server_exec_time(task, platform.fog)
-        assert c.fog_energy == server_energy(task, platform.fog)
-        assert c.fog_cloud_time == fog_cloud_time(task, platform)
-        assert c.fog_cloud_energy == fog_cloud_energy(task, platform)
-        assert c.cloud_time == server_exec_time(task, platform.cloud)
-        assert c.cloud_energy == server_energy(task, platform.cloud)
+    for case in range(300):
+        scenario = gen.random_scenario(rng)
+        graph = scenario.graph
+        if case % 3 == 0:
+            graph = gen.permute_ids(rng, graph)
+        by_id = {t.id: t for t in graph.tasks}
+        formulas = _formulas(scenario.platform)
+        for name, column in _columns(EvalContext(graph, scenario.platform)).items():
+            assert len(column) == len(graph)
+            for i, value in enumerate(column):
+                assert value == formulas[name](by_id[i + 1]), (case, name, i)
 
 
 def test_task_costs_zero_task():
-    c = task_costs(TaskSpec(1, 0.0, 0.0), _platform())
-    for name, value in c.__dict__.items():
-        if name == "uplink_rate":
-            assert value > 0
-        else:
-            assert value == 0.0
+    c = _task_columns(TaskSpec(1, 0.0, 0.0), _platform())
+    for value in c.values():
+        assert value == 0.0
 
 
 def test_task_costs_baseline_values():
     # baseline platform, workload 3.6e9 cycles, 5e6 bits of input
-    c = task_costs(TaskSpec(1, 3.6e9, 5e6), _platform())
-    assert c.local_time == pytest.approx(3.6, rel=1e-15)
-    assert c.fog_time == pytest.approx(1.0, rel=1e-15)
-    assert c.cloud_time == pytest.approx(0.1, rel=1e-15)
-    assert c.uplink_rate == pytest.approx(5e6, rel=1e-15)
-    assert c.uplink_time == pytest.approx(1.0, rel=1e-15)
-    assert c.uplink_energy == pytest.approx(1.0, rel=1e-15)
-    assert c.fog_cloud_time == pytest.approx(50.0, rel=1e-15)
-    assert c.fog_cloud_energy == pytest.approx(5.0, rel=1e-15)
+    c = _task_columns(TaskSpec(1, 3.6e9, 5e6), _platform())
+    assert c["local_time"] == pytest.approx(3.6, rel=1e-15)
+    assert c["fog_time"] == pytest.approx(1.0, rel=1e-15)
+    assert c["cloud_time"] == pytest.approx(0.1, rel=1e-15)
+    assert c["uplink_time"] == pytest.approx(1.0, rel=1e-15)
+    assert c["fog_cloud_time"] == pytest.approx(50.0, rel=1e-15)
+    assert c["fog_cloud_energy"] == pytest.approx(5.0, rel=1e-15)
     w, f_l, f_f, f_c = (mpmath.mpf(x) for x in (3.6e9, 1e9, 3.6e9, 3.6e10))
-    assert c.local_energy == pytest.approx(
+    assert c["local_energy"] == pytest.approx(
         float(mpmath.mpf(1e-11) * w * f_l**2), rel=1e-14
     )
-    assert c.fog_energy == pytest.approx(
+    assert c["fog_energy"] == pytest.approx(
         float((mpmath.mpf(0.5) * f_f**3 + mpmath.mpf(0.4)) * (w / f_f)), rel=1e-14
     )
-    assert c.cloud_energy == pytest.approx(
+    assert c["cloud_energy"] == pytest.approx(
         float((mpmath.mpf(0.6) * f_c**3 + mpmath.mpf(0.6)) * (w / f_c)), rel=1e-14
     )
 
@@ -236,15 +265,15 @@ def test_doubling_workload_and_data():
         platform = gen.desk_platform(rng)
         w = float(rng.uniform(1, 1000))
         d = float(rng.uniform(1, 1000))
-        c1 = task_costs(TaskSpec(1, w, d), platform)
-        c2 = task_costs(TaskSpec(1, 2 * w, d), platform)
-        assert c2.local_time == 2 * c1.local_time
-        assert c2.fog_time == 2 * c1.fog_time
-        assert c2.cloud_time == 2 * c1.cloud_time
-        assert c2.local_energy == 2 * c1.local_energy
-        c3 = task_costs(TaskSpec(1, w, 2 * d), platform)
-        assert c3.uplink_time == 2 * c1.uplink_time
-        assert c3.fog_cloud_time == 2 * c1.fog_cloud_time
+        c1 = _task_columns(TaskSpec(1, w, d), platform)
+        c2 = _task_columns(TaskSpec(1, 2 * w, d), platform)
+        assert c2["local_time"] == 2 * c1["local_time"]
+        assert c2["fog_time"] == 2 * c1["fog_time"]
+        assert c2["cloud_time"] == 2 * c1["cloud_time"]
+        assert c2["local_energy"] == 2 * c1["local_energy"]
+        c3 = _task_columns(TaskSpec(1, w, 2 * d), platform)
+        assert c3["uplink_time"] == 2 * c1["uplink_time"]
+        assert c3["fog_cloud_time"] == 2 * c1["fog_cloud_time"]
 
 
 def test_outputs_finite_nonnegative():
@@ -252,7 +281,7 @@ def test_outputs_finite_nonnegative():
     for _ in range(100):
         platform = gen.desk_platform(rng)
         task = TaskSpec(1, float(rng.uniform(0, 1e6)), float(rng.uniform(0, 1e6)))
-        c = task_costs(task, platform)
-        for value in c.__dict__.values():
+        c = _task_columns(task, platform)
+        for value in c.values():
             assert math.isfinite(value)
             assert value >= 0.0

@@ -42,6 +42,9 @@ def test_single_local_task():
     assert row.ready_local == 0.0
     assert row.finish_local == 2.0
     assert res.makespan == 2.0
+    for bad in (0, -1, 2):  # no wrap-around to the last tasks
+        with pytest.raises(IndexError, match=f"no task {bad}"):
+            res.task(bad)
 
 
 def test_chain_both_fog_uploads_overlap():

@@ -1,4 +1,4 @@
-"""Solvers: greedy phases, annealing contract, exhaustive search, power rule."""
+"""Solvers: greedy phases, annealing contract, exhaustive search."""
 import warnings
 
 import numpy as np
@@ -15,7 +15,6 @@ from fogsched import (
     ObjectiveMode,
     Placement,
     Platform,
-    PowerRegime,
     RadioLink,
     SAConfig,
     Scenario,
@@ -27,7 +26,6 @@ from fogsched import (
     brute_force_solve,
     bundled_scenario,
     check_feasibility,
-    classify_power_case,
     evaluate,
     greedy_solve,
     load_scenario,
@@ -41,37 +39,6 @@ from dataclasses import replace
 
 import gen
 import oracles
-
-
-def test_classify_power_case_fog_upload_bound():
-    regime = classify_power_case(
-        Tier.FOG, finish_tx=5.0, max_pred_fog=3.0, max_pred_cloud=2.0
-    )
-    assert regime is PowerRegime.FOG_CASE_I
-
-
-def test_classify_power_case_cloud_forward_bound():
-    regime = classify_power_case(
-        Tier.CLOUD,
-        finish_tx=3.0,
-        forward_time=1.0,  # upload + forward = 4
-        max_pred_fog=0.0,
-        max_pred_cloud=6.0,
-        finish_fwd=9.0,
-    )
-    assert regime is PowerRegime.CLOUD_CASE_III
-
-
-def test_classify_power_case_tie_prefers_lowest():
-    regime = classify_power_case(
-        Tier.FOG, finish_tx=1.0, max_pred_fog=5.0, max_pred_cloud=5.0
-    )
-    assert regime is PowerRegime.FOG_CASE_II
-
-
-def test_classify_power_case_rejects_local():
-    with pytest.raises(ValueError):
-        classify_power_case(Tier.LOCAL, finish_tx=1.0, max_pred_fog=0.0, max_pred_cloud=0.0)
 
 
 def test_metropolis_accepts_non_worsening():
