@@ -8,13 +8,15 @@ parallel workers.
 """
 from __future__ import annotations
 
-import heapq
 import math
 import warnings
 from dataclasses import dataclass, field, fields
 from enum import Enum, IntEnum
+from functools import cached_property
+from heapq import heappop, heappush
 from numbers import Real
-from typing import Mapping, Optional, Union
+from operator import attrgetter, index
+from typing import Mapping, NamedTuple, Optional, Union
 
 
 class Tier(IntEnum):
@@ -23,6 +25,10 @@ class Tier(IntEnum):
     LOCAL = 1
     FOG = 2
     CLOUD = 3
+
+
+# Tier member by tier code
+_TIERS = (None, Tier.LOCAL, Tier.FOG, Tier.CLOUD)
 
 
 class ObjectiveMode(str, Enum):
@@ -83,64 +89,101 @@ class TaskSpec:
             raise ValueError(f"task {self.id}: data_size must be >= 0")
 
 
+class GraphStructure(NamedTuple):
+    """The precedence structure of a valid task graph, 0-indexed: index i is
+    task id i+1.
+
+    `topo` lists the task indices in topological order (smallest ready id
+    first) and `pos[i]` is task i's position in it; `preds[i]` holds task
+    i's predecessor indices, ascending; `sinks` holds the indices of the
+    tasks without successors, ascending.
+    """
+
+    topo: tuple[int, ...]
+    pos: tuple[int, ...]
+    preds: tuple[tuple[int, ...], ...]
+    sinks: tuple[int, ...]
+
+
 @dataclass(frozen=True)
 class TaskGraph:
     """Application DAG. Task ids are 1..N; edges are (pred_id, succ_id) pairs.
 
-    Construction checks ids only; acyclicity and edge endpoints are verified
-    by :func:`validate_graph`, which scenario loading always calls.
+    The tasks are kept sorted by id, so `tasks[i]` is task id i+1 whatever
+    order they were given in.  Construction checks ids only; acyclicity and
+    edge endpoints are verified by :func:`validate_graph`, which scenario
+    loading always calls.
     """
 
     tasks: tuple[TaskSpec, ...]
     edges: tuple[tuple[int, int], ...]
 
     def __init__(self, tasks, edges=()):
-        object.__setattr__(self, "tasks", tuple(tasks))
+        object.__setattr__(self, "tasks", tuple(sorted(tasks, key=attrgetter("id"))))
         object.__setattr__(
             self, "edges", tuple(sorted({(int(a), int(b)) for a, b in edges}))
         )
-        ids = [t.id for t in self.tasks]
-        n = len(ids)
-        if sorted(ids) != list(range(1, n + 1)):
+        if [t.id for t in self.tasks] != list(range(1, len(self.tasks) + 1)):
             raise GraphError("task ids must be exactly 1..N and unique")
 
     def __len__(self) -> int:
         return len(self.tasks)
 
     def sinks(self) -> tuple[int, ...]:
-        with_succ = {a for a, _ in self.edges}
-        return tuple(t.id for t in self.tasks if t.id not in with_succ)
+        """Ids of the tasks without successors, ascending."""
+        return tuple(i + 1 for i in self.structure.sinks)
+
+    @cached_property
+    def structure(self) -> GraphStructure:
+        """The graph's :class:`GraphStructure`, derived on first use and kept
+        on the graph, which is immutable.
+
+        Raises :class:`DanglingEdge` if an edge names an unknown task and
+        :class:`CycleDetected` if no topological order exists; nothing is
+        kept then, so every later use raises again.
+        """
+        n = len(self.tasks)
+        indeg = [0] * n
+        succs: list[list[int]] = [[] for _ in range(n)]
+        preds: list[list[int]] = [[] for _ in range(n)]
+        for a, b in self.edges:
+            if not (1 <= a <= n and 1 <= b <= n):
+                raise DanglingEdge(f"edge ({a}, {b}) references an unknown task")
+            indeg[b - 1] += 1
+            succs[a - 1].append(b - 1)
+            preds[b - 1].append(a - 1)
+        # ascending, so already a heap
+        ready = [i for i in range(n) if indeg[i] == 0]
+        topo: list[int] = []
+        while ready:
+            i = heappop(ready)
+            topo.append(i)
+            for j in succs[i]:
+                indeg[j] -= 1
+                if indeg[j] == 0:
+                    heappush(ready, j)
+        if len(topo) != n:
+            stuck = [i + 1 for i in range(n) if indeg[i] > 0]
+            raise CycleDetected(f"graph has a directed cycle through tasks {stuck}")
+        pos = [0] * n
+        for d, i in enumerate(topo):
+            pos[i] = d
+        return GraphStructure(
+            tuple(topo),
+            tuple(pos),
+            tuple(map(tuple, preds)),
+            tuple(i for i in range(n) if not succs[i]),
+        )
 
 
 def validate_graph(graph: TaskGraph) -> list[int]:
-    """Return a topological order of the task ids.
+    """Return a topological order of the task ids, as a new list.
 
     The order is deterministic (smallest ready id first).  Raises
     :class:`DanglingEdge` if an edge names an unknown task and
     :class:`CycleDetected` if no topological order exists.
     """
-    ids = {t.id for t in graph.tasks}
-    indeg = {i: 0 for i in ids}
-    succs = {i: [] for i in ids}
-    for a, b in graph.edges:
-        if a not in ids or b not in ids:
-            raise DanglingEdge(f"edge ({a}, {b}) references an unknown task")
-        indeg[b] += 1
-        succs[a].append(b)
-    ready = [i for i in sorted(ids) if indeg[i] == 0]
-    heapq.heapify(ready)
-    order: list[int] = []
-    while ready:
-        i = heapq.heappop(ready)
-        order.append(i)
-        for j in succs[i]:
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                heapq.heappush(ready, j)
-    if len(order) != len(ids):
-        stuck = sorted(i for i in ids if indeg[i] > 0)
-        raise CycleDetected(f"graph has a directed cycle through tasks {stuck}")
-    return order
+    return [i + 1 for i in graph.structure.topo]
 
 
 @dataclass(frozen=True)
@@ -249,11 +292,20 @@ class Placement:
     assignment: Mapping[int, Tier]
 
     def __post_init__(self):
-        object.__setattr__(
-            self,
-            "assignment",
-            {int(k): Tier(v) for k, v in dict(self.assignment).items()},
-        )
+        # operator.index takes ints, IntEnum members and numpy integers, and
+        # refuses what int() would truncate or parse (1.7, '1'); a bool is an
+        # int to it, so it is refused first
+        assignment = {}
+        for k, v in dict(self.assignment).items():
+            if type(k) is bool:
+                raise TypeError(f"placement key {k!r} is a bool, not a task id")
+            if type(v) is bool:
+                raise TypeError(f"tier of task {k!r} is a bool, not a tier code")
+            code = index(v)
+            if not 1 <= code <= 3:
+                raise ValueError(f"tier of task {k!r}: {v!r} is not a valid Tier")
+            assignment[index(k)] = _TIERS[code]
+        object.__setattr__(self, "assignment", assignment)
 
     def counts(self) -> tuple[int, int, int]:
         """(n_local, n_fog, n_cloud)."""

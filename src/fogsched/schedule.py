@@ -42,6 +42,7 @@ from typing import NamedTuple
 
 from . import costs as _costs
 from .model import (
+    _TIERS,
     ObjectiveMode,
     Placement,
     Platform,
@@ -125,10 +126,11 @@ class FeasibilityReport:
 class EvalContext:
     """Per-scenario precomputation shared by the evaluator and the solvers.
 
-    Task ids are 1..N, so index i corresponds to task id i+1.  `topo` lists
-    the task indices in topological order and `pos[i]` is task i's position
-    in it.  Each per-task column is filled straight from its `costs`
-    function.  The per-tier terms are tables indexed [tier code][task] (slot 0
+    Task ids are 1..N, so index i corresponds to task id i+1.  `topo`,
+    `pos`, `preds` and `sinks` are the graph's :class:`GraphStructure`,
+    derived once per graph; each build validates the graph again.  Each
+    per-task column is filled straight from its `costs` function.  The
+    per-tier terms are tables indexed [tier code][task] (slot 0
     unused): `cost` is what the device pays (local energy, or the serving
     tier's price for the task's data), `du_f` what the task adds to the
     fog's utility (revenue minus execution energy on the fog, minus
@@ -158,18 +160,12 @@ class EvalContext:
     )
 
     def __init__(self, graph: TaskGraph, platform: Platform):
-        order = validate_graph(graph)
+        validate_graph(graph)
         n = len(graph)
         tasks = graph.tasks
         fog, cloud = platform.fog, platform.cloud
         self.n = n
-        self.topo = tuple(i - 1 for i in order)
-        pos = [0] * n
-        for d, i in enumerate(self.topo):
-            pos[i] = d
-        self.pos = tuple(pos)
-        self.preds = tuple(map(tuple, _pred_lists(graph)))
-        self.sinks = tuple(i - 1 for i in graph.sinks())
+        self.topo, self.pos, self.preds, self.sinks = graph.structure
         self.tau_l = tuple(_costs.local_exec_time(t, platform) for t in tasks)
         self.tau_t = tuple(_costs.uplink_time(t, platform.radio) for t in tasks)
         self.tau_f = tuple(_costs.server_exec_time(t, fog) for t in tasks)
@@ -190,15 +186,6 @@ class EvalContext:
             tuple(map(neg, self.e_s)),
         )
         self.du_c = (None, zero, zero, tuple(map(sub, self.rev_c, self.e_c)))
-
-
-def _pred_lists(graph: TaskGraph) -> list[list[int]]:
-    """Each task's predecessor indices (0-indexed), ascending because the
-    graph keeps its edges sorted."""
-    preds: list[list[int]] = [[] for _ in graph.tasks]
-    for a, b in graph.edges:
-        preds[b - 1].append(a - 1)
-    return preds
 
 
 def _tier_step(ctx, i, tier, tiers, chosen):
@@ -328,31 +315,28 @@ def evaluate(graph: TaskGraph, placement: Placement, platform: Platform) -> Sche
 
 
 def _result_from_core(ctx: EvalContext, tiers, core: _Core) -> ScheduleResult:
-    rows = []
-    for i in range(ctx.n):
-        t = tiers[i]
-        ready = [0.0, 0.0, 0.0]
-        ready[t - 1] = core.ready[i]
-        finish = [0.0, 0.0, 0.0]
-        finish[t - 1] = core.chosen[i]
-        rows.append(
-            TaskSchedule(
-                task_id=i + 1,
-                tier=Tier(t),
-                ready_local=ready[0],
-                ready_fog=ready[1],
-                ready_cloud=ready[2],
-                finish_local=finish[0],
-                finish_tx=core.finish_tx[i],
-                finish_fog=finish[1],
-                finish_fwd=core.finish_fwd[i],
-                finish_cloud=finish[2],
-                chosen_finish=core.chosen[i],
-                cost=ctx.cost[t][i],
-            )
+    cost = ctx.cost
+    rows = tuple(
+        TaskSchedule(
+            i + 1,
+            _TIERS[t],
+            r if t == _LOCAL else 0.0,
+            r if t == _FOG else 0.0,
+            r if t == _CLOUD else 0.0,
+            f if t == _LOCAL else 0.0,
+            tx,
+            f if t == _FOG else 0.0,
+            fwd,
+            f if t == _CLOUD else 0.0,
+            f,
+            cost[t][i],
         )
+        for i, t, r, tx, fwd, f in zip(
+            range(ctx.n), tiers, core.ready, core.finish_tx, core.finish_fwd, core.chosen
+        )
+    )
     return ScheduleResult(
-        tasks=tuple(rows),
+        tasks=rows,
         makespan=core.makespan,
         sum_finish=core.sum_finish,
         total_cost=core.total_cost,
@@ -379,7 +363,7 @@ def check_feasibility(result: ScheduleResult, scenario: Scenario) -> Feasibility
     """
     graph = scenario.graph
     validate_graph(graph)
-    preds = _pred_lists(graph)
+    preds = graph.structure.preds
     rows = result.tasks
     violations: list[tuple[str, int, str]] = []
 

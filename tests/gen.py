@@ -58,7 +58,7 @@ def permute_ids(rng: np.random.Generator, graph: TaskGraph) -> TaskGraph:
     """The same DAG with its task ids shuffled, so that the ids are usually
     not a topological order."""
     new = [int(v) + 1 for v in rng.permutation(len(graph))]
-    tasks = sorted((replace(t, id=new[t.id - 1]) for t in graph.tasks), key=lambda t: t.id)
+    tasks = [replace(t, id=new[t.id - 1]) for t in graph.tasks]
     return TaskGraph(tasks, [(new[a - 1], new[b - 1]) for a, b in graph.edges])
 
 

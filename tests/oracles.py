@@ -7,7 +7,9 @@ exhaustive search is the straightforward one that the package's
 prefix-sharing walk replaces: one full evaluation per placement.  The greedy
 and annealing references are the straightforward loops that the package's
 incremental ones replace: one full evaluation per repair move or proposal,
-and a rescan of all tasks for every greedy pick.
+and a rescan of all tasks for every greedy pick.  The result-row reference
+builds each row by keyword from per-tier lists, where the package builds it
+positionally.
 """
 from __future__ import annotations
 
@@ -104,6 +106,43 @@ def fixed_point_times(graph, placement, platform, sweeps=None):
             fin = tf_cloud[n]
         out[n] = (tf_tx[n], tf_fwd[n], fin)
     return out
+
+
+def result_from_core(ctx, tiers, core):
+    """The ScheduleResult of an evaluated placement: each TaskSchedule built
+    by keyword, its ready and finish times spread over the three tiers
+    through per-task lists."""
+    rows = []
+    for i in range(ctx.n):
+        t = tiers[i]
+        ready = [0.0, 0.0, 0.0]
+        ready[t - 1] = core.ready[i]
+        finish = [0.0, 0.0, 0.0]
+        finish[t - 1] = core.chosen[i]
+        rows.append(
+            schedule.TaskSchedule(
+                task_id=i + 1,
+                tier=Tier(t),
+                ready_local=ready[0],
+                ready_fog=ready[1],
+                ready_cloud=ready[2],
+                finish_local=finish[0],
+                finish_tx=core.finish_tx[i],
+                finish_fog=finish[1],
+                finish_fwd=core.finish_fwd[i],
+                finish_cloud=finish[2],
+                chosen_finish=core.chosen[i],
+                cost=ctx.cost[t][i],
+            )
+        )
+    return schedule.ScheduleResult(
+        tasks=tuple(rows),
+        makespan=core.makespan,
+        sum_finish=core.sum_finish,
+        total_cost=core.total_cost,
+        fog_utility=core.fog_utility,
+        cloud_utility=core.cloud_utility,
+    )
 
 
 def all_local_longest_path(graph, platform):

@@ -1,5 +1,6 @@
 """Domain types: graph/placement validation and scenario file round-trips."""
 import math
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -22,6 +23,8 @@ from fogsched import (
     TaskSpec,
     Tier,
     UnknownTask,
+    evaluate,
+    greedy_solve,
     load_placement,
     load_scenario,
     parse_placement,
@@ -32,6 +35,7 @@ from fogsched import (
     validate_placement,
 )
 from fogsched.scenario_io import bundled_scenario
+from fogsched.schedule import EvalContext
 import gen
 
 
@@ -77,6 +81,100 @@ def test_topological_order_respects_edges():
         assert sorted(order) == [t.id for t in g.tasks]
         for a, b in g.edges:
             assert pos[a] < pos[b]
+
+
+def test_tasks_listed_out_of_id_order_are_kept_in_id_order():
+    platform = gen.desk_platform()
+    placement = Placement({1: Tier.LOCAL, 2: Tier.FOG})
+    listed = TaskGraph([TaskSpec(2, 500, 10), TaskSpec(1, 100, 100)])
+    ordered = TaskGraph([TaskSpec(1, 100, 100), TaskSpec(2, 500, 10)])
+    assert listed == ordered
+    row = evaluate(listed, placement, platform).task(1)
+    assert (row.tier, row.chosen_finish) == (Tier.LOCAL, 100.0)
+    assert repr(evaluate(listed, placement, platform)) == repr(
+        evaluate(ordered, placement, platform)
+    )
+
+
+def test_scenario_file_with_tasks_out_of_id_order():
+    text = bundled_scenario("fig4.scn").read_text(encoding="utf-8")
+    lines = text.splitlines(keepends=True)
+    at = [i for i, line in enumerate(lines) if line.lstrip().startswith("- {id:")]
+    for i, line in zip(at, [lines[i] for i in reversed(at)]):
+        lines[i] = line
+    shuffled = parse_scenario("".join(lines))
+    scn = parse_scenario(text)
+    assert [t.id for t in shuffled.graph.tasks] == list(range(1, 10))
+    assert shuffled == scn
+    assert repr(replace(greedy_solve(shuffled), wall_time=0.0)) == repr(
+        replace(greedy_solve(scn), wall_time=0.0)
+    )
+
+
+def _naive_structure(graph):
+    n = len(graph)
+    preds = tuple(tuple(a - 1 for a, b in graph.edges if b == i + 1) for i in range(n))
+    sinks = tuple(i for i in range(n) if all(a != i + 1 for a, _ in graph.edges))
+    return preds, sinks
+
+
+def test_graph_structure_is_derived_once_and_kept():
+    """The structure a graph keeps gives the same context as a fresh equal
+    graph's and as a pickled copy's; it leaves ==, hash and repr alone, and
+    an invalid graph raises on every use."""
+    rng = np.random.default_rng(12)
+    for k in range(300):
+        scn = gen.random_scenario(rng, n_max=12)
+        graph = gen.permute_ids(rng, scn.graph) if k % 3 == 0 else scn.graph
+        n = len(graph)
+        EvalContext(graph, scn.platform)
+        assert "structure" in vars(graph)
+        copy = pickle.loads(pickle.dumps(graph))
+        assert "structure" in vars(copy)
+        fresh = TaskGraph(graph.tasks, graph.edges)
+        assert "structure" not in vars(fresh)
+        assert graph == copy == fresh
+        assert hash(graph) == hash(copy) == hash(fresh)
+        assert repr(graph) == repr(copy) == repr(fresh)
+        want = EvalContext(fresh, scn.platform)
+        for g in (graph, copy):
+            ctx = EvalContext(g, scn.platform)
+            for name in EvalContext.__slots__:
+                assert repr(getattr(ctx, name)) == repr(getattr(want, name)), name
+        assert (want.preds, want.sinks) == _naive_structure(graph)
+        assert [want.pos[i] for i in want.topo] == list(range(n))
+        assert graph.sinks() == tuple(i + 1 for i in want.sinks)
+
+        order = validate_graph(graph)
+        assert order == [i + 1 for i in want.topo]
+        order.reverse()
+        order.append(n + 1)
+        assert validate_graph(graph) == [i + 1 for i in want.topo]
+
+        bad = [TaskGraph(graph.tasks, graph.edges + ((1, n + 1),))]
+        if graph.edges:
+            a, b = graph.edges[int(rng.integers(len(graph.edges)))]
+            bad.append(TaskGraph(graph.tasks, graph.edges + ((b, a),)))
+        for g, exc in zip(bad, (DanglingEdge, CycleDetected)):
+            for _ in range(2):
+                with pytest.raises(exc):
+                    validate_graph(g)
+                with pytest.raises(exc):
+                    EvalContext(g, scn.platform)
+            assert "structure" not in vars(g)
+
+
+def test_placement_rejects_what_it_would_coerce():
+    for bad in ({1.7: 2}, {True: 3}, {"1": 2}, {1: True}, {1: 2.0}, {1: "2"}):
+        with pytest.raises(TypeError):
+            Placement(bad)
+    for bad in ({1: 0}, {1: 4}, {1: -1}):
+        with pytest.raises(ValueError):
+            Placement(bad)
+    placement = Placement({np.int64(2): np.int64(3), 1: Tier.FOG, 3: 1})
+    assert placement.assignment == {2: Tier.CLOUD, 1: Tier.FOG, 3: Tier.LOCAL}
+    assert [type(k) for k in placement.assignment] == [int, int, int]
+    assert all(type(v) is Tier for v in placement.assignment.values())
 
 
 def test_validate_placement_ok():

@@ -127,6 +127,18 @@ def test_precedence_soundness():
         assert res.makespan == sink_max
 
 
+def test_result_rows_match_keyword_reference():
+    rng = np.random.default_rng(14)
+    for k in range(300):
+        scn = gen.random_scenario(rng, n_max=12)
+        graph = gen.permute_ids(rng, scn.graph) if k % 3 == 0 else scn.graph
+        placement = gen.random_placement(rng, graph)
+        ctx = schedule.EvalContext(graph, scn.platform)
+        tiers = [int(placement.assignment[i + 1]) for i in range(ctx.n)]
+        want = oracles.result_from_core(ctx, tiers, schedule._core_eval(ctx, tiers))
+        assert repr(evaluate(graph, placement, scn.platform)) == repr(want)
+
+
 def test_matches_fixed_point_oracle():
     rng = np.random.default_rng(6)
     for _ in range(200):
