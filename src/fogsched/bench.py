@@ -102,9 +102,13 @@ class SweepSpec:
             raise ValueError(
                 f"task_size_range must be finite lo,hi with 0 <= lo <= hi, got {size}"
             )
+        if not self.solvers:
+            raise ValueError("solvers must name at least one solver")
         bad = [s for s in self.solvers if s not in SOLVER_NAMES]
         if bad:
             raise ValueError(f"unknown solvers {bad}")
+        if len(set(self.solvers)) < len(self.solvers):
+            raise ValueError(f"solvers must not repeat, got {list(self.solvers)}")
 
     def values(self) -> list[float]:
         if self.steps == 1:

@@ -411,3 +411,6 @@ class Scenario:
             raise ValueError("budget must be a number, got nan")
         if self.budget < 0:
             raise ValueError("budget must be >= 0")
+        # numpy's seed streams take no negative entropy
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")

@@ -37,7 +37,7 @@ Everything is pure: identical inputs give bit-identical results.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import neg, sub
+from operator import attrgetter, neg, sub
 from typing import NamedTuple
 
 from . import costs as _costs
@@ -49,7 +49,6 @@ from .model import (
     Scenario,
     TaskGraph,
     Tier,
-    validate_graph,
     validate_placement,
 )
 
@@ -78,23 +77,6 @@ class TaskSchedule:
     finish_cloud: float
     chosen_finish: float
     cost: float
-
-
-@dataclass(frozen=True)
-class ScheduleResult:
-    """Full evaluation of one placement."""
-
-    tasks: tuple[TaskSchedule, ...]
-    makespan: float
-    sum_finish: float
-    total_cost: float
-    fog_utility: float
-    cloud_utility: float
-
-    def task(self, task_id: int) -> TaskSchedule:
-        if not 1 <= task_id <= len(self.tasks):
-            raise IndexError(f"no task {task_id!r}: ids are 1..{len(self.tasks)}")
-        return self.tasks[task_id - 1]
 
 
 @dataclass(frozen=True)
@@ -127,15 +109,15 @@ class EvalContext:
     """Per-scenario precomputation shared by the evaluator and the solvers.
 
     Task ids are 1..N, so index i corresponds to task id i+1.  `topo`,
-    `pos`, `preds` and `sinks` are the graph's :class:`GraphStructure`,
-    derived once per graph; each build validates the graph again.  Each
-    per-task column is filled straight from its `costs` function.  The
-    per-tier terms are tables indexed [tier code][task] (slot 0
-    unused): `cost` is what the device pays (local energy, or the serving
-    tier's price for the task's data), `du_f` what the task adds to the
-    fog's utility (revenue minus execution energy on the fog, minus
-    forwarding energy on the cloud) and `du_c` what it adds to the cloud's
-    (revenue minus execution energy on the cloud).
+    `pos`, `preds` and `sinks` are the graph's :class:`GraphStructure`, so
+    an invalid graph raises here; the solvers take the graph's kept context
+    from :func:`eval_context`.  Each per-task column is filled straight from
+    its `costs` function.  The per-tier terms are tables indexed [tier
+    code][task] (slot 0 unused): `cost` is what the device pays (local
+    energy, or the serving tier's price for the task's data), `du_f` what
+    the task adds to the fog's utility (revenue minus execution energy on
+    the fog, minus forwarding energy on the cloud) and `du_c` what it adds
+    to the cloud's (revenue minus execution energy on the cloud).
     """
 
     __slots__ = (
@@ -160,7 +142,6 @@ class EvalContext:
     )
 
     def __init__(self, graph: TaskGraph, platform: Platform):
-        validate_graph(graph)
         n = len(graph)
         tasks = graph.tasks
         fog, cloud = platform.fog, platform.cloud
@@ -256,6 +237,74 @@ class _Core(NamedTuple):
     run: list
 
 
+class ScheduleResult:
+    """Full evaluation of one placement: the five totals and, built from the
+    evaluation's per-task lists on first read, the TaskSchedule rows.
+    `==`, `hash` and `repr` are those of a frozen record of the rows and
+    totals."""
+
+    __slots__ = ("_ctx", "_tiers", "_core", "_tasks")
+
+    def __init__(self, ctx: EvalContext, tiers, core: _Core):
+        self._ctx, self._tiers, self._core, self._tasks = ctx, tiers, core, None
+
+    makespan = property(attrgetter("_core.makespan"))
+    sum_finish = property(attrgetter("_core.sum_finish"))
+    total_cost = property(attrgetter("_core.total_cost"))
+    fog_utility = property(attrgetter("_core.fog_utility"))
+    cloud_utility = property(attrgetter("_core.cloud_utility"))
+
+    @property
+    def tasks(self) -> tuple[TaskSchedule, ...]:
+        if self._tasks is None:
+            core, cost = self._core, self._ctx.cost
+            self._tasks = tuple(
+                TaskSchedule(
+                    i + 1,
+                    _TIERS[t],
+                    r if t == _LOCAL else 0.0,
+                    r if t == _FOG else 0.0,
+                    r if t == _CLOUD else 0.0,
+                    f if t == _LOCAL else 0.0,
+                    tx,
+                    f if t == _FOG else 0.0,
+                    fwd,
+                    f if t == _CLOUD else 0.0,
+                    f,
+                    cost[t][i],
+                )
+                for i, (t, r, tx, fwd, f) in enumerate(
+                    zip(self._tiers, core.ready, core.finish_tx, core.finish_fwd, core.chosen)
+                )
+            )
+        return self._tasks
+
+    def task(self, task_id: int) -> TaskSchedule:
+        if not 1 <= task_id <= len(self._tiers):
+            raise IndexError(f"no task {task_id!r}: ids are 1..{len(self._tiers)}")
+        return self.tasks[task_id - 1]
+
+    def _fields(self) -> tuple:
+        core = self._core
+        return (self.tasks, core.makespan, core.sum_finish, core.total_cost,
+                core.fog_utility, core.cloud_utility)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return (
+            f"ScheduleResult(tasks={self.tasks!r}, makespan={self.makespan!r}, "
+            f"sum_finish={self.sum_finish!r}, total_cost={self.total_cost!r}, "
+            f"fog_utility={self.fog_utility!r}, cloud_utility={self.cloud_utility!r})"
+        )
+
+
 def _core_eval(ctx: EvalContext, tiers, prev: _Core | None = None, start: int = 0) -> _Core:
     """Evaluate one placement given as a 0-indexed sequence of tier codes.
 
@@ -303,46 +352,27 @@ def _core_eval(ctx: EvalContext, tiers, prev: _Core | None = None, start: int = 
     return _Core(ready, tft, tfr, chosen, makespan, sum_finish, cost, u_f, u_c, run)
 
 
+def eval_context(graph: TaskGraph, platform: Platform) -> EvalContext:
+    """The EvalContext of `graph` on `platform`, built on first use and kept
+    on the graph, which is immutable, next to its structure.  The graph
+    keeps one context: an equal platform reuses it, another replaces it."""
+    kept = graph.__dict__.get("_eval_context")
+    if kept is not None and (kept[0] is platform or kept[0] == platform):
+        return kept[1]
+    ctx = EvalContext(graph, platform)
+    graph.__dict__["_eval_context"] = (platform, ctx)
+    return ctx
+
+
 def evaluate(graph: TaskGraph, placement: Placement, platform: Platform) -> ScheduleResult:
     """Compute the full schedule of `placement` on `platform`.
 
     Both makespan and the sum of finish times are always reported.
     """
     validate_placement(placement, graph)
-    ctx = EvalContext(graph, platform)
+    ctx = eval_context(graph, platform)
     tiers = [int(placement.assignment[t.id]) for t in graph.tasks]
-    return _result_from_core(ctx, tiers, _core_eval(ctx, tiers))
-
-
-def _result_from_core(ctx: EvalContext, tiers, core: _Core) -> ScheduleResult:
-    cost = ctx.cost
-    rows = tuple(
-        TaskSchedule(
-            i + 1,
-            _TIERS[t],
-            r if t == _LOCAL else 0.0,
-            r if t == _FOG else 0.0,
-            r if t == _CLOUD else 0.0,
-            f if t == _LOCAL else 0.0,
-            tx,
-            f if t == _FOG else 0.0,
-            fwd,
-            f if t == _CLOUD else 0.0,
-            f,
-            cost[t][i],
-        )
-        for i, t, r, tx, fwd, f in zip(
-            range(ctx.n), tiers, core.ready, core.finish_tx, core.finish_fwd, core.chosen
-        )
-    )
-    return ScheduleResult(
-        tasks=rows,
-        makespan=core.makespan,
-        sum_finish=core.sum_finish,
-        total_cost=core.total_cost,
-        fog_utility=core.fog_utility,
-        cloud_utility=core.cloud_utility,
-    )
+    return ScheduleResult(ctx, tiers, _core_eval(ctx, tiers))
 
 
 def objective_value(result: ScheduleResult, mode: ObjectiveMode) -> float:
@@ -356,60 +386,59 @@ def check_feasibility(result: ScheduleResult, scenario: Scenario) -> Feasibility
     """Verify the seven constraints on an evaluated schedule.
 
     C1-C3 re-check each ready time against the precedence terms that define
-    it, at the task's assigned tier (fields of unassigned tiers are 0 by
-    convention and carry no constraint).  C4 checks both utilities, C5/C6 are
-    guaranteed by the Placement type, C7 compares total cost to the budget.
-    All comparisons use absolute tolerance TIME_TOL.
+    it, at the task's assigned tier (the finish times of a predecessor's
+    unassigned tiers are 0 by convention and carry no constraint).  C4
+    checks both utilities, C5/C6 are guaranteed by the Placement type, C7
+    compares total cost to the budget.  All comparisons use absolute
+    tolerance TIME_TOL.  The checks read the evaluation's per-task lists,
+    not the result's rows.
     """
-    graph = scenario.graph
-    validate_graph(graph)
-    preds = graph.structure.preds
-    rows = result.tasks
+    ctx = eval_context(scenario.graph, scenario.platform)
+    tiers = result._tiers
+    core = result._core
+    ready, tx, chosen = core.ready, core.finish_tx, core.chosen
     violations: list[tuple[str, int, str]] = []
 
-    def _chosen(k: int) -> float:
-        return rows[k].chosen_finish
+    def _on(k: int, tier: int) -> float:
+        # predecessor k's finish time at `tier`
+        return chosen[k] if tiers[k] == tier else 0.0
 
     c1 = c2 = c3 = True
-    for t in graph.tasks:
-        i = t.id - 1
-        row = rows[i]
-        ps = preds[i]
-        if row.tier is Tier.LOCAL:
+    for i, ps in enumerate(ctx.preds):
+        tier = tiers[i]
+        r = ready[i]
+        if tier == _LOCAL:
             for k in ps:
-                if row.ready_local < _chosen(k) - TIME_TOL:
+                if r < chosen[k] - TIME_TOL:
                     c1 = False
-                    violations.append(
-                        ("C1", t.id, f"ready_local {row.ready_local} < finish of task {k + 1}")
-                    )
-        elif row.tier is Tier.FOG:
-            if row.ready_fog < row.finish_tx - TIME_TOL:
+                    violations.append(("C1", i + 1, f"ready_local {r} < finish of task {k + 1}"))
+        elif tier == _FOG:
+            if r < tx[i] - TIME_TOL:
                 c2 = False
-                violations.append(("C2", t.id, "ready_fog precedes upload completion"))
+                violations.append(("C2", i + 1, "ready_fog precedes upload completion"))
             for k in ps:
-                if row.ready_fog < rows[k].finish_fog - TIME_TOL:
+                if r < _on(k, _FOG) - TIME_TOL:
                     c2 = False
                     violations.append(
-                        ("C2", t.id, f"ready_fog precedes fog finish of task {k + 1}")
+                        ("C2", i + 1, f"ready_fog precedes fog finish of task {k + 1}")
                     )
-                if row.ready_fog < rows[k].finish_cloud - TIME_TOL:
+                if r < _on(k, _CLOUD) - TIME_TOL:
                     c2 = False
                     violations.append(
-                        ("C2", t.id, f"ready_fog precedes cloud finish of task {k + 1}")
+                        ("C2", i + 1, f"ready_fog precedes cloud finish of task {k + 1}")
                     )
         else:
-            forward = _costs.fog_cloud_time(t, scenario.platform)
-            if row.ready_cloud < row.finish_tx + forward - TIME_TOL:
+            if r < tx[i] + ctx.tau_r[i] - TIME_TOL:
                 c3 = False
-                violations.append(("C3", t.id, "ready_cloud precedes upload + forward"))
-            if row.ready_cloud < row.finish_fwd - TIME_TOL:
+                violations.append(("C3", i + 1, "ready_cloud precedes upload + forward"))
+            if r < core.finish_fwd[i] - TIME_TOL:
                 c3 = False
-                violations.append(("C3", t.id, "ready_cloud precedes forward completion"))
+                violations.append(("C3", i + 1, "ready_cloud precedes forward completion"))
             for k in ps:
-                if row.ready_cloud < rows[k].finish_cloud - TIME_TOL:
+                if r < _on(k, _CLOUD) - TIME_TOL:
                     c3 = False
                     violations.append(
-                        ("C3", t.id, f"ready_cloud precedes cloud finish of task {k + 1}")
+                        ("C3", i + 1, f"ready_cloud precedes cloud finish of task {k + 1}")
                     )
 
     c4 = True
@@ -421,7 +450,7 @@ def check_feasibility(result: ScheduleResult, scenario: Scenario) -> Feasibility
         violations.append(("C4", 0, f"cloud utility {result.cloud_utility} < 0"))
 
     # C5 (one tier per task) and C6 (binary indicators) hold structurally:
-    # TaskSchedule stores a single Tier per task.
+    # the result holds a single tier code per task.
     c5 = c6 = True
 
     c7 = True

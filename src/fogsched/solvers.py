@@ -27,12 +27,11 @@ from .schedule import (
     _FOG,
     _LOCAL,
     TIME_TOL,
-    EvalContext,
     ScheduleResult,
     _core_eval,
-    _result_from_core,
     _tier_step,
     check_feasibility,
+    eval_context,
 )
 
 
@@ -82,8 +81,8 @@ def metropolis_accept(delta: float, temperature: float, rng: np.random.Generator
     return rng.random() < exp(-delta / temperature)
 
 
-def _outcome(scenario: Scenario, ctx: EvalContext, tiers, iterations, t_start) -> SolveOutcome:
-    result = _result_from_core(ctx, tiers, _core_eval(ctx, tiers))
+def _outcome(scenario, ctx, tiers, core, iterations, t_start) -> SolveOutcome:
+    result = ScheduleResult(ctx, tiers, core)
     report = check_feasibility(result, scenario)
     return SolveOutcome(
         placement=Placement(dict(enumerate(tiers, 1))),
@@ -132,7 +131,7 @@ def greedy_solve(scenario: Scenario, trace: list | None = None) -> SolveOutcome:
             "greedy_solve requires task ids to be a topological order "
             "(every edge must go from a lower to a higher id)"
         )
-    ctx = EvalContext(graph, scenario.platform)
+    ctx = eval_context(graph, scenario.platform)
     n = ctx.n
     budget = scenario.budget
 
@@ -221,7 +220,7 @@ def greedy_solve(scenario: Scenario, trace: list | None = None) -> SolveOutcome:
         if trace is not None:
             trace.append((3, moved + 1, run_cost[n]))
 
-    return _outcome(scenario, ctx, tiers, iterations, t_start)
+    return _outcome(scenario, ctx, tiers, _core_eval(ctx, tiers), iterations, t_start)
 
 
 def sa_solve(scenario: Scenario) -> SolveOutcome:
@@ -249,7 +248,7 @@ def sa_solve(scenario: Scenario) -> SolveOutcome:
     cfg = scenario.solver_config
     if not isinstance(cfg, SAConfig):
         raise TypeError("sa_solve needs a Scenario carrying an SAConfig")
-    ctx = EvalContext(scenario.graph, scenario.platform)
+    ctx = eval_context(scenario.graph, scenario.platform)
     n = ctx.n
     by_sum = ObjectiveMode(scenario.objective_mode) is ObjectiveMode.SUM_FINISH
     budget = scenario.budget
@@ -259,7 +258,7 @@ def sa_solve(scenario: Scenario) -> SolveOutcome:
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=scenario.seed, spawn_key=(restart,))
         )
-        tiers = [int(v) for v in rng.integers(1, 4, size=n)]
+        tiers = rng.integers(1, 4, size=n).tolist()
         core = _core_eval(ctx, tiers)
         obj_cur = core.sum_finish if by_sum else core.makespan
         u_f = 0.0
@@ -284,7 +283,9 @@ def sa_solve(scenario: Scenario) -> SolveOutcome:
                 u_c = cand_core.cloud_utility
             total_iterations += 1
         if core.total_cost <= budget + TIME_TOL:
-            return _outcome(scenario, ctx, tiers, total_iterations, t_start)
+            # one evaluation call for the returned placement: resuming at n walks nothing
+            core = _core_eval(ctx, tiers, core, n)
+            return _outcome(scenario, ctx, tiers, core, total_iterations, t_start)
 
     raise RestartsExhausted(
         f"no budget-feasible placement in {cfg.max_restarts + 1} annealing runs"
@@ -312,7 +313,7 @@ def brute_force_solve(scenario: Scenario) -> SolveOutcome:
     n = len(scenario.graph)
     if n > cap:
         raise TooLarge(f"{n} tasks exceed the exhaustive-search cap of {cap}")
-    ctx = EvalContext(scenario.graph, scenario.platform)
+    ctx = eval_context(scenario.graph, scenario.platform)
     by_sum = ObjectiveMode(scenario.objective_mode) is ObjectiveMode.SUM_FINISH
     limit = scenario.budget + TIME_TOL
     topo = ctx.topo
@@ -354,7 +355,7 @@ def brute_force_solve(scenario: Scenario) -> SolveOutcome:
     visit(0, 0.0, 0.0, 0.0, 0.0, 0.0)
     if best_tiers is None:
         raise Infeasible("no placement satisfies the utility and budget constraints")
-    return _outcome(scenario, ctx, best_tiers, 3**n, t_start)
+    return _outcome(scenario, ctx, best_tiers, _core_eval(ctx, best_tiers), 3**n, t_start)
 
 
 def solve(scenario: Scenario) -> SolveOutcome:

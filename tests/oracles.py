@@ -9,13 +9,16 @@ and annealing references are the straightforward loops that the package's
 incremental ones replace: one full evaluation per repair move or proposal,
 and a rescan of all tasks for every greedy pick.  The result-row reference
 builds each row by keyword from per-tier lists, where the package builds it
-positionally.
+positionally, into the frozen record that the package's lazily built
+ScheduleResult must read as.  The feasibility reference checks the result's
+rows, where the package reads the evaluation's per-task lists.
 """
 from __future__ import annotations
 
 import itertools
 import math
 import time
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,6 +31,7 @@ from fogsched import (
     costs,
     schedule,
     solvers,
+    validate_graph,
 )
 
 
@@ -108,9 +112,21 @@ def fixed_point_times(graph, placement, platform, sweeps=None):
     return out
 
 
+@dataclass(frozen=True)
+class ScheduleResult:
+    """The record a package ScheduleResult must equal in repr and hash."""
+
+    tasks: tuple
+    makespan: float
+    sum_finish: float
+    total_cost: float
+    fog_utility: float
+    cloud_utility: float
+
+
 def result_from_core(ctx, tiers, core):
-    """The ScheduleResult of an evaluated placement: each TaskSchedule built
-    by keyword, its ready and finish times spread over the three tiers
+    """The ScheduleResult record of an evaluated placement: each TaskSchedule
+    built by keyword, its ready and finish times spread over the three tiers
     through per-task lists."""
     rows = []
     for i in range(ctx.n):
@@ -135,7 +151,7 @@ def result_from_core(ctx, tiers, core):
                 cost=ctx.cost[t][i],
             )
         )
-    return schedule.ScheduleResult(
+    return ScheduleResult(
         tasks=tuple(rows),
         makespan=core.makespan,
         sum_finish=core.sum_finish,
@@ -293,7 +309,9 @@ def greedy_reference(scenario, trace=None):
         if trace is not None:
             trace.append((3, moved + 1, core.total_cost))
 
-    return solvers._outcome(scenario, ctx, tiers, iterations, t_start)
+    return solvers._outcome(
+        scenario, ctx, tiers, schedule._core_eval(ctx, tiers), iterations, t_start
+    )
 
 
 def anneal_reference(scenario):
@@ -333,7 +351,101 @@ def anneal_reference(scenario):
                 u_c = cand_core.cloud_utility
             total_iterations += 1
         if cost_cur <= scenario.budget + schedule.TIME_TOL:
-            return solvers._outcome(scenario, ctx, tiers, total_iterations, t_start)
+            return solvers._outcome(
+                scenario, ctx, tiers, schedule._core_eval(ctx, tiers), total_iterations, t_start
+            )
     raise RestartsExhausted(
         f"no budget-feasible placement in {cfg.max_restarts + 1} annealing runs"
+    )
+
+
+def check_feasibility_rows(result, scenario):
+    """check_feasibility as it reads the result's TaskSchedule rows: the
+    reference for the package's check, which reads the evaluation's lists.
+
+    C1-C3 re-check each ready time against the precedence terms that define
+    it, at the task's assigned tier (fields of unassigned tiers are 0 by
+    convention and carry no constraint).  C4 checks both utilities, C5/C6 are
+    guaranteed by the Placement type, C7 compares total cost to the budget.
+    All comparisons use absolute tolerance schedule.TIME_TOL.
+    """
+    graph = scenario.graph
+    validate_graph(graph)
+    preds = graph.structure.preds
+    rows = result.tasks
+    violations: list[tuple[str, int, str]] = []
+
+    def _chosen(k: int) -> float:
+        return rows[k].chosen_finish
+
+    c1 = c2 = c3 = True
+    for t in graph.tasks:
+        i = t.id - 1
+        row = rows[i]
+        ps = preds[i]
+        if row.tier is Tier.LOCAL:
+            for k in ps:
+                if row.ready_local < _chosen(k) - schedule.TIME_TOL:
+                    c1 = False
+                    violations.append(
+                        ("C1", t.id, f"ready_local {row.ready_local} < finish of task {k + 1}")
+                    )
+        elif row.tier is Tier.FOG:
+            if row.ready_fog < row.finish_tx - schedule.TIME_TOL:
+                c2 = False
+                violations.append(("C2", t.id, "ready_fog precedes upload completion"))
+            for k in ps:
+                if row.ready_fog < rows[k].finish_fog - schedule.TIME_TOL:
+                    c2 = False
+                    violations.append(
+                        ("C2", t.id, f"ready_fog precedes fog finish of task {k + 1}")
+                    )
+                if row.ready_fog < rows[k].finish_cloud - schedule.TIME_TOL:
+                    c2 = False
+                    violations.append(
+                        ("C2", t.id, f"ready_fog precedes cloud finish of task {k + 1}")
+                    )
+        else:
+            forward = costs.fog_cloud_time(t, scenario.platform)
+            if row.ready_cloud < row.finish_tx + forward - schedule.TIME_TOL:
+                c3 = False
+                violations.append(("C3", t.id, "ready_cloud precedes upload + forward"))
+            if row.ready_cloud < row.finish_fwd - schedule.TIME_TOL:
+                c3 = False
+                violations.append(("C3", t.id, "ready_cloud precedes forward completion"))
+            for k in ps:
+                if row.ready_cloud < rows[k].finish_cloud - schedule.TIME_TOL:
+                    c3 = False
+                    violations.append(
+                        ("C3", t.id, f"ready_cloud precedes cloud finish of task {k + 1}")
+                    )
+
+    c4 = True
+    if result.fog_utility < -schedule.TIME_TOL:
+        c4 = False
+        violations.append(("C4", 0, f"fog utility {result.fog_utility} < 0"))
+    if result.cloud_utility < -schedule.TIME_TOL:
+        c4 = False
+        violations.append(("C4", 0, f"cloud utility {result.cloud_utility} < 0"))
+
+    # C5 (one tier per task) and C6 (binary indicators) hold structurally:
+    # TaskSchedule stores a single Tier per task.
+    c5 = c6 = True
+
+    c7 = True
+    if result.total_cost > scenario.budget + schedule.TIME_TOL:
+        c7 = False
+        violations.append(
+            ("C7", 0, f"total cost {result.total_cost} exceeds budget {scenario.budget}")
+        )
+
+    return schedule.FeasibilityReport(
+        c1_ok=c1,
+        c2_ok=c2,
+        c3_ok=c3,
+        c4_ok=c4,
+        c5_ok=c5,
+        c6_ok=c6,
+        c7_ok=c7,
+        violations=tuple(violations),
     )

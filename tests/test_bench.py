@@ -1,5 +1,6 @@
 """Harness: run/sweep/compare/validate behavior, CSV determinism, CLI."""
 import csv
+import hashlib
 import io
 import math
 import warnings
@@ -399,3 +400,66 @@ def test_csv_floats_roundtrip(tmp_path):
     assert float(values["makespan"]) == rows[0].makespan
     assert float(values["total_cost"]) == rows[0].total_cost
     assert values["feasible"] == "true"
+
+
+def test_negative_seeds_rejected_at_the_boundary(tmp_path, capsys):
+    # numpy's seed streams refuse negative entropy, so a negative seed would
+    # only fail inside the annealing solves
+    text = bundled_scenario("fig4.scn").read_text(encoding="utf-8")
+    assert "\nseed: 1\n" in text
+    path = tmp_path / "negative.scn"
+    path.write_text(text.replace("\nseed: 1\n", "\nseed: -3\n"), encoding="utf-8")
+    with pytest.raises(ParseError, match="seed must be >= 0, got -3"):
+        load_scenario(path)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -5"):
+        bench.run(bundled_scenario("fig4.scn"), solver="greedy", seed=-5)
+    out = tmp_path / "rows.csv"
+    assert cli.main(["validate", "--scenario", str(path)]) == 2
+    assert cli.main(["run", "--scenario", "fig4.scn", "--seed", "-5", "--solver", "greedy",
+                     "--out", str(out)]) == 2
+    assert cli.main(["compare", "--scenario", "fig4.scn", "--seed", "-5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == (
+        "error: seed must be >= 0, got -3\n" + "error: seed must be >= 0, got -5\n" * 2
+    )
+    assert cli.main(["run", "--scenario", "fig4.scn", "--seed", "0", "--solver", "sa"]) == 0
+
+
+def test_sweep_solver_list_must_be_nonempty_and_distinct(tmp_path, capsys):
+    with pytest.raises(ValueError, match="at least one solver"):
+        bench.SweepSpec("budget", 1.0, 2.0, 2, solvers=())
+    with pytest.raises(ValueError, match="must not repeat"):
+        bench.SweepSpec("budget", 1.0, 2.0, 2, solvers=("greedy", "sa", "greedy"))
+    out = tmp_path / "x.csv"
+    argv = ["sweep", "--scenario", "fig4.scn", "--param", "budget", "--from", "1",
+            "--to", "2", "--steps", "2", "--out", str(out), "--solvers"]
+    assert cli.main(argv + [""]) == 2
+    assert cli.main(argv + ["greedy,greedy"]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        "error: solvers must name at least one solver\n"
+        "error: solvers must not repeat, got ['greedy', 'greedy']\n"
+    )
+
+
+# sha256 of two CLI outputs, recorded before the evaluation set-up was cached
+# on the graph and the result rows were built lazily: every performance change
+# must leave them byte-identical
+GOLDEN_SHA256 = {
+    "chain40 budget sweep": "4252ab0d6c39789adbdab1bf5a875fb05a0336d1b1b36742c17fe4e6f46aea66",
+    "fig4 compare": "70941376fd5540f6bf68c2fd37032b1d166ede5ba4bedde92a556f06b80990aa",
+}
+
+
+def test_golden_output_digests(tmp_path, capsys):
+    # the benchmark's chain40 workload: budget 0.5..100, 21 steps, 5 reps
+    out = tmp_path / "budget.csv"
+    spec = bench.SweepSpec("budget", 0.5, 100.0, 21, reps=5, solvers=("greedy", "sa"))
+    bench.sweep("chain40.scn", spec, out, workers=1)
+    assert cli.main(["compare", "--scenario", "fig4.scn", "--reps", "3"]) == 0
+    got = {
+        "chain40 budget sweep": hashlib.sha256(out.read_bytes()).hexdigest(),
+        "fig4 compare": hashlib.sha256(capsys.readouterr().out.encode()).hexdigest(),
+    }
+    assert got == GOLDEN_SHA256

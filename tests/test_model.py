@@ -296,6 +296,13 @@ def test_scenario_rejects_negative_budget():
         Scenario(graph=g, platform=gen.desk_platform(), budget=-1.0)
 
 
+def test_scenario_rejects_negative_seed():
+    g = TaskGraph(_tasks(1))
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        Scenario(graph=g, platform=gen.desk_platform(), seed=-1)
+    assert Scenario(graph=g, platform=gen.desk_platform(), seed=0).seed == 0
+
+
 def test_epsilon_warning_outside_range():
     from fogsched import FogSpec
 

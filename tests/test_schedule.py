@@ -1,5 +1,9 @@
 """Schedule evaluator: hand-traced examples, constraint checks, and agreement
 with the naive fixed-point oracle."""
+import re
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -136,7 +140,13 @@ def test_result_rows_match_keyword_reference():
         ctx = schedule.EvalContext(graph, scn.platform)
         tiers = [int(placement.assignment[i + 1]) for i in range(ctx.n)]
         want = oracles.result_from_core(ctx, tiers, schedule._core_eval(ctx, tiers))
-        assert repr(evaluate(graph, placement, scn.platform)) == repr(want)
+        res = evaluate(graph, placement, scn.platform)
+        assert repr(res) == repr(want)
+        assert hash(res) == hash(want)
+        assert res.tasks is res.tasks  # built once, on first read
+        assert res == evaluate(graph, placement, scn.platform)
+        with pytest.raises(AttributeError):
+            res.makespan = 0.0
 
 
 def test_matches_fixed_point_oracle():
@@ -299,3 +309,41 @@ def test_check_feasibility_random_evaluations_satisfy_precedence():
         report = check_feasibility(res, scn)
         # C1-C3 hold by construction for evaluator output
         assert report.c1_ok and report.c2_ok and report.c3_ok
+
+
+def test_check_feasibility_matches_row_reference():
+    """The check reads the evaluation's lists; the reference reads the rows.
+    Evaluations are tampered with to break each precedence term, both
+    utilities and the budget."""
+    rng = np.random.default_rng(33)
+    seen = Counter()
+    for k in range(1000):
+        scn = gen.random_scenario(rng, n_max=10)
+        graph = gen.permute_ids(rng, scn.graph) if k % 3 == 0 else scn.graph
+        scn = replace(scn, graph=graph)
+        n = len(graph)
+        ctx = schedule.eval_context(graph, scn.platform)
+        tiers = [int(gen.random_placement(rng, graph).assignment[i + 1]) for i in range(n)]
+        core = schedule._core_eval(ctx, tiers)
+        lists = {f: list(getattr(core, f)) for f in ("ready", "finish_tx", "finish_fwd", "chosen")}
+        for name, values in lists.items():
+            if rng.random() < 0.5:
+                i = int(rng.integers(n))
+                # shifts from twice the value's size down to below TIME_TOL
+                e = int(rng.integers(0, 6))
+                scale = 1e-10 if e == 5 else (abs(values[i]) + 1.0) * 10.0**-e
+                shift = float(rng.uniform(0.5, 2.0)) * scale
+                values[i] += -shift if name == "ready" else shift
+        totals = {}
+        if rng.random() < 0.3:
+            totals["fog_utility"] = -abs(core.fog_utility) - 1.0
+        if rng.random() < 0.3:
+            totals["cloud_utility"] = -abs(core.cloud_utility) - 1.0
+        if rng.random() < 0.3:
+            totals["total_cost"] = 2.0 * core.total_cost + 1.0
+            scn = replace(scn, budget=core.total_cost + 0.5)
+        res = schedule.ScheduleResult(ctx, tiers, core._replace(**lists, **totals))
+        got = check_feasibility(res, scn)
+        assert got == oracles.check_feasibility_rows(res, scn)
+        seen.update((v[0], re.sub(r"-?\d[\d.e+-]*", "#", v[2])) for v in got.violations)
+    assert len(seen) == 10 and min(seen.values()) >= 10, seen

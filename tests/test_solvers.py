@@ -1,10 +1,11 @@
 """Solvers: greedy phases, annealing contract, exhaustive search."""
+import pickle
 import warnings
 
 import numpy as np
 import pytest
 
-from fogsched import schedule, solvers
+from fogsched import bench, schedule, solvers
 from fogsched import (
     BruteForceConfig,
     RestartsExhausted,
@@ -333,7 +334,7 @@ def test_sa_guard_ignores_random_start():
 # ---------------------------------------------------------------- shared
 
 
-def test_one_eval_context_per_solve(monkeypatch):
+def test_one_eval_context_per_graph_and_platform(monkeypatch, tmp_path):
     builds = []
     original = schedule.EvalContext.__init__
 
@@ -355,14 +356,36 @@ def test_one_eval_context_per_solve(monkeypatch):
         (brute_force_solve, small, None),
         (brute_force_solve, replace(small, budget=0.0), Infeasible),
     ]
+    outcomes = []
     for fn, scn, error in cases:
-        builds.clear()
         if error is None:
-            fn(scn)
+            out = fn(scn)
+            outcomes.append((fn, scn, out))
+            evaluate(scn.graph, out.placement, scn.platform)
         else:
             with pytest.raises(error):
                 fn(scn)
-        assert builds == [len(scn.graph)], (fn.__name__, error)
+    # one build per (graph, platform), shared by every solve and evaluation
+    assert builds == [9, 5]
+
+    # another platform builds anew, once; an equal but distinct one does not
+    pricier = replace(fig4.platform, fog=replace(fig4.platform.fog, price=0.5))
+    for platform in (pricier, pricier, replace(pricier), replace(fig4.platform)):
+        greedy_solve(replace(fig4, platform=platform))
+    assert builds == [9, 5, 9, 9]
+
+    # an unpickled graph keeps its context and solves bit-identically
+    builds.clear()
+    for fn, scn, out in outcomes:
+        copy = replace(scn, graph=pickle.loads(pickle.dumps(scn.graph)))
+        again = fn(copy)
+        assert repr(replace(again, wall_time=0.0)) == repr(replace(out, wall_time=0.0))
+    assert builds == []
+
+    # a serial budget sweep builds one context for all of its solves
+    spec = bench.SweepSpec("budget", 0.5, 10.0, 4, reps=2, solvers=("greedy", "sa", "brute"))
+    rows = bench.sweep("fig4.scn", spec, tmp_path / "budget.csv", workers=1)
+    assert len(rows) == 24 and builds == [9]
 
 
 # ---------------------------------------------------------------- exhaustive
