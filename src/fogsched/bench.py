@@ -5,7 +5,10 @@ Sweep cells (sweep value x solver x repetition) are independent and may be
 computed by a process pool (FOGSCHED_WORKERS, default: the number of CPUs
 this process may run on, per its CPU affinity where the OS reports one); rows
 are sorted by (sweep_value, solver, seed) before the single writer emits
-them, so parallelism never changes the output.  Sweep CSV stores wall_time as
+them, so parallelism never changes the output.  A pool worker gets the base
+scenario once, when it starts, and each cell only as (value index, solver,
+rep), so a worker keeps one graph, with its EvalContext and greedy's
+budget-independent prefix (see solvers.greedy_solve), for all of its cells.  Sweep CSV stores wall_time as
 0.0 to keep files byte-identical across runs; `run` and `compare` report
 measured wall time.
 """
@@ -33,7 +36,7 @@ from .model import (
     solver_kind,
 )
 from .scenario_io import load_scenario, resolve_scenario_path
-from .schedule import EvalContext, check_feasibility, evaluate
+from .schedule import check_feasibility, eval_context, evaluate
 
 SWEEP_PARAMETERS = ("data_size", "budget", "fog_price", "task_count")
 SOLVER_NAMES = tuple(SOLVER_KINDS)
@@ -257,10 +260,35 @@ def _apply_sweep_value(
     return replace(base, graph=_chain_graph(sizes))
 
 
-def _sweep_cell(args) -> ResultRow:
-    base, spec, value, value_index, solver, rep, verify, scenario_id = args
-    scenario = _apply_sweep_value(base, spec, value, value_index)
-    return _solve_one(scenario, scenario_id, solver, base.seed + rep, value, verify)
+class _SweepCells:
+    """Solves the cells of one sweep, each given as (value index, solver,
+    rep), against the base scenario it holds."""
+
+    def __init__(self, base: Scenario, spec: SweepSpec, scenario_id: str, verify: bool):
+        self.base, self.spec, self.scenario_id, self.verify = base, spec, scenario_id, verify
+        self.values = spec.values()
+
+    def __call__(self, cell) -> ResultRow:
+        value_index, solver, rep = cell
+        value = self.values[value_index]
+        scenario = _apply_sweep_value(self.base, self.spec, value, value_index)
+        return _solve_one(
+            scenario, self.scenario_id, solver, self.base.seed + rep, value, self.verify
+        )
+
+
+# the sweep of a pool worker process, set once when the worker starts
+_worker_cells: Optional[_SweepCells] = None
+
+
+def _init_worker(cells: _SweepCells) -> None:
+    global _worker_cells
+    _worker_cells = cells
+
+
+def _worker_cell(cell) -> ResultRow:
+    """Solve one cell of the sweep given to this worker by _init_worker."""
+    return _worker_cells(cell)
 
 
 def _worker_count(workers: Optional[int]) -> int:
@@ -268,7 +296,10 @@ def _worker_count(workers: Optional[int]) -> int:
         return max(1, workers)
     env = os.environ.get("FOGSCHED_WORKERS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(f"FOGSCHED_WORKERS must be an integer, got {env!r}") from None
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -287,11 +318,10 @@ def sweep(
     scenario from it.  Output rows are sorted by (sweep_value, solver, seed).
     """
     path = resolve_scenario_path(scenario_path)
-    base = load_scenario(path)
-    scenario_id = path.stem
+    solve_cell = _SweepCells(load_scenario(path), spec, path.stem, verify)
     cells = [
-        (base, spec, value, vi, solver, rep, verify, scenario_id)
-        for vi, value in enumerate(spec.values())
+        (vi, solver, rep)
+        for vi in range(len(solve_cell.values))
         for solver in spec.solvers
         for rep in range(spec.reps)
     ]
@@ -301,10 +331,14 @@ def sweep(
         # modules), which run, compare and validate never use
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            rows = list(pool.map(_sweep_cell, cells, chunksize=8))
+        # each worker gets the base scenario once, so it keeps one graph,
+        # one EvalContext and one greedy prefix for all of its cells
+        with ProcessPoolExecutor(
+            max_workers=n_workers, initializer=_init_worker, initargs=(solve_cell,)
+        ) as pool:
+            rows = list(pool.map(_worker_cell, cells, chunksize=8))
     else:
-        rows = [_sweep_cell(c) for c in cells]
+        rows = list(map(solve_cell, cells))
     rows.sort(key=lambda r: (r.sweep_value, r.solver, r.seed))
     # the file zeroes the wall-clock column so identical inputs give
     # byte-identical output; callers still get the measured values
@@ -376,7 +410,7 @@ def validate(scenario_path: Union[str, Path]) -> Diagnostics:
         warnings_.append(str(w.message))
 
     if math.isfinite(scenario.budget):
-        ctx = EvalContext(scenario.graph, scenario.platform)
+        ctx = eval_context(scenario.graph, scenario.platform)
         floor = 0.0
         for terms in zip(*ctx.cost[1:]):
             floor += min(terms)

@@ -76,8 +76,16 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _task_size_range(text: str) -> tuple[float, float]:
+    try:
+        lo, hi = map(float, text.split(","))
+    except ValueError:
+        raise ValueError(f"--task-size-range must be two numbers lo,hi, got {text!r}") from None
+    return lo, hi
+
+
 def _cmd_sweep(args) -> int:
-    lo, hi = (float(x) for x in args.task_size_range.split(","))
+    lo, hi = _task_size_range(args.task_size_range)
     spec = bench.SweepSpec(
         parameter=args.param,
         start=args.start,

@@ -118,6 +118,8 @@ class EvalContext:
     the task adds to the fog's utility (revenue minus execution energy on
     the fog, minus forwarding energy on the cloud) and `du_c` what it adds
     to the cloud's (revenue minus execution energy on the cloud).
+    `greedy_prefix` is None until the first greedy solve on the context,
+    which keeps its budget-independent work there.
     """
 
     __slots__ = (
@@ -139,6 +141,7 @@ class EvalContext:
         "cost",
         "du_f",
         "du_c",
+        "greedy_prefix",
     )
 
     def __init__(self, graph: TaskGraph, platform: Platform):
@@ -167,6 +170,7 @@ class EvalContext:
             tuple(map(neg, self.e_s)),
         )
         self.du_c = (None, zero, zero, tuple(map(sub, self.rev_c, self.e_c)))
+        self.greedy_prefix = None
 
 
 def _tier_step(ctx, i, tier, tiers, chosen):

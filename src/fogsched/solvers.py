@@ -1,8 +1,11 @@
 """Placement solvers: greedy repair heuristic, simulated annealing, exhaustive
 search.
 
-All solvers are deterministic given the scenario seed and may run in parallel
-across scenarios (no shared mutable state).
+All solvers are deterministic given the scenario seed.  They share mutable
+state through the graph: the EvalContext kept on it, and on that context
+greedy's budget-independent prefix, which a greedy solve extends.  Scenarios
+on different graph objects may be solved from parallel threads, but one
+graph must not be solved from two threads at once.
 """
 from __future__ import annotations
 
@@ -93,6 +96,88 @@ def _outcome(scenario, ctx, tiers, core, iterations, t_start) -> SolveOutcome:
     )
 
 
+def _on_tier(tiers, tier, key) -> list:
+    """A (key, index) heap of the tasks on `tier`.  The repairs move a task
+    off a tier only through the heap that picked it, so no entry goes
+    stale."""
+    heap = [(key(i), i) for i, t in enumerate(tiers) if t == tier]
+    heapify(heap)
+    return heap
+
+
+class _GreedyPrefix:
+    """The part of greedy_solve that does not depend on the budget, kept on
+    the graph's EvalContext (`ctx.greedy_prefix`): the phase-1 tier codes
+    (`start`), the phase-2 moves as (task index, new tier code) in the order
+    the budget repair makes them, and `totals[k]`, the device cost total
+    after the first k moves, added up as the running sums of a full
+    evaluation add it.  The moves are made only as far as a solve's budget
+    needs (`stop`); the repair state to go on from is kept with them.
+    """
+
+    __slots__ = ("start", "moves", "totals", "_cost_terms", "_run_cost", "_heaps")
+
+    def __init__(self, ctx):
+        # Phase 1: initial pass over tasks in order.
+        n = ctx.n
+        tiers = [0] * n
+        chosen = [0.0] * n
+        for i in range(n):
+            fin_l = _tier_step(ctx, i, _LOCAL, tiers, chosen)[3]
+            fin_f = _tier_step(ctx, i, _FOG, tiers, chosen)[3]
+            fin_c = _tier_step(ctx, i, _CLOUD, tiers, chosen)[3]
+            if fin_l < fin_f and fin_l < fin_c:
+                tiers[i], chosen[i] = _LOCAL, fin_l
+            elif ctx.rev_c[i] >= ctx.e_c[i]:
+                tiers[i], chosen[i] = _CLOUD, fin_c
+            else:
+                tiers[i], chosen[i] = _FOG, fin_f
+        self.start = tuple(tiers)
+        # cost term of the task at each topological position, and the
+        # running sums before each position (index n: the total)
+        self._cost_terms = [ctx.cost[tiers[i]][i] for i in ctx.topo]
+        self._run_cost = list(accumulate(self._cost_terms, initial=0.0))
+        self.moves = []
+        self.totals = [self._run_cost[n]]
+        self._heaps = (_on_tier(tiers, _CLOUD, ctx.e_c.__getitem__),
+                       _on_tier(tiers, _FOG, ctx.e_f.__getitem__))
+
+    def stop(self, ctx, limit: float) -> int:
+        """The fewest moves after which the total is within `limit`, making
+        moves until it is or no task is left to move; in the latter case
+        the total after the returned count still exceeds `limit`."""
+        totals = self.totals
+        for k, total in enumerate(totals):
+            if total <= limit:
+                return k
+        while self._move(ctx):
+            if totals[-1] <= limit:
+                break
+        return len(totals) - 1
+
+    def _move(self, ctx) -> bool:
+        """Phase 2's next move: the cloud task with the smallest cloud energy
+        to the fog, or once no cloud task is left, the fog task with the
+        smallest fog energy to the device.  False when no task is left."""
+        cloud_heap, fog_heap = self._heaps
+        if cloud_heap:
+            moved = heappop(cloud_heap)[1]
+            tier = _FOG
+            heappush(fog_heap, (ctx.e_f[moved], moved))
+        elif fog_heap:
+            moved = heappop(fog_heap)[1]
+            tier = _LOCAL
+        else:
+            return False
+        d = ctx.pos[moved]
+        self._cost_terms[d] = ctx.cost[tier][moved]
+        run_cost = self._run_cost
+        run_cost[d:] = accumulate(self._cost_terms[d:], initial=run_cost[d])
+        self.moves.append((moved, tier))
+        self.totals.append(run_cost[-1])
+        return True
+
+
 def greedy_solve(scenario: Scenario, trace: list | None = None) -> SolveOutcome:
     """Three-phase greedy heuristic.
 
@@ -111,6 +196,15 @@ def greedy_solve(scenario: Scenario, trace: list | None = None) -> SolveOutcome:
     revenue/energy ratio to the device.  Each move only ever demotes a task
     cloud->fog or fog->local, so the loop count is bounded by 2N.  Ties
     between candidate tasks go to the lowest task id.
+
+    Phase 1 and the order of the phase-2 moves do not depend on the budget,
+    which only decides how many of those moves to make.  So they are kept on
+    the graph's EvalContext (see _GreedyPrefix), with the cost total after
+    each move, and every solve on the same graph and platform shares them:
+    a solve takes the first k moves after which the total is within the
+    budget, making further moves only when no kept total is, and replays
+    them on the phase-1 tiers.  Phase 3 and the final evaluation run per
+    solve.
 
     The repairs read only the total cost and the fog utility.  Both are kept
     as running sums before each topological position, and a move re-adds
@@ -134,21 +228,25 @@ def greedy_solve(scenario: Scenario, trace: list | None = None) -> SolveOutcome:
     ctx = eval_context(graph, scenario.platform)
     n = ctx.n
     budget = scenario.budget
+    prefix = ctx.greedy_prefix
+    if prefix is None:
+        prefix = ctx.greedy_prefix = _GreedyPrefix(ctx)
 
-    # Phase 1: initial pass over tasks in order.
-    tiers = [0] * n
-    chosen = [0.0] * n
-    for i in range(n):
-        fin_l = _tier_step(ctx, i, _LOCAL, tiers, chosen)[3]
-        fin_f = _tier_step(ctx, i, _FOG, tiers, chosen)[3]
-        fin_c = _tier_step(ctx, i, _CLOUD, tiers, chosen)[3]
-        if fin_l < fin_f and fin_l < fin_c:
-            tiers[i], chosen[i] = _LOCAL, fin_l
-        elif ctx.rev_c[i] >= ctx.e_c[i]:
-            tiers[i], chosen[i] = _CLOUD, fin_c
-        else:
-            tiers[i], chosen[i] = _FOG, fin_f
-    iterations = n
+    # Phases 1 and 2 from the kept prefix: k budget-repair moves.
+    limit = budget + TIME_TOL
+    k = prefix.stop(ctx, limit)
+    moves = prefix.moves[:k]
+    if trace is not None:
+        trace.extend((2, i + 1, total) for (i, _), total in zip(moves, prefix.totals[1:k + 1]))
+    if prefix.totals[k] > limit:
+        raise Infeasible(
+            f"all tasks local, total energy {prefix.totals[k]} still exceeds "
+            f"budget {budget}"
+        )
+    tiers = list(prefix.start)
+    for i, tier in moves:
+        tiers[i] = tier
+    iterations = n + k
 
     # cost and fog-utility term of the task at each topological position,
     # and the running sums before each position (index n: the totals)
@@ -166,35 +264,8 @@ def greedy_solve(scenario: Scenario, trace: list | None = None) -> SolveOutcome:
         run_cost[d:] = accumulate(cost_terms[d:], initial=run_cost[d])
         run_fog[d:] = accumulate(fog_terms[d:], initial=run_fog[d])
 
-    def on_tier(tier, key):
-        # (key, index) heap of the tasks on `tier`; a task leaves a tier only
-        # through the heap that picked it, so no entry goes stale
-        heap = [(key(i), i) for i in range(n) if tiers[i] == tier]
-        heapify(heap)
-        return heap
-
     def margin(i):
         return ctx.rev_f[i] / ctx.e_f[i] if ctx.e_f[i] > 0 else inf
-
-    # Phase 2: budget repair.
-    cloud_heap = on_tier(_CLOUD, lambda i: ctx.e_c[i])
-    fog_heap = on_tier(_FOG, lambda i: ctx.e_f[i])
-    while run_cost[n] > budget + TIME_TOL:
-        if cloud_heap:
-            moved = heappop(cloud_heap)[1]
-            move(moved, _FOG)
-            heappush(fog_heap, (ctx.e_f[moved], moved))
-        elif fog_heap:
-            moved = heappop(fog_heap)[1]
-            move(moved, _LOCAL)
-        else:
-            raise Infeasible(
-                f"all tasks local, total energy {run_cost[n]} still exceeds "
-                f"budget {budget}"
-            )
-        iterations += 1
-        if trace is not None:
-            trace.append((2, moved + 1, run_cost[n]))
 
     # Phase 3: fog-utility repair.
     heavy_heap = [
@@ -203,7 +274,7 @@ def greedy_solve(scenario: Scenario, trace: list | None = None) -> SolveOutcome:
         if tiers[i] == _CLOUD and ctx.e_s[i] > ctx.e_f[i]
     ]
     heapify(heavy_heap)
-    fog_heap = on_tier(_FOG, margin)
+    fog_heap = _on_tier(tiers, _FOG, margin)
     while run_fog[n] < -TIME_TOL:
         if heavy_heap:
             moved = heappop(heavy_heap)[1]

@@ -3,6 +3,7 @@ import csv
 import hashlib
 import io
 import math
+import pickle
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fogsched import bench, cli
+from fogsched import bench, cli, schedule
 from fogsched import (
     BruteForceConfig,
     ParseError,
@@ -91,15 +92,75 @@ def test_sweep_outputs_are_sorted_and_complete(tmp_path):
 
 
 def test_sweep_deterministic_bytes_and_parallel_equivalence(tmp_path):
-    spec = bench.SweepSpec(
-        parameter="fog_price", start=0.0005, stop=0.003, steps=3, reps=2,
-        solvers=("greedy", "sa"),
-    )
-    out1 = tmp_path / "a.csv"
-    out2 = tmp_path / "b.csv"
-    bench.sweep(bundled_scenario("fig4.scn"), spec, out1, workers=1)
-    bench.sweep(bundled_scenario("fig4.scn"), spec, out2, workers=2)
-    assert out1.read_bytes() == out2.read_bytes()
+    for scenario, spec in [
+        ("fig4.scn", bench.SweepSpec(
+            parameter="fog_price", start=0.0005, stop=0.003, steps=3, reps=2,
+            solvers=("greedy", "sa"),
+        )),
+        ("chain40.scn", bench.SweepSpec("budget", 0.5, 100.0, 7, reps=2, solvers=("greedy", "sa"))),
+        ("fig4.scn", bench.SweepSpec("data_size", 0.5, 3.0, 5, reps=2, solvers=("greedy", "sa"))),
+        ("chain40.scn", bench.SweepSpec("task_count", 5, 60, 6, reps=2, solvers=("greedy", "sa"))),
+    ]:
+        out1 = tmp_path / "a.csv"
+        out2 = tmp_path / "b.csv"
+        bench.sweep(bundled_scenario(scenario), spec, out1, workers=1)
+        bench.sweep(bundled_scenario(scenario), spec, out2, workers=2)
+        assert out1.read_bytes() == out2.read_bytes(), spec.parameter
+
+
+def test_pooled_sweep_sends_the_base_scenario_once_per_worker(monkeypatch, tmp_path):
+    # a one-worker stand-in for the process pool that pickles what a real
+    # pool sends: the initializer's arguments once, then each chunk of cells
+    import concurrent.futures
+
+    sent = []
+
+    class OneWorkerPool:
+        def __init__(self, max_workers, initializer, initargs):
+            initializer(*pickle.loads(pickle.dumps(initargs)))
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, cells, chunksize):
+            cells = list(cells)
+            rows = []
+            for k in range(0, len(cells), chunksize):
+                blob = pickle.dumps((fn, cells[k:k + chunksize]))
+                sent.append(blob)
+                fn_copy, chunk = pickle.loads(blob)
+                rows += map(fn_copy, chunk)
+            return rows
+
+    builds = []
+    original = schedule.EvalContext.__init__
+
+    def counting_init(ctx, graph, platform):
+        builds.append(len(graph))
+        original(ctx, graph, platform)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", OneWorkerPool)
+    monkeypatch.setattr(bench, "_worker_cells", None)
+    monkeypatch.setattr(schedule.EvalContext, "__init__", counting_init)
+    spec = bench.SweepSpec("budget", 0.0, 50.0, 10, reps=3)
+    chunks = {}
+    for n in (5, 400):
+        scn = Scenario(graph=gen.chain_graph(np.linspace(100.0, 1000.0, n)),
+                       platform=gen.desk_platform(), budget=float("inf"))
+        path = save_scenario(scn, tmp_path / f"chain{n}.scn")
+        sent.clear()
+        builds.clear()
+        rows = bench.sweep(path, spec, tmp_path / f"pooled{n}.csv", workers=2)
+        # one graph, so one context, for all 30 cells in 4 chunks
+        assert len(rows) == 30 and len(sent) == 4 and builds == [n]
+        assert all(b"TaskSpec" not in blob for blob in sent)
+        chunks[n] = [len(blob) for blob in sent]
+        bench.sweep(path, spec, tmp_path / f"serial{n}.csv", workers=1)
+        assert (tmp_path / f"pooled{n}.csv").read_bytes() == (tmp_path / f"serial{n}.csv").read_bytes()
+    assert chunks[5] == chunks[400]
 
 
 def test_sweep_does_not_mutate_source(tmp_path):
@@ -320,6 +381,23 @@ def test_sweep_rejects_bad_ranges_up_front(tmp_path, capsys):
         "error: task_size_range must be finite lo,hi with 0 <= lo <= hi, got (nan, 10.0)\n"
         "error: task_size_range must be finite lo,hi with 0 <= lo <= hi, got (-50.0, 10.0)\n"
         "error: sweep stop must be finite, got inf\n"
+    )
+
+
+def test_cli_names_malformed_sweep_inputs(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "x.csv"
+    argv = ["sweep", "--scenario", "fig4.scn", "--param", "task_count", "--from", "5",
+            "--to", "6", "--steps", "2", "--out", str(out)]
+    for sizes in ("100", "1,2,3", "a,b"):
+        assert cli.main(argv + ["--task-size-range", sizes]) == 2
+    monkeypatch.setenv("FOGSCHED_WORKERS", "two")
+    assert cli.main(argv) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        "error: --task-size-range must be two numbers lo,hi, got '100'\n"
+        "error: --task-size-range must be two numbers lo,hi, got '1,2,3'\n"
+        "error: --task-size-range must be two numbers lo,hi, got 'a,b'\n"
+        "error: FOGSCHED_WORKERS must be an integer, got 'two'\n"
     )
 
 

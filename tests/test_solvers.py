@@ -1,4 +1,5 @@
 """Solvers: greedy phases, annealing contract, exhaustive search."""
+import math
 import pickle
 import warnings
 
@@ -206,6 +207,106 @@ def test_greedy_repairs_evaluate_only_the_returned_placement(monkeypatch):
         out = greedy_solve(scn)
         assert out.iterations == n + repairs
         assert calls == [[int(out.placement.assignment[i + 1]) for i in range(n)]]
+
+
+def _fresh_graph(scn):
+    return replace(scn, graph=TaskGraph(scn.graph.tasks, scn.graph.edges))
+
+
+def _phase2_totals(scn):
+    """The cost totals a budget of 0 makes phase 2 pass through."""
+    trace: list = []
+    _outcome_or_error(oracles.greedy_reference, replace(_fresh_graph(scn), budget=0.0), trace)
+    return [total for phase, _, total in trace if phase == 2]
+
+
+def _budget_at_limit(total):
+    """A budget whose limit, budget + TIME_TOL, is exactly `total`, so that
+    only a comparison that includes equality lets the total through (the
+    total itself where no float budget gives that limit)."""
+    b = total - schedule.TIME_TOL
+    for _ in range(8):
+        if b + schedule.TIME_TOL == total:
+            return b
+        b = math.nextafter(b, total if b + schedule.TIME_TOL < total else -math.inf)
+    return total
+
+
+def _prefix_cases():
+    """(scenario, budgets): chain40, desk-platform chains and random cases,
+    each with budgets whose limit is on, just above and just below phase-2
+    totals (about ten of them, the last included)."""
+    chain40 = load_scenario(bundled_scenario("chain40.scn"))
+    rng = np.random.default_rng(65)
+    scenarios = [chain40, replace(chain40, platform=gen.desk_platform())]
+    for n in (5, 17, 40):
+        sizes = rng.uniform(100.0, 1000.0, size=n)
+        scenarios.append(Scenario(graph=gen.chain_graph(sizes), platform=gen.desk_platform(),
+                                  budget=float("inf")))
+    for k in range(60):
+        scn = gen.random_scenario(rng, n_max=12)
+        if k % 10 == 9:
+            # device energy above any budget: all-local still does not fit
+            scn = replace(scn, platform=replace(scn.platform, kappa=1e-6))
+        scenarios.append(scn)
+    for scn in scenarios:
+        budgets = {0.0, float("inf"), 2.0 * schedule.TIME_TOL}
+        totals = _phase2_totals(scn)
+        for total in totals[:: 1 + len(totals) // 10] + totals[-1:]:
+            budgets.update((_budget_at_limit(total), total - 2 * schedule.TIME_TOL, total))
+        yield scn, sorted(budgets)
+
+
+def test_greedy_prefix_matches_fresh_reference_in_any_budget_order():
+    # one graph object solved over a budget sweep in ascending, descending
+    # and shuffled order: every solve, read from the kept prefix, matches
+    # the reference on a fresh graph, trace entries and error included
+    rng = np.random.default_rng(66)
+    seen = Counter()
+    for scn, budgets in _prefix_cases():
+        want = {}
+        for b in budgets:
+            trace: list = []
+            want[b] = _outcome_or_error(oracles.greedy_reference,
+                                        replace(_fresh_graph(scn), budget=b), trace), repr(trace)
+        shuffled = list(budgets)
+        rng.shuffle(shuffled)
+        for order in (budgets, budgets[::-1], shuffled):
+            one = _fresh_graph(scn)
+            for b in order:
+                trace = []
+                got = _outcome_or_error(greedy_solve, replace(one, budget=b), trace)
+                assert (got, repr(trace)) == want[b], (b, order)
+                seen["error" if got[0] is Infeasible else "solved"] += 1
+                seen["phase 2"] += any(phase == 2 for phase, _, _ in trace)
+    assert seen["error"] > 300 and seen["solved"] > 3000 and seen["phase 2"] > 3000, seen
+
+
+def test_greedy_prefix_makes_only_the_moves_a_budget_needs():
+    # the kept prefix grows only to the longest phase-2 repair solved so
+    # far, so no solve makes more budget-repair moves than its own repair
+    # takes, and a budget that needs none adds none
+    for scn, budgets in _prefix_cases():
+        one = _fresh_graph(scn)
+        made = 0
+        for b in [float("inf")] + budgets[::-1]:
+            trace: list = []
+            want = _outcome_or_error(oracles.greedy_reference,
+                                     replace(_fresh_graph(scn), budget=b), trace)
+            if want[0] is GraphError:
+                break
+            needs = sum(phase == 2 for phase, _, _ in trace)
+            _outcome_or_error(greedy_solve, replace(one, budget=b))
+            made = max(made, needs)
+            assert len(schedule.eval_context(one.graph, one.platform).greedy_prefix.moves) == made
+    # repair-heavy desk chains with no budget: phase 3 only, no phase-2 move
+    for n in (300, 3000):
+        sizes = np.random.default_rng(n).uniform(100, 1000, size=n)
+        scn = Scenario(graph=gen.chain_graph(sizes), platform=gen.desk_platform(),
+                       budget=float("inf"))
+        out = greedy_solve(scn)
+        assert out.iterations > n
+        assert schedule.eval_context(scn.graph, scn.platform).greedy_prefix.moves == []
 
 
 # ---------------------------------------------------------------- annealing
