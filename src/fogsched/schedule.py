@@ -119,7 +119,8 @@ class EvalContext:
     the fog, minus forwarding energy on the cloud) and `du_c` what it adds
     to the cloud's (revenue minus execution energy on the cloud).
     `greedy_prefix` is None until the first greedy solve on the context,
-    which keeps its budget-independent work there.
+    which keeps there its budget-independent work: the phase-1 tiers and
+    the budget repair's moves and cost totals, as far as made so far.
     """
 
     __slots__ = (

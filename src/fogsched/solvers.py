@@ -1,11 +1,12 @@
 """Placement solvers: greedy repair heuristic, simulated annealing, exhaustive
 search.
 
-All solvers are deterministic given the scenario seed.  They share mutable
-state through the graph: the EvalContext kept on it, and on that context
-greedy's budget-independent prefix, which a greedy solve extends.  Scenarios
-on different graph objects may be solved from parallel threads, but one
-graph must not be solved from two threads at once.
+All solvers are deterministic given the scenario seed.  Greedy's budget and
+fog-utility repairs are one mechanism (_Repair) with different keys and term
+tables.  The solvers share mutable state through the graph: the EvalContext
+kept on it, and on that context greedy's budget repair, which a greedy solve
+extends.  Scenarios on different graph objects may be solved from parallel
+threads, but one graph must not be solved from two threads at once.
 """
 from __future__ import annotations
 
@@ -96,86 +97,98 @@ def _outcome(scenario, ctx, tiers, core, iterations, t_start) -> SolveOutcome:
     )
 
 
-def _on_tier(tiers, tier, key) -> list:
-    """A (key, index) heap of the tasks on `tier`.  The repairs move a task
-    off a tier only through the heap that picked it, so no entry goes
-    stale."""
-    heap = [(key(i), i) for i, t in enumerate(tiers) if t == tier]
-    heapify(heap)
-    return heap
+def _greedy_start(ctx) -> list:
+    """Phase 1 of greedy_solve: each task's tier code, picked in id order."""
+    n = ctx.n
+    tiers = [0] * n
+    chosen = [0.0] * n
+    for i in range(n):
+        fin_l = _tier_step(ctx, i, _LOCAL, tiers, chosen)[3]
+        fin_f = _tier_step(ctx, i, _FOG, tiers, chosen)[3]
+        fin_c = _tier_step(ctx, i, _CLOUD, tiers, chosen)[3]
+        if fin_l < fin_f and fin_l < fin_c:
+            tiers[i], chosen[i] = _LOCAL, fin_l
+        elif ctx.rev_c[i] >= ctx.e_c[i]:
+            tiers[i], chosen[i] = _CLOUD, fin_c
+        else:
+            tiers[i], chosen[i] = _FOG, fin_f
+    return tiers
 
 
-class _GreedyPrefix:
-    """The part of greedy_solve that does not depend on the budget, kept on
-    the graph's EvalContext (`ctx.greedy_prefix`): the phase-1 tier codes
-    (`start`), the phase-2 moves as (task index, new tier code) in the order
-    the budget repair makes them, and `totals[k]`, the device cost total
-    after the first k moves, added up as the running sums of a full
-    evaluation add it.  The moves are made only as far as a solve's budget
-    needs (`stop`); the repair state to go on from is kept with them.
+class _Repair:
+    """One of greedy_solve's repairs: demotions of the tier codes `start`,
+    as (task index, new tier code) in the order they are made (`moves`),
+    and `totals[k]`, the total of one term table (`ctx.cost` or `ctx.du_f`)
+    after the first k moves.  The totals are added up as the running sums of
+    a full evaluation add them: a move re-adds the sums before each
+    topological position from the moved task's position on.
+
+    Moves are made only as far as a `stop` call needs, from two heaps built
+    on the first move, so every call must pass the same keys.  The key
+    functions are not kept, so an instance kept on the graph's EvalContext
+    pickles with it.
     """
 
-    __slots__ = ("start", "moves", "totals", "_cost_terms", "_run_cost", "_heaps")
+    __slots__ = ("start", "moves", "totals", "_table", "_terms", "_sums", "_heaps")
 
-    def __init__(self, ctx):
-        # Phase 1: initial pass over tasks in order.
-        n = ctx.n
-        tiers = [0] * n
-        chosen = [0.0] * n
-        for i in range(n):
-            fin_l = _tier_step(ctx, i, _LOCAL, tiers, chosen)[3]
-            fin_f = _tier_step(ctx, i, _FOG, tiers, chosen)[3]
-            fin_c = _tier_step(ctx, i, _CLOUD, tiers, chosen)[3]
-            if fin_l < fin_f and fin_l < fin_c:
-                tiers[i], chosen[i] = _LOCAL, fin_l
-            elif ctx.rev_c[i] >= ctx.e_c[i]:
-                tiers[i], chosen[i] = _CLOUD, fin_c
-            else:
-                tiers[i], chosen[i] = _FOG, fin_f
+    def __init__(self, ctx, tiers, table):
         self.start = tuple(tiers)
-        # cost term of the task at each topological position, and the
-        # running sums before each position (index n: the total)
-        self._cost_terms = [ctx.cost[tiers[i]][i] for i in ctx.topo]
-        self._run_cost = list(accumulate(self._cost_terms, initial=0.0))
         self.moves = []
-        self.totals = [self._run_cost[n]]
-        self._heaps = (_on_tier(tiers, _CLOUD, ctx.e_c.__getitem__),
-                       _on_tier(tiers, _FOG, ctx.e_f.__getitem__))
+        self._table = table
+        # term of the task at each topological position, and the running
+        # sums before each position (index n: the total)
+        self._terms = [table[tiers[i]][i] for i in ctx.topo]
+        self._sums = list(accumulate(self._terms, initial=0.0))
+        self.totals = [self._sums[-1]]
+        self._heaps = None
 
-    def stop(self, ctx, limit: float) -> int:
-        """The fewest moves after which the total is within `limit`, making
-        moves until it is or no task is left to move; in the latter case
-        the total after the returned count still exceeds `limit`."""
+    def tiers(self, k: int) -> list:
+        """The tier codes after the first k moves."""
+        tiers = list(self.start)
+        for i, tier in self.moves[:k]:
+            tiers[i] = tier
+        return tiers
+
+    def add(self, ctx, i: int, tier: int) -> None:
+        """Move task i to `tier`, re-adding the sums from its position."""
+        d = ctx.pos[i]
+        terms, sums = self._terms, self._sums
+        terms[d] = self._table[tier][i]
+        sums[d:] = accumulate(terms[d:], initial=sums[d])
+        self.moves.append((i, tier))
+        self.totals.append(sums[-1])
+
+    def stop(self, ctx, done, cloud_key, fog_key) -> int:
+        """The fewest moves after which `done(total)` holds, making moves
+        until it does or no task is left to move; in the latter case it does
+        not hold after the returned count.  A move takes the cloud task with
+        the smallest `cloud_key` (None: the task stays) to the fog, or once
+        none is left, the fog task with the smallest `fog_key` to the
+        device; ties go to the lowest index.  Each heap entry leaves only
+        through the heap that holds it, so none goes stale."""
         totals = self.totals
         for k, total in enumerate(totals):
-            if total <= limit:
+            if done(total):
                 return k
-        while self._move(ctx):
-            if totals[-1] <= limit:
+        if self._heaps is None:
+            start = self.start
+            cloud = [(key, i) for i, t in enumerate(start)
+                     if t == _CLOUD and (key := cloud_key(i)) is not None]
+            fog = [(fog_key(i), i) for i, t in enumerate(start) if t == _FOG]
+            heapify(cloud)
+            heapify(fog)
+            self._heaps = cloud, fog
+        cloud, fog = self._heaps
+        while not done(totals[-1]):
+            if cloud:
+                i = heappop(cloud)[1]
+                heappush(fog, (fog_key(i), i))
+                self.add(ctx, i, _FOG)
+            elif fog:
+                self.add(ctx, heappop(fog)[1], _LOCAL)
+            else:
                 break
         return len(totals) - 1
-
-    def _move(self, ctx) -> bool:
-        """Phase 2's next move: the cloud task with the smallest cloud energy
-        to the fog, or once no cloud task is left, the fog task with the
-        smallest fog energy to the device.  False when no task is left."""
-        cloud_heap, fog_heap = self._heaps
-        if cloud_heap:
-            moved = heappop(cloud_heap)[1]
-            tier = _FOG
-            heappush(fog_heap, (ctx.e_f[moved], moved))
-        elif fog_heap:
-            moved = heappop(fog_heap)[1]
-            tier = _LOCAL
-        else:
-            return False
-        d = ctx.pos[moved]
-        self._cost_terms[d] = ctx.cost[tier][moved]
-        run_cost = self._run_cost
-        run_cost[d:] = accumulate(self._cost_terms[d:], initial=run_cost[d])
-        self.moves.append((moved, tier))
-        self.totals.append(run_cost[-1])
-        return True
 
 
 def greedy_solve(scenario: Scenario, trace: list | None = None) -> SolveOutcome:
@@ -197,24 +210,24 @@ def greedy_solve(scenario: Scenario, trace: list | None = None) -> SolveOutcome:
     cloud->fog or fog->local, so the loop count is bounded by 2N.  Ties
     between candidate tasks go to the lowest task id.
 
-    Phase 1 and the order of the phase-2 moves do not depend on the budget,
-    which only decides how many of those moves to make.  So they are kept on
-    the graph's EvalContext (see _GreedyPrefix), with the cost total after
-    each move, and every solve on the same graph and platform shares them:
-    a solve takes the first k moves after which the total is within the
-    budget, making further moves only when no kept total is, and replays
-    them on the phase-1 tiers.  Phase 3 and the final evaluation run per
-    solve.
-
-    The repairs read only the total cost and the fog utility.  Both are kept
-    as running sums before each topological position, and a move re-adds
-    them from the moved task's position with the evaluator's additions in
-    the evaluator's order, so every repair decision sees the bits a full
+    Both repairs are one mechanism (_Repair) with their own heap keys and
+    term table.  A repair re-adds its table's running sums from the moved
+    task's topological position with the evaluator's additions in the
+    evaluator's order, so every repair decision sees the bits a full
     evaluation would give; the schedule itself is evaluated once, for the
-    returned placement.  Each phase picks its moves from heaps keyed by its
-    rules, built when the phase starts.
+    returned placement.
 
-    If `trace` is given, (phase, task_id, total_cost) is appended per move.
+    Phase 1 and the order of the phase-2 moves do not depend on the budget,
+    which only decides how many of those moves to make.  So phase 2's repair
+    is kept on the graph's EvalContext (`greedy_prefix`), and every solve on
+    the same graph and platform shares it: a solve takes the first k moves
+    after which the cost total is within the budget, making further moves
+    only when no kept total is.  Phase 3 starts from the tiers after those k
+    moves and tracks only the fog utility; it and the final evaluation run
+    per solve.
+
+    If `trace` is given, (phase, task_id, total_cost) is appended per move;
+    the phase-3 cost totals are then re-added by replaying its moves.
     Raises Infeasible when all tasks are local and the budget still cannot be
     met.
     """
@@ -226,72 +239,48 @@ def greedy_solve(scenario: Scenario, trace: list | None = None) -> SolveOutcome:
             "(every edge must go from a lower to a higher id)"
         )
     ctx = eval_context(graph, scenario.platform)
-    n = ctx.n
     budget = scenario.budget
     prefix = ctx.greedy_prefix
     if prefix is None:
-        prefix = ctx.greedy_prefix = _GreedyPrefix(ctx)
+        prefix = ctx.greedy_prefix = _Repair(ctx, _greedy_start(ctx), ctx.cost)
 
-    # Phases 1 and 2 from the kept prefix: k budget-repair moves.
+    # Phase 2 from the kept repair: k budget-repair moves.
     limit = budget + TIME_TOL
-    k = prefix.stop(ctx, limit)
-    moves = prefix.moves[:k]
+    k = prefix.stop(ctx, lambda total: total <= limit, ctx.e_c.__getitem__,
+                    ctx.e_f.__getitem__)
     if trace is not None:
-        trace.extend((2, i + 1, total) for (i, _), total in zip(moves, prefix.totals[1:k + 1]))
+        trace.extend((2, i + 1, total)
+                     for (i, _), total in zip(prefix.moves[:k], prefix.totals[1:]))
     if prefix.totals[k] > limit:
         raise Infeasible(
             f"all tasks local, total energy {prefix.totals[k]} still exceeds "
             f"budget {budget}"
         )
-    tiers = list(prefix.start)
-    for i, tier in moves:
-        tiers[i] = tier
-    iterations = n + k
-
-    # cost and fog-utility term of the task at each topological position,
-    # and the running sums before each position (index n: the totals)
-    pos = ctx.pos
-    cost_terms = [ctx.cost[tiers[i]][i] for i in ctx.topo]
-    fog_terms = [ctx.du_f[tiers[i]][i] for i in ctx.topo]
-    run_cost = list(accumulate(cost_terms, initial=0.0))
-    run_fog = list(accumulate(fog_terms, initial=0.0))
-
-    def move(i, tier):
-        tiers[i] = tier
-        d = pos[i]
-        cost_terms[d] = ctx.cost[tier][i]
-        fog_terms[d] = ctx.du_f[tier][i]
-        run_cost[d:] = accumulate(cost_terms[d:], initial=run_cost[d])
-        run_fog[d:] = accumulate(fog_terms[d:], initial=run_fog[d])
-
-    def margin(i):
-        return ctx.rev_f[i] / ctx.e_f[i] if ctx.e_f[i] > 0 else inf
 
     # Phase 3: fog-utility repair.
-    heavy_heap = [
-        (-(ctx.e_s[i] / ctx.e_f[i]) if ctx.e_f[i] > 0 else -inf, i)
-        for i in range(n)
-        if tiers[i] == _CLOUD and ctx.e_s[i] > ctx.e_f[i]
-    ]
-    heapify(heavy_heap)
-    fog_heap = _on_tier(tiers, _FOG, margin)
-    while run_fog[n] < -TIME_TOL:
-        if heavy_heap:
-            moved = heappop(heavy_heap)[1]
-            move(moved, _FOG)
-            heappush(fog_heap, (margin(moved), moved))
-        elif fog_heap:
-            moved = heappop(fog_heap)[1]
-            move(moved, _LOCAL)
-        else:
-            # No move can raise fog utility; return as-is, the
-            # feasibility check will flag the utility constraint.
-            break
-        iterations += 1
-        if trace is not None:
-            trace.append((3, moved + 1, run_cost[n]))
+    e_s, e_f, rev_f = ctx.e_s, ctx.e_f, ctx.rev_f
 
-    return _outcome(scenario, ctx, tiers, _core_eval(ctx, tiers), iterations, t_start)
+    def heavy(i):
+        if e_s[i] <= e_f[i]:
+            return None
+        return -(e_s[i] / e_f[i]) if e_f[i] > 0 else -inf
+
+    def margin(i):
+        return rev_f[i] / e_f[i] if e_f[i] > 0 else inf
+
+    fog = _Repair(ctx, prefix.tiers(k), ctx.du_f)
+    # the negated repair test, so that a NaN total asks for no repair; with
+    # no task left to move the utility stays negative, and the feasibility
+    # check flags it
+    k3 = fog.stop(ctx, lambda u_f: not u_f < -TIME_TOL, heavy, margin)
+    if trace is not None:
+        cost = _Repair(ctx, fog.start, ctx.cost)
+        for i, tier in fog.moves:
+            cost.add(ctx, i, tier)
+        trace.extend((3, i + 1, total) for (i, _), total in zip(fog.moves, cost.totals[1:]))
+
+    tiers = fog.tiers(k3)
+    return _outcome(scenario, ctx, tiers, _core_eval(ctx, tiers), ctx.n + k + k3, t_start)
 
 
 def sa_solve(scenario: Scenario) -> SolveOutcome:
@@ -321,7 +310,7 @@ def sa_solve(scenario: Scenario) -> SolveOutcome:
         raise TypeError("sa_solve needs a Scenario carrying an SAConfig")
     ctx = eval_context(scenario.graph, scenario.platform)
     n = ctx.n
-    by_sum = ObjectiveMode(scenario.objective_mode) is ObjectiveMode.SUM_FINISH
+    by_sum = scenario.objective_mode is ObjectiveMode.SUM_FINISH
     budget = scenario.budget
     total_iterations = 0
 
@@ -385,7 +374,7 @@ def brute_force_solve(scenario: Scenario) -> SolveOutcome:
     if n > cap:
         raise TooLarge(f"{n} tasks exceed the exhaustive-search cap of {cap}")
     ctx = eval_context(scenario.graph, scenario.platform)
-    by_sum = ObjectiveMode(scenario.objective_mode) is ObjectiveMode.SUM_FINISH
+    by_sum = scenario.objective_mode is ObjectiveMode.SUM_FINISH
     limit = scenario.budget + TIME_TOL
     topo = ctx.topo
     is_sink = [False] * n

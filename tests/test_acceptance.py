@@ -236,10 +236,15 @@ def test_criterion_05_brute_force_exponential_growth():
             budget=float("inf"),
             solver_config=BruteForceConfig(),
         )
-        t0 = time.perf_counter()
-        out = brute_force_solve(scn)
-        times.append(time.perf_counter() - t0)
-        assert out.iterations == 3**n
+        # the fastest of three solves: a first solve and a load spike only
+        # ever add time
+        best = math.inf
+        for _ in range(3):
+            t0 = time.perf_counter()
+            out = brute_force_solve(scn)
+            best = min(best, time.perf_counter() - t0)
+            assert out.iterations == 3**n
+        times.append(best)
     x = np.array(ns, dtype=float)
     y = np.log(np.array(times))
     slope = float(np.polyfit(x, y, 1)[0])

@@ -309,6 +309,21 @@ def test_greedy_prefix_makes_only_the_moves_a_budget_needs():
         assert schedule.eval_context(scn.graph, scn.platform).greedy_prefix.moves == []
 
 
+def test_greedy_builds_repair_heaps_only_for_a_move(monkeypatch):
+    # chain40 at budget 20: the first solve makes the budget repair's moves
+    # and keeps them; a second solve reads the kept totals and needs no
+    # fog-utility move, so it builds no heap at all
+    scn = replace(load_scenario(bundled_scenario("chain40.scn")), budget=20.0)
+    trace: list = []
+    first = greedy_solve(scn, trace)
+    assert not any(phase == 3 for phase, _, _ in trace)
+    calls = []
+    monkeypatch.setattr(solvers, "heapify", lambda heap: calls.append(len(heap)))
+    second = greedy_solve(scn)
+    assert calls == []
+    assert second.placement == first.placement and second.iterations == first.iterations
+
+
 # ---------------------------------------------------------------- annealing
 
 
