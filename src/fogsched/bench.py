@@ -21,9 +21,8 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence, TextIO, Union
 
-import numpy as np
-
 from . import solvers as _solvers
+from ._rng import Stream
 from .model import (
     SOLVER_KINDS,
     CycleDetected,
@@ -33,6 +32,7 @@ from .model import (
     TaskGraph,
     TaskSpec,
     _require_finite,
+    _require_int,
     solver_kind,
 )
 from .scenario_io import load_scenario, resolve_scenario_path
@@ -94,6 +94,7 @@ class SweepSpec:
     def __post_init__(self):
         if self.parameter not in SWEEP_PARAMETERS:
             raise ValueError(f"parameter must be one of {SWEEP_PARAMETERS}")
+        _require_int(self, ("steps", "reps"))
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
         _check_reps(self.reps)
@@ -114,9 +115,20 @@ class SweepSpec:
             raise ValueError(f"solvers must not repeat, got {list(self.solvers)}")
 
     def values(self) -> list[float]:
+        """numpy.linspace(start, stop, steps), with its float arithmetic."""
+        start, stop = float(self.start), float(self.stop)
         if self.steps == 1:
-            return [float(self.start)]
-        return [float(v) for v in np.linspace(self.start, self.stop, self.steps)]
+            return [start]
+        div = self.steps - 1
+        delta = stop - start
+        step = delta / div
+        if step == 0:
+            # linspace scales by delta after dividing when the step underflows
+            values = [i / div * delta + start for i in range(self.steps)]
+        else:
+            values = [i * step + start for i in range(self.steps)]
+        values[-1] = stop
+        return values
 
 
 @dataclass(frozen=True)
@@ -252,11 +264,9 @@ def _apply_sweep_value(
         return replace(base, platform=replace(base.platform, fog=fog))
     # task_count: fresh chain per sweep value, sizes from a dedicated stream
     n = max(1, int(round(value)))
-    rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=base.seed, spawn_key=(1000, value_index))
-    )
-    lo, hi = spec.task_size_range
-    sizes = rng.uniform(lo, hi, size=n)
+    rng = Stream(base.seed, (1000, value_index))
+    lo, hi = map(float, spec.task_size_range)
+    sizes = [lo + (hi - lo) * rng.random() for _ in range(n)]
     return replace(base, graph=_chain_graph(sizes))
 
 

@@ -73,6 +73,18 @@ def _require_finite(where: str, obj, names=None) -> None:
             raise ValueError(f"{where}{name} must be finite, got {value!r}")
 
 
+def _require_int(obj, names) -> None:
+    """Store each named field as an int.  operator.index takes ints and numpy
+    integers (whose types define __index__) and refuses what int() would
+    truncate or parse (1.5, '2'); a bool is an int to it, so it is refused
+    first."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+            raise TypeError(f"{name} must be an integer, got {value!r}")
+        object.__setattr__(obj, name, index(value))
+
+
 @dataclass(frozen=True)
 class TaskSpec:
     """One sub-task: workload in CPU cycles, input data size in bits."""
@@ -355,6 +367,7 @@ class SAConfig:
     max_restarts: int = 50
 
     def __post_init__(self):
+        _require_int(self, ("neighbor_range", "max_restarts"))
         # an infinite t0 would never cool down to t_stop
         _require_finite("", self, ("t0", "t_stop"))
         if not 0 < self.cool < 1:
@@ -378,6 +391,7 @@ class BruteForceConfig:
     cap: int = 14
 
     def __post_init__(self):
+        _require_int(self, ("cap",))
         if self.cap < 1:
             raise ValueError("cap must be >= 1")
 
@@ -411,6 +425,8 @@ class Scenario:
             raise ValueError("budget must be a number, got nan")
         if self.budget < 0:
             raise ValueError("budget must be >= 0")
-        # numpy's seed streams take no negative entropy
+        _require_int(self, ("seed",))
+        # the seed is the entropy of the solvers' random streams
+        # (fogsched._rng), which take no negative entropy
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")

@@ -16,8 +16,7 @@ from heapq import heapify, heappop, heappush
 from itertools import accumulate
 from math import exp, inf
 
-import numpy as np
-
+from ._rng import Stream
 from .model import (
     BruteForceConfig,
     GraphError,
@@ -72,11 +71,12 @@ class SolveOutcome:
     wall_time: float
 
 
-def metropolis_accept(delta: float, temperature: float, rng: np.random.Generator) -> bool:
+def metropolis_accept(delta: float, temperature: float, rng: Stream) -> bool:
     """Accept a candidate whose objective changed by `delta`.
 
     Non-worsening moves are always accepted; worsening moves with probability
-    exp(-delta / temperature).  Draws from `rng` only for worsening moves.
+    exp(-delta / temperature).  Draws `rng.random()` only for worsening
+    moves; any object with that method will do, a numpy Generator included.
     """
     if delta <= 0:
         return True
@@ -299,10 +299,10 @@ def sa_solve(scenario: Scenario) -> SolveOutcome:
     TIME_TOL slack that check_feasibility allows.  If the final placement
     exceeds the budget the whole process restarts from a fresh random
     placement, up to max_restarts times; restart k draws from the dedicated
-    RNG stream (seed, k).  A proposal is evaluated by resuming the walk of
-    the current placement's evaluation at the moved task's topological
-    position, and re-walks nothing when the clamped step leaves the task's
-    tier unchanged.
+    stream Stream(seed, (k,)), numpy's PCG64 stream for that seed and spawn
+    key.  A proposal is evaluated by resuming the walk of the current
+    placement's evaluation at the moved task's topological position, and
+    re-walks nothing when the clamped step leaves the task's tier unchanged.
     """
     t_start = time.perf_counter()
     cfg = scenario.solver_config
@@ -315,18 +315,16 @@ def sa_solve(scenario: Scenario) -> SolveOutcome:
     total_iterations = 0
 
     for restart in range(cfg.max_restarts + 1):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=scenario.seed, spawn_key=(restart,))
-        )
-        tiers = rng.integers(1, 4, size=n).tolist()
+        rng = Stream(scenario.seed, (restart,))
+        tiers = [rng.integers(1, 4) for _ in range(n)]
         core = _core_eval(ctx, tiers)
         obj_cur = core.sum_finish if by_sum else core.makespan
         u_f = 0.0
         u_c = 0.0
         tem = cfg.t0
         while tem > cfg.t_stop and u_f >= 0 and u_c >= 0:
-            step = int(rng.integers(-cfg.neighbor_range, cfg.neighbor_range + 1))
-            idx = int(rng.integers(0, n))
+            step = rng.integers(-cfg.neighbor_range, cfg.neighbor_range + 1)
+            idx = rng.integers(0, n)
             cand = list(tiers)
             cand[idx] = min(_CLOUD, max(_LOCAL, cand[idx] + step))
             tem *= cfg.cool

@@ -2,8 +2,12 @@
 import csv
 import hashlib
 import io
+import json
 import math
+import os
 import pickle
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -485,8 +489,8 @@ def test_csv_floats_roundtrip(tmp_path):
 
 
 def test_negative_seeds_rejected_at_the_boundary(tmp_path, capsys):
-    # numpy's seed streams refuse negative entropy, so a negative seed would
-    # only fail inside the annealing solves
+    # the solvers' seed streams refuse negative entropy, so a negative seed
+    # would only fail inside the annealing solves
     text = bundled_scenario("fig4.scn").read_text(encoding="utf-8")
     assert "\nseed: 1\n" in text
     path = tmp_path / "negative.scn"
@@ -545,3 +549,93 @@ def test_golden_output_digests(tmp_path, capsys):
         "fig4 compare": hashlib.sha256(capsys.readouterr().out.encode()).hexdigest(),
     }
     assert got == GOLDEN_SHA256
+
+
+# sha256 of sweep CSVs over the paths the golden digests above do not reach:
+# task_count chains (sizes drawn uniformly from their own streams) and
+# linspace values that are not exact multiples; recorded while numpy still
+# drew the streams and spaced the values
+SWEEP_SHA256 = {
+    "chain40 task_count sweep": "553f13ba2719d02c04a116c837e9c5851af13aa75c202a110eb1a7cf589dd03d",
+    "fig4 data_size sweep": "de1ae4f74a6eee572774ed695e3fc3a875109b0f8d5b7ae2153b38727586378f",
+    "fig4 fog_price sweep": "68fda52a0e3b291b1726a027d61cd9b686b87ea1372c446f1c59d4b99970c93f",
+}
+
+
+def test_sweep_output_digests(tmp_path):
+    sweeps = {
+        "chain40 task_count sweep": ("chain40.scn", bench.SweepSpec(
+            "task_count", 5.0, 60.0, 10, reps=2, solvers=("greedy", "sa"))),
+        "fig4 data_size sweep": ("fig4.scn", bench.SweepSpec(
+            "data_size", 0.25, 3.0, 7, reps=2, solvers=("greedy", "sa"))),
+        "fig4 fog_price sweep": ("fig4.scn", bench.SweepSpec(
+            "fog_price", 0.0005, 0.003, 6, reps=2, solvers=("greedy", "sa", "brute"))),
+    }
+    got = {}
+    for name, (scenario, spec) in sweeps.items():
+        out = tmp_path / "sweep.csv"
+        bench.sweep(scenario, spec, out, workers=1)
+        got[name] = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert got == SWEEP_SHA256
+
+
+# runs `cli.main` on each (argv, stdout file) pair of argv[1] with numpy
+# blocked: any import of it raises ImportError, in pool workers too (forked)
+_WITHOUT_NUMPY = """
+import contextlib, json, sys
+sys.modules["numpy"] = None
+from fogsched import cli
+for argv, out in json.loads(sys.argv[1]):
+    with open(out, "w", encoding="utf-8") as fh, contextlib.redirect_stdout(fh):
+        rc = cli.main(argv)
+    if rc:
+        sys.exit(f"{argv} exited {rc}")
+"""
+
+
+def _without_wall_time(text):
+    rows = list(csv.reader(io.StringIO(text)))
+    col = rows[0].index("wall_time")
+    return [row[:col] + row[col + 1:] for row in rows]
+
+
+def test_cli_runs_without_numpy(tmp_path, monkeypatch, capsys):
+    src = str(Path(bench.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "FOGSCHED_WORKERS": "2"}
+    probe = "import sys, fogsched.cli; print('numpy' in sys.modules)"
+    imported = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                              text=True, check=True, timeout=60)
+    assert imported.stdout == "False\n"
+
+    calls = [
+        ["validate", "--scenario", "chain40.scn"],
+        ["run", "--scenario", "fig4.scn", "--solver", "sa", "--reps", "3"],
+        ["compare", "--scenario", "fig4.scn", "--reps", "3"],
+        ["sweep", "--scenario", "chain40.scn", "--param", "budget", "--from", "0.5",
+         "--to", "100", "--steps", "21", "--reps", "2", "--solvers", "greedy,sa",
+         "--out", "budget.csv"],
+        ["sweep", "--scenario", "fig4.scn", "--param", "task_count", "--from", "3",
+         "--to", "9", "--steps", "4", "--solvers", "greedy,sa,brute", "--out", "chains.csv"],
+    ]
+    outputs = [f"{argv[0]}{k}.out" for k, argv in enumerate(calls)]
+    sub, here = tmp_path / "sub", tmp_path / "here"
+    sub.mkdir()
+    here.mkdir()
+    subprocess.run([sys.executable, "-c", _WITHOUT_NUMPY, json.dumps(list(zip(calls, outputs)))],
+                   cwd=sub, env=env, check=True, timeout=300)
+
+    monkeypatch.chdir(here)
+    monkeypatch.setenv("FOGSCHED_WORKERS", "2")
+    for argv, out in zip(calls, outputs):
+        assert cli.main(argv) == 0
+        Path(out).write_text(capsys.readouterr().out, encoding="utf-8")
+    names = sorted(p.name for p in here.iterdir())
+    assert names == sorted(p.name for p in sub.iterdir())
+    for name in names:
+        blocked, plain = (d / name for d in (sub, here))
+        if name.startswith("run"):
+            # `run` reports measured wall time
+            text = [p.read_text(encoding="utf-8") for p in (blocked, plain)]
+            assert _without_wall_time(text[0]) == _without_wall_time(text[1])
+        else:
+            assert blocked.read_bytes() == plain.read_bytes(), name

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
-from fogsched import scenario_io
+from fogsched import bench, scenario_io
 from fogsched import (
     BruteForceConfig,
     CycleDetected,
@@ -294,6 +294,34 @@ def test_scenario_rejects_negative_budget():
     g = TaskGraph(_tasks(1))
     with pytest.raises(ValueError):
         Scenario(graph=g, platform=gen.desk_platform(), budget=-1.0)
+
+
+def test_integer_fields_reject_what_they_would_coerce():
+    g = TaskGraph(_tasks(1))
+    platform = gen.desk_platform()
+    for bad in (1.5, 2.0, True, "3", None):
+        with pytest.raises(TypeError, match="seed must be an integer"):
+            Scenario(graph=g, platform=platform, seed=bad)
+        with pytest.raises(TypeError, match="neighbor_range must be an integer"):
+            SAConfig(neighbor_range=bad)
+        with pytest.raises(TypeError, match="max_restarts must be an integer"):
+            SAConfig(max_restarts=bad)
+        with pytest.raises(TypeError, match="cap must be an integer"):
+            BruteForceConfig(cap=bad)
+        with pytest.raises(TypeError, match="steps must be an integer"):
+            bench.SweepSpec("budget", 1.0, 2.0, bad)
+        with pytest.raises(TypeError, match="reps must be an integer"):
+            bench.SweepSpec("budget", 1.0, 2.0, 2, reps=bad)
+    # numpy integers are integers, kept as plain ints
+    scn = Scenario(graph=g, platform=platform, seed=np.uint32(7))
+    cfg = SAConfig(neighbor_range=np.int64(2), max_restarts=np.int8(4))
+    cap = BruteForceConfig(cap=np.int16(9)).cap
+    assert (scn.seed, cfg.neighbor_range, cfg.max_restarts, cap) == (7, 2, 4, 9)
+    assert {type(scn.seed), type(cfg.neighbor_range), type(cfg.max_restarts), type(cap)} == {int}
+    spec = bench.SweepSpec("budget", 1.0, 2.0, np.int64(3), reps=np.uint8(2))
+    assert (spec.steps, spec.reps, spec.values()) == (3, 2, [1.0, 1.5, 2.0])
+    with pytest.raises(ValueError, match="neighbor_range must be >= 1"):
+        SAConfig(neighbor_range=np.int64(0))
 
 
 def test_scenario_rejects_negative_seed():
