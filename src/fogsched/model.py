@@ -66,9 +66,12 @@ def _require_finite(where: str, obj, names=None) -> None:
     """Reject NaN and +-inf fields (by default every numeric field).  NaN
     passes every range check (each comparison with it is False) and an
     infinity breaks the cost model, so either would silently switch a
-    constraint off."""
+    constraint off.  A bool is a Real that would pass as 0 or 1, so it is
+    refused, as _require_int refuses it."""
     for name in names or [f.name for f in fields(obj)]:
         value = getattr(obj, name)
+        if isinstance(value, bool):
+            raise TypeError(f"{where}{name} must be a number, got {value!r}")
         if isinstance(value, Real) and not math.isfinite(value):
             raise ValueError(f"{where}{name} must be finite, got {value!r}")
 
@@ -420,7 +423,10 @@ class Scenario:
 
     def __post_init__(self):
         object.__setattr__(self, "objective_mode", ObjectiveMode(self.objective_mode))
-        # budget = inf disables C7; NaN would do so silently
+        # budget = inf disables C7; NaN would do so silently, and a bool
+        # would pass as 0 or 1
+        if isinstance(self.budget, bool):
+            raise TypeError(f"budget must be a number, got {self.budget!r}")
         if math.isnan(self.budget):
             raise ValueError("budget must be a number, got nan")
         if self.budget < 0:

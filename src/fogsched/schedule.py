@@ -17,10 +17,13 @@ derives every ready/finish time:
 The walk state is one (tier code, finish time) pair per task: a step reads
 each predecessor's tier to tell which of the three maxima its finish time
 feeds.  Tasks without predecessors take 0 for every predecessor maximum.
-Only the public TaskSchedule spreads a task over per-tier fields, with 0 on
-the tiers the task is not assigned to.  There is no machine contention: any
-number of tasks may execute concurrently on one tier, only precedence
-serializes work.
+Greedy's first phase and the exhaustive search need a task's finish time on
+all three tiers at once; one scan of its predecessors gives the three maxima,
+from which `_finishes` makes the step's additions for each tier, so it gives
+the evaluator's bits without a scan per tier.  Only the public TaskSchedule
+spreads a task over per-tier fields, with 0 on the tiers the task is not
+assigned to.  There is no machine contention: any number of tasks may execute
+concurrently on one tier, only precedence serializes work.
 
 Each per-tier cost and utility term is defined once, as a table on
 EvalContext indexed by tier code.  Makespan is the largest sink finish time.
@@ -218,6 +221,49 @@ def _tier_step(ctx, i, tier, tiers, chosen):
     if fwd > ready:
         ready = fwd
     return ready, up, fwd, ctx.tau_c[i] + ready
+
+
+def _finishes(ctx, i, tiers, chosen):
+    """Finish times of task i on local, fog and cloud, as
+    `_tier_step(ctx, i, tier, tiers, chosen)[3]` gives them for each tier,
+    from one scan of the predecessors.  The local ready time is the largest
+    of the three per-tier maxima, which is the largest predecessor finish
+    time exactly; the offloaded tiers make `_tier_step`'s additions in its
+    order."""
+    ml = 0.0
+    mf = 0.0
+    mc = 0.0
+    for k in ctx.preds[i]:
+        v = chosen[k]
+        t = tiers[k]
+        if t == _LOCAL:
+            if v > ml:
+                ml = v
+        elif t == _FOG:
+            if v > mf:
+                mf = v
+        elif v > mc:
+            mc = v
+    ready = ml
+    if mf > ready:
+        ready = mf
+    if mc > ready:
+        ready = mc
+    fin_l = ctx.tau_l[i] + ready
+    up = ctx.tau_t[i] + ml
+    ready = up
+    if mf > ready:
+        ready = mf
+    if mc > ready:
+        ready = mc
+    fin_f = ctx.tau_f[i] + ready
+    fwd = ctx.tau_r[i] + mf
+    ready = up + ctx.tau_r[i]
+    if mc > ready:
+        ready = mc
+    if fwd > ready:
+        ready = fwd
+    return fin_l, fin_f, ctx.tau_c[i] + ready
 
 
 class _Core(NamedTuple):

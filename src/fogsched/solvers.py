@@ -32,7 +32,7 @@ from .schedule import (
     TIME_TOL,
     ScheduleResult,
     _core_eval,
-    _tier_step,
+    _finishes,
     check_feasibility,
     eval_context,
 )
@@ -60,8 +60,8 @@ class SolveOutcome:
 
     `feasible` is the verdict of check_feasibility on the returned placement;
     `iterations` counts solver steps (greedy: initial pass plus repair moves,
-    annealing: proposals across restarts, exhaustive: the 3^N placements
-    enumerated).
+    annealing: proposals across restarts, exhaustive: the placements its walk
+    tested, which is all 3^N).
     """
 
     placement: Placement
@@ -103,9 +103,7 @@ def _greedy_start(ctx) -> list:
     tiers = [0] * n
     chosen = [0.0] * n
     for i in range(n):
-        fin_l = _tier_step(ctx, i, _LOCAL, tiers, chosen)[3]
-        fin_f = _tier_step(ctx, i, _FOG, tiers, chosen)[3]
-        fin_c = _tier_step(ctx, i, _CLOUD, tiers, chosen)[3]
+        fin_l, fin_f, fin_c = _finishes(ctx, i, tiers, chosen)
         if fin_l < fin_f and fin_l < fin_c:
             tiers[i], chosen[i] = _LOCAL, fin_l
         elif ctx.rev_c[i] >= ctx.e_c[i]:
@@ -354,15 +352,20 @@ def brute_force_solve(scenario: Scenario) -> SolveOutcome:
     """Enumerate all 3^N placements and return the feasible optimum.
 
     The enumeration is a depth-first walk over tasks in topological order:
-    depth d places task topo[d] on local, fog, then cloud, and each
-    search-tree node takes one ready-time step from its prefix's tier codes
-    and finish times, and adds its terms from the context's tables to the
-    prefix's running makespan, sum of finish times, cost and utilities, in
-    the same order as the evaluator adds them.  A placement is
-    feasible when both utilities are non-negative and total cost is within
-    budget (precedence constraints hold by construction).  Ties keep the
-    optimum whose tiers, read in task-id order, come first lexicographically
-    (local < fog < cloud).  Raises TooLarge above the configured cap and
+    each search-tree node at depth d takes the finish times of task topo[d]
+    on local, fog and cloud from one predecessor scan (`_finishes`) over its
+    prefix's tier codes and finish times, and visits the three children in
+    that order, adding each one's terms to the prefix's running makespan,
+    sum of finish times, cost and utilities in the same order as the
+    evaluator adds them.  The terms of each depth are read from a row built
+    once per solve.  A node at the last depth tests its three leaves in
+    place: a placement is feasible when both utilities are non-negative and
+    total cost is within budget (precedence constraints hold by
+    construction), and only a feasible leaf's objective is compared with
+    the optimum's.  Nothing is pruned: `iterations` counts the leaves
+    tested, 3 per last-depth node, which is 3^N.  Ties keep the optimum
+    whose tiers, read in task-id order, come first lexicographically (local
+    < fog < cloud).  Raises TooLarge above the configured cap and
     Infeasible when nothing qualifies.
     """
     t_start = time.perf_counter()
@@ -374,46 +377,58 @@ def brute_force_solve(scenario: Scenario) -> SolveOutcome:
     ctx = eval_context(scenario.graph, scenario.platform)
     by_sum = scenario.objective_mode is ObjectiveMode.SUM_FINISH
     limit = scenario.budget + TIME_TOL
-    topo = ctx.topo
-    is_sink = [False] * n
-    for i in ctx.sinks:
-        is_sink[i] = True
-    # (tier, cost, fog-utility and cloud-utility term) per task and tier,
-    # read from the context's tables once per solve
-    steps = [
-        tuple((t, ctx.cost[t][i], ctx.du_f[t][i], ctx.du_c[t][i]) for t in (_LOCAL, _FOG, _CLOUD))
-        for i in range(n)
+    floor = -TIME_TOL
+    sinks = set(ctx.sinks)
+    # per topological position: the task, whether it is a sink, and per
+    # tier (local, fog, cloud) its tier code and cost, fog-utility and
+    # cloud-utility terms, read from the context's tables once per solve
+    rows = [
+        (i, i in sinks, tuple((t, ctx.cost[t][i], ctx.du_f[t][i], ctx.du_c[t][i])
+                              for t in (_LOCAL, _FOG, _CLOUD)))
+        for i in ctx.topo
     ]
+    last = n - 1
     tiers = [_LOCAL] * n
     chosen = [0.0] * n
     best_obj = inf
     best_tiers = None
+    leaves = 0
+
+    def keep(obj):
+        # a feasible leaf, whose tiers are in `tiers`
+        nonlocal best_obj, best_tiers
+        if obj < best_obj or (obj == best_obj and best_tiers is not None and tiers < best_tiers):
+            best_obj = obj
+            best_tiers = list(tiers)
 
     def visit(d, makespan, sum_finish, cost, u_f, u_c):
-        nonlocal best_obj, best_tiers
-        if d == n:
-            if u_f < -TIME_TOL or u_c < -TIME_TOL or cost > limit:
-                return
-            obj = sum_finish if by_sum else makespan
-            if obj < best_obj or (
-                obj == best_obj and best_tiers is not None and tiers < best_tiers
-            ):
-                best_obj = obj
-                best_tiers = list(tiers)
+        nonlocal leaves
+        i, sink, terms = rows[d]
+        fins = _finishes(ctx, i, tiers, chosen)
+        if d == last:
+            # the last task in topological order is a sink
+            leaves += 3
+            for (t, c, df, dc), fin in zip(terms, fins):
+                if u_f + df < floor or u_c + dc < floor or cost + c > limit:
+                    continue
+                tiers[i] = t
+                keep(sum_finish + fin if by_sum else fin if fin > makespan else makespan)
             return
-        i = topo[d]
-        sink = is_sink[i]
-        for t, c, df, dc in steps[i]:
-            fin = _tier_step(ctx, i, t, tiers, chosen)[3]
+        for (t, c, df, dc), fin in zip(terms, fins):
             tiers[i] = t
             chosen[i] = fin
             visit(d + 1, fin if sink and fin > makespan else makespan, sum_finish + fin,
                   cost + c, u_f + df, u_c + dc)
 
-    visit(0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    if n:
+        visit(0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    else:
+        # the empty placement: one leaf, within every budget
+        leaves = 1
+        keep(0.0)
     if best_tiers is None:
         raise Infeasible("no placement satisfies the utility and budget constraints")
-    return _outcome(scenario, ctx, best_tiers, _core_eval(ctx, best_tiers), 3**n, t_start)
+    return _outcome(scenario, ctx, best_tiers, _core_eval(ctx, best_tiers), leaves, t_start)
 
 
 def solve(scenario: Scenario) -> SolveOutcome:

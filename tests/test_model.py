@@ -324,6 +324,33 @@ def test_integer_fields_reject_what_they_would_coerce():
         SAConfig(neighbor_range=np.int64(0))
 
 
+def test_float_fields_reject_booleans():
+    # a bool is a Real that would pass every finiteness and range check as
+    # 0 or 1
+    g = TaskGraph(_tasks(1))
+    platform = gen.desk_platform()
+    for bad in (True, False):
+        with pytest.raises(TypeError, match="budget must be a number"):
+            Scenario(graph=g, platform=platform, budget=bad)
+        with pytest.raises(TypeError, match="t0 must be a number"):
+            SAConfig(t0=bad, t_stop=0.1)
+        with pytest.raises(TypeError, match="t_stop must be a number"):
+            SAConfig(t_stop=bad)
+        with pytest.raises(TypeError, match="task 1: workload must be a number"):
+            TaskSpec(1, bad, 1.0)
+        with pytest.raises(TypeError, match="data_size must be a number"):
+            TaskSpec(1, 1.0, bad)
+        with pytest.raises(TypeError, match="kappa must be a number"):
+            replace(platform, kappa=bad)
+        with pytest.raises(TypeError, match="fog price must be a number"):
+            replace(platform.fog, price=bad)
+        with pytest.raises(TypeError, match="start must be a number"):
+            bench.SweepSpec("budget", bad, 2.0, 3)
+    # ints and numpy floats stay numbers
+    assert Scenario(graph=g, platform=platform, budget=1).budget == 1
+    assert SAConfig(t0=np.float64(50.0)).t0 == 50.0
+
+
 def test_scenario_rejects_negative_seed():
     g = TaskGraph(_tasks(1))
     with pytest.raises(ValueError, match="seed must be >= 0, got -1"):

@@ -1,5 +1,6 @@
 """Schedule evaluator: hand-traced examples, constraint checks, and agreement
 with the naive fixed-point oracle."""
+import itertools
 import re
 from collections import Counter
 from dataclasses import replace
@@ -185,6 +186,39 @@ def test_resumed_walk_matches_full_walk():
         resumed = schedule._core_eval(ctx, cand, prev, start)
         assert repr(resumed) == repr(schedule._core_eval(ctx, cand))
         assert repr(prev) == before
+
+
+def test_finishes_match_three_tier_steps():
+    # one predecessor scan gives each tier's finish time bit for bit as
+    # _tier_step does, for every mix of predecessor tiers
+    rng = np.random.default_rng(64)
+    mixes = Counter()
+    shuffled = 0
+    for k in range(150):
+        scn = gen.random_scenario(rng, n_max=9)
+        graph = gen.permute_ids(rng, scn.graph) if k % 2 else scn.graph
+        ctx = schedule.EvalContext(graph, scn.platform)
+        n = ctx.n
+        for i, ps in enumerate(ctx.preds):
+            # the first three predecessors take every tier mix, the others
+            # random tiers
+            for mix in itertools.product((1, 2, 3), repeat=min(len(ps), 3)):
+                tiers = [int(v) for v in rng.integers(1, 4, size=n)]
+                for p, t in zip(ps, mix):
+                    tiers[p] = t
+                # finish times with exact ties among predecessors now and then
+                if rng.random() < 0.3:
+                    chosen = [float(v) for v in rng.integers(0, 4, size=n)]
+                else:
+                    chosen = [float(v) for v in rng.uniform(0.0, 3000.0, size=n)]
+                got = schedule._finishes(ctx, i, tiers, chosen)
+                want = tuple(schedule._tier_step(ctx, i, t, tiers, chosen)[3] for t in (1, 2, 3))
+                assert [v.hex() for v in got] == [v.hex() for v in want]
+                mixes[frozenset(tiers[p] for p in ps)] += 1
+        shuffled += any(a > b for a, b in graph.edges)
+    # no predecessor, and every non-empty set of predecessor tiers
+    assert len(mixes) == 8 and min(mixes.values()) > 20
+    assert shuffled > 30
 
 
 def _priced_platform(kappa=0.0, fog_beta=0.0, cloud_beta=0.0, forward_power=0.0):

@@ -521,6 +521,13 @@ def test_brute_single_task_picks_best_feasible_tier():
     assert out.iterations == 3
 
 
+def test_brute_on_no_tasks_tests_the_empty_placement():
+    scn = Scenario(graph=TaskGraph([]), platform=_single_task_platform(), budget=0.0,
+                   solver_config=BruteForceConfig())
+    out = brute_force_solve(scn)
+    assert (out.placement.assignment, out.iterations, out.feasible) == ({}, 1, True)
+
+
 def test_brute_infeasible_when_budget_zero():
     tasks = [TaskSpec(1, 100.0, 100.0)]
     platform = Platform(
@@ -575,7 +582,8 @@ def test_brute_tie_break_prefers_local():
 
 def _assert_brute_matches_oracle(scn):
     """The prefix-sharing walk against the straightforward enumeration:
-    same placement, same evaluation, same count, or Infeasible from both."""
+    same placement, same evaluation, the same count of placements tested
+    (3^N), or Infeasible from both."""
     want, count = oracles.exhaustive_optimum(scn)
     if want is None:
         with pytest.raises(Infeasible):
@@ -638,16 +646,92 @@ def test_brute_matches_oracle_on_exact_ties():
 
 
 def test_brute_matches_oracle_at_the_budget_tolerance():
-    # the budget sits half a tolerance under the unconstrained optimum's
-    # cost: C7 allows that much slack, so the optimum stays feasible
+    # C7 admits a cost up to the budget plus TIME_TOL: a budget at exactly a
+    # placement's cost, or half or a whole tolerance under it, admits the
+    # placement, and one and a half tolerances under it refuse it.  The
+    # placements are the unconstrained optimum and a random one.
     rng = np.random.default_rng(2028)
-    for _ in range(20):
+    tol = schedule.TIME_TOL
+    refused = 0
+    for k in range(30):
         scn = replace(gen.random_scenario(rng, n_max=6), budget=float("inf"),
+                      objective_mode=ObjectiveMode.SUM_FINISH if k % 2 else ObjectiveMode.MAKESPAN,
                       solver_config=BruteForceConfig())
-        cost = brute_force_solve(scn).result.total_cost
-        scn = replace(scn, budget=max(0.0, cost - schedule.TIME_TOL / 2))
-        assert _assert_brute_matches_oracle(scn)
-        assert brute_force_solve(scn).result.total_cost == cost
+        free = brute_force_solve(scn)
+        other = evaluate(scn.graph, gen.random_placement(rng, scn.graph), scn.platform)
+        for cost in (free.result.total_cost, other.total_cost):
+            for budget in (cost, cost - tol / 2, cost - tol, cost - 1.5 * tol):
+                if budget < 0:
+                    continue
+                at = replace(scn, budget=budget)
+                admitted = budget > cost - 1.5 * tol
+                if not _assert_brute_matches_oracle(at):
+                    assert not (admitted and cost == free.result.total_cost)
+                    continue
+                got = brute_force_solve(at)
+                assert got.result.total_cost <= budget + tol
+                if cost == free.result.total_cost:
+                    assert (got.placement == free.placement) == admitted
+                    refused += not admitted
+    assert refused > 20
+
+
+def test_brute_matches_oracle_on_one_task():
+    # the root is the last depth: its three leaves are tested in place
+    rng = np.random.default_rng(2029)
+    tiers = Counter()
+    for k in range(60):
+        w = float(rng.uniform(50.0, 1000.0))
+        graph = gen.chain_graph([w], [w * float(rng.uniform(0.5, 2.0))])
+        platform = gen.desk_platform(rng)
+        scn = Scenario(
+            graph=graph,
+            platform=platform,
+            budget=float(rng.uniform(0.3, 1.5)) * platform.fog.price * graph.tasks[0].data_size,
+            objective_mode=ObjectiveMode.MAKESPAN if k % 2 else ObjectiveMode.SUM_FINISH,
+            solver_config=BruteForceConfig(),
+        )
+        if _assert_brute_matches_oracle(scn):
+            tiers[brute_force_solve(scn).placement.assignment[1]] += 1
+    assert len(tiers) >= 2
+
+
+def test_brute_matches_oracle_with_several_sinks():
+    rng = np.random.default_rng(2030)
+    sinks = []
+    for k in range(60):
+        graph = gen.random_dag(rng, int(rng.integers(3, 8)), p_edge=0.25)
+        if k % 2:
+            graph = gen.permute_ids(rng, graph)
+        sinks.append(len(schedule.eval_context(graph, gen.desk_platform()).sinks))
+        platform = gen.desk_platform(rng)
+        all_fog_cost = platform.fog.price * sum(t.data_size for t in graph.tasks)
+        scn = Scenario(
+            graph=graph,
+            platform=platform,
+            budget=float(rng.uniform(0.3, 1.5)) * all_fog_cost,
+            objective_mode=ObjectiveMode.SUM_FINISH if k % 4 < 2 else ObjectiveMode.MAKESPAN,
+            solver_config=BruteForceConfig(),
+        )
+        _assert_brute_matches_oracle(scn)
+    assert sum(s >= 2 for s in sinks) > 40
+
+
+def test_brute_ties_inside_a_last_depth_node_keep_the_first_leaf():
+    # independent tasks that finish at exactly 1.0 on every tier; device
+    # energy costs something and the budget is 0, so only offloaded
+    # placements are feasible and fog ties with cloud at every depth, the
+    # last one included: all-fog is the optimum
+    platform = replace(_tie_platform(), kappa=1.0)
+    for n in range(1, 6):
+        graph = TaskGraph([TaskSpec(i, 1.0, 0.5) for i in range(1, n + 1)])
+        for mode in ObjectiveMode:
+            scn = Scenario(graph=graph, platform=platform, budget=0.0, objective_mode=mode,
+                           solver_config=BruteForceConfig())
+            assert _assert_brute_matches_oracle(scn)
+            out = brute_force_solve(scn)
+            assert set(out.placement.assignment.values()) == {Tier.FOG}
+            assert out.result.makespan == 1.0
 
 
 def test_brute_matches_oracle_when_infeasible():
