@@ -5,12 +5,14 @@ Sweep cells (sweep value x solver x repetition) are independent and may be
 computed by a process pool (FOGSCHED_WORKERS, default: the number of CPUs
 this process may run on, per its CPU affinity where the OS reports one); rows
 are sorted by (sweep_value, solver, seed) before the single writer emits
-them, so parallelism never changes the output.  A pool worker gets the base
-scenario once, when it starts, and each cell only as (value index, solver,
-rep), so a worker keeps one graph, with its EvalContext and greedy's
-budget-independent prefix (see solvers.greedy_solve), for all of its cells.  Sweep CSV stores wall_time as
-0.0 to keep files byte-identical across runs; `run` and `compare` report
-measured wall time.
+them, so parallelism never changes the output.  Each sweep value's scenario
+is derived from the base scenario once, before any cell is solved; a pool
+worker gets these scenarios once, when it starts, and each cell only as
+(value index, solver, rep), so every cell of one value solved in one process
+shares one graph, with its EvalContext and greedy's budget-independent
+prefix (see solvers.greedy_solve).  Sweep CSV stores wall_time as 0.0 to
+keep files byte-identical across runs; `run` and `compare` report measured
+wall time.
 """
 from __future__ import annotations
 
@@ -102,6 +104,8 @@ class SweepSpec:
         if self.start > self.stop:
             raise ValueError("start must be <= stop")
         size = tuple(self.task_size_range)
+        if any(isinstance(v, bool) for v in size):
+            raise TypeError(f"task_size_range must hold numbers, got {size}")
         if not (len(size) == 2 and all(map(math.isfinite, size)) and 0 <= size[0] <= size[1]):
             raise ValueError(
                 f"task_size_range must be finite lo,hi with 0 <= lo <= hi, got {size}"
@@ -272,19 +276,20 @@ def _apply_sweep_value(
 
 class _SweepCells:
     """Solves the cells of one sweep, each given as (value index, solver,
-    rep), against the base scenario it holds."""
+    rep), against the scenario of each sweep value, derived once from the
+    base scenario, so that every cell of a value shares its graph and the
+    graph's EvalContext."""
 
     def __init__(self, base: Scenario, spec: SweepSpec, scenario_id: str, verify: bool):
-        self.base, self.spec, self.scenario_id, self.verify = base, spec, scenario_id, verify
+        self.seed, self.scenario_id, self.verify = base.seed, scenario_id, verify
         self.values = spec.values()
+        self.scenarios = [_apply_sweep_value(base, spec, value, vi)
+                          for vi, value in enumerate(self.values)]
 
     def __call__(self, cell) -> ResultRow:
         value_index, solver, rep = cell
-        value = self.values[value_index]
-        scenario = _apply_sweep_value(self.base, self.spec, value, value_index)
-        return _solve_one(
-            scenario, self.scenario_id, solver, self.base.seed + rep, value, self.verify
-        )
+        return _solve_one(self.scenarios[value_index], self.scenario_id, solver,
+                          self.seed + rep, self.values[value_index], self.verify)
 
 
 # the sweep of a pool worker process, set once when the worker starts
@@ -324,8 +329,9 @@ def sweep(
 ) -> list[ResultRow]:
     """Run a parameter sweep and write one CSV file.
 
-    The source scenario file is never modified; each cell derives a fresh
-    scenario from it.  Output rows are sorted by (sweep_value, solver, seed).
+    The source scenario file is never modified; each sweep value derives
+    its scenario from it once.  Output rows are sorted by (sweep_value,
+    solver, seed).
     """
     path = resolve_scenario_path(scenario_path)
     solve_cell = _SweepCells(load_scenario(path), spec, path.stem, verify)
@@ -341,8 +347,8 @@ def sweep(
         # modules), which run, compare and validate never use
         from concurrent.futures import ProcessPoolExecutor
 
-        # each worker gets the base scenario once, so it keeps one graph,
-        # one EvalContext and one greedy prefix for all of its cells
+        # each worker gets the value scenarios once, so it keeps one graph,
+        # one EvalContext and one greedy prefix per sweep value
         with ProcessPoolExecutor(
             max_workers=n_workers, initializer=_init_worker, initargs=(solve_cell,)
         ) as pool:

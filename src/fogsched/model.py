@@ -76,16 +76,19 @@ def _require_finite(where: str, obj, names=None) -> None:
             raise ValueError(f"{where}{name} must be finite, got {value!r}")
 
 
+def _to_int(name: str, value) -> int:
+    """`value` as an int.  operator.index takes ints and numpy integers
+    (whose types define __index__) and refuses what int() would truncate or
+    parse (1.5, '2'); a bool is an int to it, so it is refused first."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return index(value)
+
+
 def _require_int(obj, names) -> None:
-    """Store each named field as an int.  operator.index takes ints and numpy
-    integers (whose types define __index__) and refuses what int() would
-    truncate or parse (1.5, '2'); a bool is an int to it, so it is refused
-    first."""
+    """Store each named field as an int, as _to_int takes it."""
     for name in names:
-        value = getattr(obj, name)
-        if isinstance(value, bool) or not hasattr(type(value), "__index__"):
-            raise TypeError(f"{name} must be an integer, got {value!r}")
-        object.__setattr__(obj, name, index(value))
+        object.__setattr__(obj, name, _to_int(name, getattr(obj, name)))
 
 
 @dataclass(frozen=True)
@@ -97,6 +100,7 @@ class TaskSpec:
     data_size: float
 
     def __post_init__(self):
+        _require_int(self, ("id",))
         _require_finite(f"task {self.id}: ", self)
         if self.workload < 0:
             raise ValueError(f"task {self.id}: workload must be >= 0")
@@ -136,7 +140,10 @@ class TaskGraph:
     def __init__(self, tasks, edges=()):
         object.__setattr__(self, "tasks", tuple(sorted(tasks, key=attrgetter("id"))))
         object.__setattr__(
-            self, "edges", tuple(sorted({(int(a), int(b)) for a, b in edges}))
+            self,
+            "edges",
+            tuple(sorted({(_to_int("edge endpoint", a), _to_int("edge endpoint", b))
+                          for a, b in edges})),
         )
         if [t.id for t in self.tasks] != list(range(1, len(self.tasks) + 1)):
             raise GraphError("task ids must be exactly 1..N and unique")

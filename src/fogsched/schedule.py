@@ -35,13 +35,17 @@ down its search tree, and the evaluator keeps the running sums at every
 topological position, so a placement that differs from an evaluated one
 only from some position on is evaluated by resuming the walk there.
 
+One record holds each evaluation: `_core_eval` returns the ScheduleResult,
+which keeps the walk's per-task lists and running sums and builds its
+TaskSchedule rows only when they are read.  `check_feasibility` reads those
+lists and returns a FeasibilityReport holding only the violations found.
+
 Everything is pure: identical inputs give bit-identical results.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import attrgetter, neg, sub
-from typing import NamedTuple
 
 from . import costs as _costs
 from .model import (
@@ -82,30 +86,26 @@ class TaskSchedule:
     cost: float
 
 
+def _holds(name: str) -> property:
+    return property(lambda report: all(v[0] != name for v in report.violations),
+                    doc=f"{name} holds: no violation names it.")
+
+
 @dataclass(frozen=True)
 class FeasibilityReport:
-    """Outcome of the seven constraint checks."""
+    """Outcome of the seven constraint checks: the violations found, each as
+    (constraint name, task id or 0, message).  Constraint Ck holds when no
+    violation names it; C5 (one tier per task) and C6 (binary indicators)
+    hold by construction, as a result holds a single tier code per task."""
 
-    c1_ok: bool
-    c2_ok: bool
-    c3_ok: bool
-    c4_ok: bool
-    c5_ok: bool
-    c6_ok: bool
-    c7_ok: bool
     violations: tuple[tuple[str, int, str], ...] = ()
+
+    c1_ok, c2_ok, c3_ok, c4_ok, c7_ok = map(_holds, ("C1", "C2", "C3", "C4", "C7"))
+    c5_ok = c6_ok = True
 
     @property
     def feasible(self) -> bool:
-        return (
-            self.c1_ok
-            and self.c2_ok
-            and self.c3_ok
-            and self.c4_ok
-            and self.c5_ok
-            and self.c6_ok
-            and self.c7_ok
-        )
+        return not self.violations
 
 
 class EvalContext:
@@ -266,49 +266,41 @@ def _finishes(ctx, i, tiers, chosen):
     return fin_l, fin_f, ctx.tau_c[i] + ready
 
 
-class _Core(NamedTuple):
-    """Evaluation of one placement as flat per-task lists (0-indexed).
-
-    `ready` holds each task's ready time and `chosen` its finish time, both
-    at its assigned tier; the transfer finishes are 0 where a task makes no
-    such transfer.  `run[d]` holds the running (sum of finish times, cost,
-    fog utility, cloud utility) over the tasks at topological positions
-    before d, so `run[n]` holds the totals.
-    """
-
-    ready: list
-    finish_tx: list
-    finish_fwd: list
-    chosen: list
-    makespan: float
-    sum_finish: float
-    total_cost: float
-    fog_utility: float
-    cloud_utility: float
-    run: list
-
-
 class ScheduleResult:
-    """Full evaluation of one placement: the five totals and, built from the
-    evaluation's per-task lists on first read, the TaskSchedule rows.
-    `==`, `hash` and `repr` are those of a frozen record of the rows and
-    totals."""
+    """Evaluation of one placement, as `_core_eval` returns it.
 
-    __slots__ = ("_ctx", "_tiers", "_core", "_tasks")
+    It keeps the walk's per-task lists (0-indexed): each task's ready time
+    and finish time (`chosen`) at its assigned tier, its uplink and forward
+    finishes (0 where it makes no such transfer), and `run`, where `run[d]`
+    holds the running (sum of finish times, cost, fog utility, cloud
+    utility) over the tasks at topological positions before d.  The
+    constructor reads the four totals from `run[n]` into slots, so that
+    reading one costs a slot lookup.  `tiers` is kept, not copied.  The
+    TaskSchedule rows are built from the lists on first read.  `==`, `hash`
+    and `repr` are those of a frozen record of the rows and totals."""
 
-    def __init__(self, ctx: EvalContext, tiers, core: _Core):
-        self._ctx, self._tiers, self._core, self._tasks = ctx, tiers, core, None
+    __slots__ = ("_ctx", "_tiers", "_ready", "_finish_tx", "_finish_fwd", "_chosen", "_run",
+                 "_makespan", "_sum_finish", "_total_cost", "_fog_utility", "_cloud_utility",
+                 "_tasks")
 
-    makespan = property(attrgetter("_core.makespan"))
-    sum_finish = property(attrgetter("_core.sum_finish"))
-    total_cost = property(attrgetter("_core.total_cost"))
-    fog_utility = property(attrgetter("_core.fog_utility"))
-    cloud_utility = property(attrgetter("_core.cloud_utility"))
+    def __init__(self, ctx: EvalContext, tiers, ready, finish_tx, finish_fwd, chosen, run,
+                 makespan: float):
+        self._ctx, self._tiers, self._run, self._makespan = ctx, tiers, run, makespan
+        self._ready, self._finish_tx, self._finish_fwd, self._chosen = (
+            ready, finish_tx, finish_fwd, chosen)
+        self._sum_finish, self._total_cost, self._fog_utility, self._cloud_utility = run[-1]
+        self._tasks = None
+
+    makespan = property(attrgetter("_makespan"))
+    sum_finish = property(attrgetter("_sum_finish"))
+    total_cost = property(attrgetter("_total_cost"))
+    fog_utility = property(attrgetter("_fog_utility"))
+    cloud_utility = property(attrgetter("_cloud_utility"))
 
     @property
     def tasks(self) -> tuple[TaskSchedule, ...]:
         if self._tasks is None:
-            core, cost = self._core, self._ctx.cost
+            cost = self._ctx.cost
             self._tasks = tuple(
                 TaskSchedule(
                     i + 1,
@@ -325,7 +317,7 @@ class ScheduleResult:
                     cost[t][i],
                 )
                 for i, (t, r, tx, fwd, f) in enumerate(
-                    zip(self._tiers, core.ready, core.finish_tx, core.finish_fwd, core.chosen)
+                    zip(self._tiers, self._ready, self._finish_tx, self._finish_fwd, self._chosen)
                 )
             )
         return self._tasks
@@ -336,9 +328,8 @@ class ScheduleResult:
         return self.tasks[task_id - 1]
 
     def _fields(self) -> tuple:
-        core = self._core
-        return (self.tasks, core.makespan, core.sum_finish, core.total_cost,
-                core.fog_utility, core.cloud_utility)
+        return (self.tasks, self._makespan, self._sum_finish, self._total_cost,
+                self._fog_utility, self._cloud_utility)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -356,7 +347,9 @@ class ScheduleResult:
         )
 
 
-def _core_eval(ctx: EvalContext, tiers, prev: _Core | None = None, start: int = 0) -> _Core:
+def _core_eval(
+    ctx: EvalContext, tiers, prev: ScheduleResult | None = None, start: int = 0
+) -> ScheduleResult:
     """Evaluate one placement given as a 0-indexed sequence of tier codes.
 
     Finish times, cost and utilities are all accumulated in one walk in
@@ -378,11 +371,11 @@ def _core_eval(ctx: EvalContext, tiers, prev: _Core | None = None, start: int = 
     elif start >= n:
         return prev
     else:
-        ready = prev.ready.copy()
-        tft = prev.finish_tx.copy()
-        tfr = prev.finish_fwd.copy()
-        chosen = prev.chosen.copy()
-        run = prev.run.copy()
+        ready = prev._ready.copy()
+        tft = prev._finish_tx.copy()
+        tfr = prev._finish_fwd.copy()
+        chosen = prev._chosen.copy()
+        run = prev._run.copy()
     cost_t, du_f, du_c = ctx.cost, ctx.du_f, ctx.du_c
     sum_finish, cost, u_f, u_c = run[start]
     d = start
@@ -400,7 +393,7 @@ def _core_eval(ctx: EvalContext, tiers, prev: _Core | None = None, start: int = 
     for i in ctx.sinks:
         if chosen[i] > makespan:
             makespan = chosen[i]
-    return _Core(ready, tft, tfr, chosen, makespan, sum_finish, cost, u_f, u_c, run)
+    return ScheduleResult(ctx, tiers, ready, tft, tfr, chosen, run, makespan)
 
 
 def eval_context(graph: TaskGraph, platform: Platform) -> EvalContext:
@@ -421,9 +414,8 @@ def evaluate(graph: TaskGraph, placement: Placement, platform: Platform) -> Sche
     Both makespan and the sum of finish times are always reported.
     """
     validate_placement(placement, graph)
-    ctx = eval_context(graph, platform)
     tiers = [int(placement.assignment[t.id]) for t in graph.tasks]
-    return ScheduleResult(ctx, tiers, _core_eval(ctx, tiers))
+    return _core_eval(eval_context(graph, platform), tiers)
 
 
 def objective_value(result: ScheduleResult, mode: ObjectiveMode) -> float:
@@ -439,85 +431,57 @@ def check_feasibility(result: ScheduleResult, scenario: Scenario) -> Feasibility
     C1-C3 re-check each ready time against the precedence terms that define
     it, at the task's assigned tier (the finish times of a predecessor's
     unassigned tiers are 0 by convention and carry no constraint).  C4
-    checks both utilities, C5/C6 are guaranteed by the Placement type, C7
-    compares total cost to the budget.  All comparisons use absolute
-    tolerance TIME_TOL.  The checks read the evaluation's per-task lists,
-    not the result's rows.
+    checks both utilities, C5/C6 hold by construction, C7 compares total
+    cost to the budget.  All comparisons use absolute tolerance TIME_TOL.
+    The checks read the evaluation's per-task lists, not the result's rows,
+    and the report keeps only the violations, from which each constraint's
+    verdict follows.
     """
     ctx = eval_context(scenario.graph, scenario.platform)
     tiers = result._tiers
-    core = result._core
-    ready, tx, chosen = core.ready, core.finish_tx, core.chosen
+    ready, tx, chosen = result._ready, result._finish_tx, result._chosen
     violations: list[tuple[str, int, str]] = []
 
     def _on(k: int, tier: int) -> float:
         # predecessor k's finish time at `tier`
         return chosen[k] if tiers[k] == tier else 0.0
 
-    c1 = c2 = c3 = True
     for i, ps in enumerate(ctx.preds):
         tier = tiers[i]
         r = ready[i]
         if tier == _LOCAL:
             for k in ps:
                 if r < chosen[k] - TIME_TOL:
-                    c1 = False
                     violations.append(("C1", i + 1, f"ready_local {r} < finish of task {k + 1}"))
         elif tier == _FOG:
             if r < tx[i] - TIME_TOL:
-                c2 = False
                 violations.append(("C2", i + 1, "ready_fog precedes upload completion"))
             for k in ps:
                 if r < _on(k, _FOG) - TIME_TOL:
-                    c2 = False
                     violations.append(
                         ("C2", i + 1, f"ready_fog precedes fog finish of task {k + 1}")
                     )
                 if r < _on(k, _CLOUD) - TIME_TOL:
-                    c2 = False
                     violations.append(
                         ("C2", i + 1, f"ready_fog precedes cloud finish of task {k + 1}")
                     )
         else:
             if r < tx[i] + ctx.tau_r[i] - TIME_TOL:
-                c3 = False
                 violations.append(("C3", i + 1, "ready_cloud precedes upload + forward"))
-            if r < core.finish_fwd[i] - TIME_TOL:
-                c3 = False
+            if r < result._finish_fwd[i] - TIME_TOL:
                 violations.append(("C3", i + 1, "ready_cloud precedes forward completion"))
             for k in ps:
                 if r < _on(k, _CLOUD) - TIME_TOL:
-                    c3 = False
                     violations.append(
                         ("C3", i + 1, f"ready_cloud precedes cloud finish of task {k + 1}")
                     )
 
-    c4 = True
     if result.fog_utility < -TIME_TOL:
-        c4 = False
         violations.append(("C4", 0, f"fog utility {result.fog_utility} < 0"))
     if result.cloud_utility < -TIME_TOL:
-        c4 = False
         violations.append(("C4", 0, f"cloud utility {result.cloud_utility} < 0"))
-
-    # C5 (one tier per task) and C6 (binary indicators) hold structurally:
-    # the result holds a single tier code per task.
-    c5 = c6 = True
-
-    c7 = True
     if result.total_cost > scenario.budget + TIME_TOL:
-        c7 = False
         violations.append(
             ("C7", 0, f"total cost {result.total_cost} exceeds budget {scenario.budget}")
         )
-
-    return FeasibilityReport(
-        c1_ok=c1,
-        c2_ok=c2,
-        c3_ok=c3,
-        c4_ok=c4,
-        c5_ok=c5,
-        c6_ok=c6,
-        c7_ok=c7,
-        violations=tuple(violations),
-    )
+    return FeasibilityReport(tuple(violations))

@@ -19,7 +19,6 @@ from math import exp, inf
 from ._rng import Stream
 from .model import (
     BruteForceConfig,
-    GraphError,
     ObjectiveMode,
     Placement,
     SAConfig,
@@ -85,24 +84,23 @@ def metropolis_accept(delta: float, temperature: float, rng: Stream) -> bool:
     return rng.random() < exp(-delta / temperature)
 
 
-def _outcome(scenario, ctx, tiers, core, iterations, t_start) -> SolveOutcome:
-    result = ScheduleResult(ctx, tiers, core)
-    report = check_feasibility(result, scenario)
+def _outcome(scenario, tiers, result, iterations, t_start) -> SolveOutcome:
     return SolveOutcome(
         placement=Placement(dict(enumerate(tiers, 1))),
         result=result,
-        feasible=report.feasible,
+        feasible=check_feasibility(result, scenario).feasible,
         iterations=iterations,
         wall_time=time.perf_counter() - t_start,
     )
 
 
 def _greedy_start(ctx) -> list:
-    """Phase 1 of greedy_solve: each task's tier code, picked in id order."""
+    """Phase 1 of greedy_solve: each task's tier code, picked in
+    topological order."""
     n = ctx.n
     tiers = [0] * n
     chosen = [0.0] * n
-    for i in range(n):
+    for i in ctx.topo:
         fin_l, fin_f, fin_c = _finishes(ctx, i, tiers, chosen)
         if fin_l < fin_f and fin_l < fin_c:
             tiers[i], chosen[i] = _LOCAL, fin_l
@@ -192,10 +190,11 @@ class _Repair:
 def greedy_solve(scenario: Scenario, trace: list | None = None) -> SolveOutcome:
     """Three-phase greedy heuristic.
 
-    Phase 1 walks tasks in id order (ids must already be a topological
-    order) and picks, per task: local if the local finish beats both offload
-    finishes, otherwise cloud when the cloud price paid for the task covers
-    the cloud's execution energy, otherwise fog.
+    Phase 1 walks tasks in topological order (`ctx.topo`, which is id order
+    when the ids are a topological order) and picks, per task: local if the
+    local finish beats both offload finishes, otherwise cloud when the cloud
+    price paid for the task covers the cloud's execution energy, otherwise
+    fog.
 
     Phase 2 repairs the budget: while total cost exceeds it, move the cloud
     task with the smallest cloud energy to the fog; once no cloud task is
@@ -230,13 +229,7 @@ def greedy_solve(scenario: Scenario, trace: list | None = None) -> SolveOutcome:
     met.
     """
     t_start = time.perf_counter()
-    graph = scenario.graph
-    if any(a >= b for a, b in graph.edges):
-        raise GraphError(
-            "greedy_solve requires task ids to be a topological order "
-            "(every edge must go from a lower to a higher id)"
-        )
-    ctx = eval_context(graph, scenario.platform)
+    ctx = eval_context(scenario.graph, scenario.platform)
     budget = scenario.budget
     prefix = ctx.greedy_prefix
     if prefix is None:
@@ -278,7 +271,7 @@ def greedy_solve(scenario: Scenario, trace: list | None = None) -> SolveOutcome:
         trace.extend((3, i + 1, total) for (i, _), total in zip(fog.moves, cost.totals[1:]))
 
     tiers = fog.tiers(k3)
-    return _outcome(scenario, ctx, tiers, _core_eval(ctx, tiers), ctx.n + k + k3, t_start)
+    return _outcome(scenario, tiers, _core_eval(ctx, tiers), ctx.n + k + k3, t_start)
 
 
 def sa_solve(scenario: Scenario) -> SolveOutcome:
@@ -341,7 +334,7 @@ def sa_solve(scenario: Scenario) -> SolveOutcome:
         if core.total_cost <= budget + TIME_TOL:
             # one evaluation call for the returned placement: resuming at n walks nothing
             core = _core_eval(ctx, tiers, core, n)
-            return _outcome(scenario, ctx, tiers, core, total_iterations, t_start)
+            return _outcome(scenario, tiers, core, total_iterations, t_start)
 
     raise RestartsExhausted(
         f"no budget-feasible placement in {cfg.max_restarts + 1} annealing runs"
@@ -428,7 +421,7 @@ def brute_force_solve(scenario: Scenario) -> SolveOutcome:
         keep(0.0)
     if best_tiers is None:
         raise Infeasible("no placement satisfies the utility and budget constraints")
-    return _outcome(scenario, ctx, best_tiers, _core_eval(ctx, best_tiers), leaves, t_start)
+    return _outcome(scenario, best_tiers, _core_eval(ctx, best_tiers), leaves, t_start)
 
 
 def solve(scenario: Scenario) -> SolveOutcome:

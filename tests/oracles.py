@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from fogsched import (
-    GraphError,
     Infeasible,
     RestartsExhausted,
     SAConfig,
@@ -124,17 +123,18 @@ class ScheduleResult:
     cloud_utility: float
 
 
-def result_from_core(ctx, tiers, core):
+def result_from_core(ctx, tiers, result):
     """The ScheduleResult record of an evaluated placement: each TaskSchedule
-    built by keyword, its ready and finish times spread over the three tiers
-    through per-task lists."""
+    built by keyword from the evaluation's per-task lists, its ready and
+    finish times spread over the three tiers through per-tier lists, and
+    the totals read from the running sums after the last task."""
     rows = []
     for i in range(ctx.n):
         t = tiers[i]
         ready = [0.0, 0.0, 0.0]
-        ready[t - 1] = core.ready[i]
+        ready[t - 1] = result._ready[i]
         finish = [0.0, 0.0, 0.0]
-        finish[t - 1] = core.chosen[i]
+        finish[t - 1] = result._chosen[i]
         rows.append(
             schedule.TaskSchedule(
                 task_id=i + 1,
@@ -143,21 +143,22 @@ def result_from_core(ctx, tiers, core):
                 ready_fog=ready[1],
                 ready_cloud=ready[2],
                 finish_local=finish[0],
-                finish_tx=core.finish_tx[i],
+                finish_tx=result._finish_tx[i],
                 finish_fog=finish[1],
-                finish_fwd=core.finish_fwd[i],
+                finish_fwd=result._finish_fwd[i],
                 finish_cloud=finish[2],
-                chosen_finish=core.chosen[i],
+                chosen_finish=result._chosen[i],
                 cost=ctx.cost[t][i],
             )
         )
+    sum_finish, total_cost, fog_utility, cloud_utility = result._run[ctx.n]
     return ScheduleResult(
         tasks=tuple(rows),
-        makespan=core.makespan,
-        sum_finish=core.sum_finish,
-        total_cost=core.total_cost,
-        fog_utility=core.fog_utility,
-        cloud_utility=core.cloud_utility,
+        makespan=max((result._chosen[i] for i in ctx.sinks), default=0.0),
+        sum_finish=sum_finish,
+        total_cost=total_cost,
+        fog_utility=fog_utility,
+        cloud_utility=cloud_utility,
     )
 
 
@@ -241,20 +242,14 @@ def greedy_reference(scenario, trace=None):
     """greedy_solve's phases, re-evaluating the whole placement after every
     repair move and picking each move by a scan over all tasks."""
     t_start = time.perf_counter()
-    graph = scenario.graph
-    if any(a >= b for a, b in graph.edges):
-        raise GraphError(
-            "greedy_solve requires task ids to be a topological order "
-            "(every edge must go from a lower to a higher id)"
-        )
-    ctx = schedule.EvalContext(graph, scenario.platform)
+    ctx = schedule.EvalContext(scenario.graph, scenario.platform)
     n = ctx.n
     budget = scenario.budget
     local, fog, cloud = int(Tier.LOCAL), int(Tier.FOG), int(Tier.CLOUD)
 
     tiers = [0] * n
     chosen = [0.0] * n
-    for i in range(n):
+    for i in ctx.topo:
         fin_l = schedule._tier_step(ctx, i, local, tiers, chosen)[3]
         fin_f = schedule._tier_step(ctx, i, fog, tiers, chosen)[3]
         fin_c = schedule._tier_step(ctx, i, cloud, tiers, chosen)[3]
@@ -309,9 +304,7 @@ def greedy_reference(scenario, trace=None):
         if trace is not None:
             trace.append((3, moved + 1, core.total_cost))
 
-    return solvers._outcome(
-        scenario, ctx, tiers, schedule._core_eval(ctx, tiers), iterations, t_start
-    )
+    return solvers._outcome(scenario, tiers, schedule._core_eval(ctx, tiers), iterations, t_start)
 
 
 def anneal_reference(scenario):
@@ -352,7 +345,7 @@ def anneal_reference(scenario):
             total_iterations += 1
         if cost_cur <= scenario.budget + schedule.TIME_TOL:
             return solvers._outcome(
-                scenario, ctx, tiers, schedule._core_eval(ctx, tiers), total_iterations, t_start
+                scenario, tiers, schedule._core_eval(ctx, tiers), total_iterations, t_start
             )
     raise RestartsExhausted(
         f"no budget-feasible placement in {cfg.max_restarts + 1} annealing runs"
@@ -362,6 +355,10 @@ def anneal_reference(scenario):
 def check_feasibility_rows(result, scenario):
     """check_feasibility as it reads the result's TaskSchedule rows: the
     reference for the package's check, which reads the evaluation's lists.
+
+    Returns the report of the violations found and this check's own verdict
+    per constraint, (c1, ..., c7), for the report's derived verdicts to be
+    checked against.
 
     C1-C3 re-check each ready time against the precedence terms that define
     it, at the task's assigned tier (fields of unassigned tiers are 0 by
@@ -439,13 +436,4 @@ def check_feasibility_rows(result, scenario):
             ("C7", 0, f"total cost {result.total_cost} exceeds budget {scenario.budget}")
         )
 
-    return schedule.FeasibilityReport(
-        c1_ok=c1,
-        c2_ok=c2,
-        c3_ok=c3,
-        c4_ok=c4,
-        c5_ok=c5,
-        c6_ok=c6,
-        c7_ok=c7,
-        violations=tuple(violations),
-    )
+    return schedule.FeasibilityReport(tuple(violations)), (c1, c2, c3, c4, c5, c6, c7)

@@ -167,6 +167,26 @@ def test_pooled_sweep_sends_the_base_scenario_once_per_worker(monkeypatch, tmp_p
     assert chunks[5] == chunks[400]
 
 
+def test_sweep_builds_one_context_per_value(monkeypatch, tmp_path):
+    # every solver and rep of one sweep value solves the same derived
+    # scenario, so the value's graph builds its EvalContext once
+    builds = []
+    original = schedule.EvalContext.__init__
+
+    def counting_init(ctx, graph, platform):
+        builds.append(len(graph))
+        original(ctx, graph, platform)
+
+    monkeypatch.setattr(schedule.EvalContext, "__init__", counting_init)
+    for parameter, start, stop, sizes in (("task_count", 7.0, 10.0, [7, 8, 9, 10]),
+                                          ("data_size", 0.5, 2.0, [9, 9, 9, 9])):
+        spec = bench.SweepSpec(parameter, start, stop, 4, reps=3, solvers=("greedy", "brute"))
+        builds.clear()
+        rows = bench.sweep(bundled_scenario("fig4.scn"), spec, tmp_path / "s.csv", workers=1)
+        assert len(rows) == 24 and all(r.error == "" for r in rows)
+        assert builds == sizes
+
+
 def test_sweep_does_not_mutate_source(tmp_path):
     src = bundled_scenario("fig4.scn")
     before = src.read_bytes()

@@ -351,6 +351,28 @@ def test_float_fields_reject_booleans():
     assert SAConfig(t0=np.float64(50.0)).t0 == 50.0
 
 
+def test_task_ids_and_edge_endpoints_reject_what_they_would_coerce():
+    # int() would turn each of these into the id 1, so a bad endpoint
+    # would silently name task 1
+    tasks = _tasks(2)
+    for bad in (1.9, 1.0, True, "1", None):
+        with pytest.raises(TypeError, match="edge endpoint must be an integer"):
+            TaskGraph(tasks, [(bad, 2)])
+        with pytest.raises(TypeError, match="edge endpoint must be an integer"):
+            TaskGraph(tasks, [(1, bad)])
+        with pytest.raises(TypeError, match="id must be an integer"):
+            TaskSpec(bad, 1.0, 1.0)
+    with pytest.raises(TypeError, match="task_size_range must hold numbers"):
+        bench.SweepSpec("task_count", 1.0, 5.0, 2, task_size_range=(True, 5.0))
+    with pytest.raises(TypeError, match="task_size_range must hold numbers"):
+        bench.SweepSpec("task_count", 1.0, 5.0, 2, task_size_range=(1.0, False))
+    # numpy integers are task ids, kept as plain ints
+    g = TaskGraph([TaskSpec(np.int64(2), 1.0, 1.0), TaskSpec(1, 1.0, 1.0)],
+                  [(np.int32(1), np.uint8(2))])
+    assert [t.id for t in g.tasks] == [1, 2] and g.edges == ((1, 2),)
+    assert {type(t.id) for t in g.tasks} | {type(v) for e in g.edges for v in e} == {int}
+
+
 def test_scenario_rejects_negative_seed():
     g = TaskGraph(_tasks(1))
     with pytest.raises(ValueError, match="seed must be >= 0, got -1"):

@@ -166,6 +166,19 @@ def test_matches_fixed_point_oracle():
                 assert row.finish_fwd == pytest.approx(fwd, rel=1e-12)
 
 
+def _walk_state(result):
+    """Everything an evaluation keeps from its walk, with floats as hex so
+    that equal means bit-identical: the per-task lists, every running sum,
+    the makespan and the totals read from the last running sum."""
+    return repr([
+        [[v.hex() for v in values] for values in (result._ready, result._finish_tx,
+                                                   result._finish_fwd, result._chosen)],
+        [[v.hex() for v in sums] for sums in result._run],
+        [v.hex() for v in (result.makespan, result.sum_finish, result.total_cost,
+                           result.fog_utility, result.cloud_utility)],
+    ])
+
+
 def test_resumed_walk_matches_full_walk():
     rng = np.random.default_rng(63)
     for k in range(300):
@@ -176,16 +189,16 @@ def test_resumed_walk_matches_full_walk():
         assert [ctx.topo[ctx.pos[i]] for i in range(n)] == list(range(n))
         tiers = [int(v) for v in rng.integers(1, 4, size=n)]
         prev = schedule._core_eval(ctx, tiers)
-        before = repr(prev)
-        assert repr(schedule._core_eval(ctx, list(tiers), prev, n)) == before
+        before = _walk_state(prev)
+        assert schedule._core_eval(ctx, list(tiers), prev, n) is prev
         start = int(rng.integers(0, n))
         cand = list(tiers)
         for d in range(start, n):
             if d == start or rng.random() < 0.3:
                 cand[ctx.topo[d]] = int(rng.integers(1, 4))
         resumed = schedule._core_eval(ctx, cand, prev, start)
-        assert repr(resumed) == repr(schedule._core_eval(ctx, cand))
-        assert repr(prev) == before
+        assert _walk_state(resumed) == _walk_state(schedule._core_eval(ctx, cand))
+        assert _walk_state(prev) == before
 
 
 def test_finishes_match_three_tier_steps():
@@ -359,7 +372,8 @@ def test_check_feasibility_matches_row_reference():
         ctx = schedule.eval_context(graph, scn.platform)
         tiers = [int(gen.random_placement(rng, graph).assignment[i + 1]) for i in range(n)]
         core = schedule._core_eval(ctx, tiers)
-        lists = {f: list(getattr(core, f)) for f in ("ready", "finish_tx", "finish_fwd", "chosen")}
+        lists = {f: list(getattr(core, "_" + f))
+                 for f in ("ready", "finish_tx", "finish_fwd", "chosen")}
         for name, values in lists.items():
             if rng.random() < 0.5:
                 i = int(rng.integers(n))
@@ -368,16 +382,23 @@ def test_check_feasibility_matches_row_reference():
                 scale = 1e-10 if e == 5 else (abs(values[i]) + 1.0) * 10.0**-e
                 shift = float(rng.uniform(0.5, 2.0)) * scale
                 values[i] += -shift if name == "ready" else shift
-        totals = {}
+        # the totals are the running sums after the last task
+        sum_finish, cost, u_f, u_c = core._run[n]
         if rng.random() < 0.3:
-            totals["fog_utility"] = -abs(core.fog_utility) - 1.0
+            u_f = -abs(u_f) - 1.0
         if rng.random() < 0.3:
-            totals["cloud_utility"] = -abs(core.cloud_utility) - 1.0
+            u_c = -abs(u_c) - 1.0
         if rng.random() < 0.3:
-            totals["total_cost"] = 2.0 * core.total_cost + 1.0
-            scn = replace(scn, budget=core.total_cost + 0.5)
-        res = schedule.ScheduleResult(ctx, tiers, core._replace(**lists, **totals))
+            scn = replace(scn, budget=cost + 0.5)
+            cost = 2.0 * cost + 1.0
+        run = core._run[:n] + [(sum_finish, cost, u_f, u_c)]
+        res = schedule.ScheduleResult(ctx, tiers, *lists.values(), run, core.makespan)
+        assert (res.total_cost, res.fog_utility, res.cloud_utility) == (cost, u_f, u_c)
         got = check_feasibility(res, scn)
-        assert got == oracles.check_feasibility_rows(res, scn)
+        want, flags = oracles.check_feasibility_rows(res, scn)
+        assert got == want
+        assert (got.c1_ok, got.c2_ok, got.c3_ok, got.c4_ok, got.c5_ok, got.c6_ok,
+                got.c7_ok) == flags
+        assert got.feasible == all(flags)
         seen.update((v[0], re.sub(r"-?\d[\d.e+-]*", "#", v[2])) for v in got.violations)
     assert len(seen) == 10 and min(seen.values()) >= 10, seen

@@ -133,11 +133,29 @@ def test_greedy_infeasible_when_budget_zero():
         greedy_solve(scn)
 
 
-def test_greedy_requires_topologically_ordered_ids():
-    g = TaskGraph([TaskSpec(1, 1.0, 1.0), TaskSpec(2, 1.0, 1.0)], [(2, 1)])
-    scn = Scenario(graph=g, platform=gen.desk_platform(), budget=float("inf"))
-    with pytest.raises(GraphError):
-        greedy_solve(scn)
+def test_greedy_matches_reference_when_ids_are_not_topological():
+    # phase 1 walks the topological order, so it picks each task's tier as
+    # it does under topological ids, and the whole solve matches the
+    # reference loop
+    rng = np.random.default_rng(66)
+    seen = Counter()
+    for k in range(200):
+        mode = ObjectiveMode.MAKESPAN if k % 2 else ObjectiveMode.SUM_FINISH
+        scn = gen.random_scenario(rng, n_max=12, mode=mode)
+        shuffled = replace(scn, graph=gen.permute_ids(rng, scn.graph))
+        # the sizes are continuous draws, so they tell which task got which id
+        old_id = {(t.workload, t.data_size): t.id for t in scn.graph.tasks}
+        start = solvers._greedy_start(schedule.EvalContext(scn.graph, scn.platform))
+        got = solvers._greedy_start(schedule.EvalContext(shuffled.graph, scn.platform))
+        assert got == [start[old_id[t.workload, t.data_size] - 1] for t in shuffled.graph.tasks]
+        got_trace, want_trace = [], []
+        got = _outcome_or_error(greedy_solve, shuffled, got_trace)
+        assert got == _outcome_or_error(oracles.greedy_reference, shuffled, want_trace)
+        assert repr(got_trace) == repr(want_trace)
+        seen["shuffled"] += any(a > b for a, b in shuffled.graph.edges)
+        seen["error"] += got[0] is Infeasible
+        seen["moves"] += len(got_trace)
+    assert seen["shuffled"] > 120 and seen["moves"] > 300, seen
 
 
 def test_greedy_fog_utility_repair_runs():
