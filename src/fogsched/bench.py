@@ -19,7 +19,9 @@ from __future__ import annotations
 import csv
 import math
 import os
+import warnings
 from dataclasses import dataclass, fields, replace
+from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence, TextIO, Union
 
@@ -37,7 +39,7 @@ from .model import (
     _require_int,
     solver_kind,
 )
-from .scenario_io import load_scenario, resolve_scenario_path
+from .scenario_io import load_scenario, parse_scenario, resolve_scenario_path
 from .schedule import check_feasibility, eval_context, evaluate
 
 SWEEP_PARAMETERS = ("data_size", "budget", "fog_price", "task_count")
@@ -46,24 +48,26 @@ SOLVER_NAMES = tuple(SOLVER_KINDS)
 
 @dataclass(frozen=True)
 class ResultRow:
-    """One solve, flattened for the CSV tables."""
+    """One solve, flattened for the CSV tables.  A solve that raised keeps
+    the defaults after its identity: NaN metrics, zero counts, infeasible,
+    and its `error`."""
 
     scenario_id: str
     solver: str
     seed: int
     n_tasks: int
     sweep_value: float
-    makespan: float
-    sum_finish: float
-    total_cost: float
-    fog_utility: float
-    cloud_utility: float
-    n_local: int
-    n_fog: int
-    n_cloud: int
-    feasible: bool
-    iterations: int
-    wall_time: float
+    makespan: float = math.nan
+    sum_finish: float = math.nan
+    total_cost: float = math.nan
+    fog_utility: float = math.nan
+    cloud_utility: float = math.nan
+    n_local: int = 0
+    n_fog: int = 0
+    n_cloud: int = 0
+    feasible: bool = False
+    iterations: int = 0
+    wall_time: float = 0.0
     error: str = ""
 
 
@@ -166,29 +170,11 @@ def _solve_one(
     scn = replace(
         scenario, seed=seed, solver_config=_solver_config(solver, scenario)
     )
-    n = len(scn.graph)
+    row = partial(ResultRow, scenario_id, solver, seed, len(scn.graph), sweep_value)
     try:
         outcome = _solvers.solve(scn)
     except (_solvers.SolverError, GraphError) as exc:
-        return ResultRow(
-            scenario_id=scenario_id,
-            solver=solver,
-            seed=seed,
-            n_tasks=n,
-            sweep_value=sweep_value,
-            makespan=math.nan,
-            sum_finish=math.nan,
-            total_cost=math.nan,
-            fog_utility=math.nan,
-            cloud_utility=math.nan,
-            n_local=0,
-            n_fog=0,
-            n_cloud=0,
-            feasible=False,
-            iterations=0,
-            wall_time=0.0,
-            error=f"{type(exc).__name__}: {exc}",
-        )
+        return row(error=f"{type(exc).__name__}: {exc}")
     if verify and outcome.feasible:
         again = evaluate(scn.graph, outcome.placement, scn.platform)
         report = check_feasibility(again, scn)
@@ -199,12 +185,7 @@ def _solve_one(
             )
     n_local, n_fog, n_cloud = outcome.placement.counts()
     r = outcome.result
-    return ResultRow(
-        scenario_id=scenario_id,
-        solver=solver,
-        seed=seed,
-        n_tasks=n,
-        sweep_value=sweep_value,
+    return row(
         makespan=r.makespan,
         sum_finish=r.sum_finish,
         total_cost=r.total_cost,
@@ -217,6 +198,14 @@ def _solve_one(
         iterations=outcome.iterations,
         wall_time=outcome.wall_time,
     )
+
+
+def _load(scenario_path: Union[str, Path], seed: Optional[int]) -> tuple[Scenario, str, int]:
+    """The scenario at `scenario_path` (a path or a bundled file name), its
+    id (the file's stem) and the base seed: `seed`, else the scenario's own."""
+    path = resolve_scenario_path(scenario_path)
+    scenario = load_scenario(path)
+    return scenario, path.stem, scenario.seed if seed is None else seed
 
 
 def run(
@@ -232,11 +221,8 @@ def run(
     than aborting the batch.
     """
     _check_reps(reps)
-    path = resolve_scenario_path(scenario_path)
-    scenario = load_scenario(path)
+    scenario, scenario_id, base_seed = _load(scenario_path, seed)
     solver_name = solver or solver_kind(scenario.solver_config)
-    base_seed = scenario.seed if seed is None else seed
-    scenario_id = path.stem
     return [
         _solve_one(scenario, scenario_id, solver_name, base_seed + r, math.nan, verify)
         for r in range(reps)
@@ -333,8 +319,8 @@ def sweep(
     its scenario from it once.  Output rows are sorted by (sweep_value,
     solver, seed).
     """
-    path = resolve_scenario_path(scenario_path)
-    solve_cell = _SweepCells(load_scenario(path), spec, path.stem, verify)
+    base, scenario_id, _ = _load(scenario_path, None)
+    solve_cell = _SweepCells(base, spec, scenario_id, verify)
     cells = [
         (vi, solver, rep)
         for vi in range(len(solve_cell.values))
@@ -368,10 +354,7 @@ def compare(
     """Run greedy, sa and brute on the same scenario and report mean makespan
     per solver and the relative gap (solver - brute) / brute."""
     _check_reps(reps)
-    path = resolve_scenario_path(scenario_path)
-    scenario = load_scenario(path)
-    base_seed = scenario.seed if seed is None else seed
-    scenario_id = path.stem
+    scenario, scenario_id, base_seed = _load(scenario_path, seed)
     summary: dict = {"scenario_id": scenario_id, "seed": base_seed, "reps": reps, "solvers": {}}
     means: dict[str, float] = {}
     for solver in SOLVER_NAMES:
@@ -409,13 +392,8 @@ def validate(scenario_path: Union[str, Path]) -> Diagnostics:
     text = path.read_text(encoding="utf-8")
     errors: list[str] = []
     warnings_: list[str] = []
-
-    import warnings as _warnings
-
-    from .scenario_io import parse_scenario
-
-    with _warnings.catch_warnings(record=True) as caught:
-        _warnings.simplefilter("always")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         try:
             scenario = parse_scenario(text)
         except (CycleDetected, DanglingEdge) as exc:

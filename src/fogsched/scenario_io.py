@@ -8,9 +8,11 @@ read and written from the fields of their dataclasses, so the file keys are
 the field names; the one exception is the exhaustive solver's `cap`, written
 `brute_cap`.  Unknown keys are rejected so typos fail loudly.
 
-Numeric fields are coerced with float()/int() after YAML parsing, so plain
-exponent notation like `1e-11` is accepted even where YAML would read it as a
-string.
+The reader coerces numeric fields with float()/int() after YAML parsing, so
+plain exponent notation like `1e-11` is accepted even where YAML would read
+it as a string.  The writer walks the same fields into a document for
+`yaml.safe_dump`, so it emits typed YAML: every number it writes reads back
+as a YAML int or float, floats in repr form (`1.0e-11`, `.inf`).
 """
 from __future__ import annotations
 
@@ -30,7 +32,6 @@ from .model import (
     ObjectiveMode,
     Placement,
     Platform,
-    RadioLink,
     Scenario,
     SolverConfig,
     TaskGraph,
@@ -234,68 +235,44 @@ def load_placement(path: Union[str, Path], graph: TaskGraph) -> Optional[Placeme
     return parse_placement(Path(path).read_text(encoding="utf-8"), graph)
 
 
-def _fmt(x: float) -> str:
-    if x == float("inf"):
-        return ".inf"
-    return repr(float(x))
-
-
-def _text(value, kind: type) -> str:
-    if dataclasses.is_dataclass(kind):
-        return _flow(value)
-    return str(value) if kind is int else _fmt(value)
-
-
-def _flow(obj, head=()) -> str:
-    """`obj` as a one-line YAML mapping of its fields, in field order."""
-    items = [*head]
-    for f, key, kind in _fields(type(obj)):
-        items.append(f"{key}: {_text(getattr(obj, f.name), kind)}")
-    return "{" + ", ".join(items) + "}"
-
-
-def _block(obj, indent: str) -> list[str]:
-    """`obj` as YAML lines, one field per line.  The radio link nests as a
-    block and the fog and cloud specs as one-line mappings, as in the bundled
-    files."""
-    lines = []
+def _doc(obj) -> dict:
+    """`obj` as a mapping keyed by its file keys, in field order: the inverse
+    of `_build`.  Nested dataclasses nest; int fields are written as int and
+    every other field as float."""
+    doc = {}
     for f, key, kind in _fields(type(obj)):
         value = getattr(obj, f.name)
-        if isinstance(value, RadioLink):
-            lines += [f"{indent}{key}:", *_block(value, indent + "  ")]
+        if dataclasses.is_dataclass(kind):
+            doc[key] = _doc(value)
         else:
-            lines.append(f"{indent}{key}: {_text(value, kind)}")
-    return lines
+            doc[key] = int(value) if kind is int else float(value)
+    return doc
 
 
 def render_scenario(scenario: Scenario, placement: Optional[Placement] = None) -> str:
     """Serialize a scenario (and optional placement) to scenario-file text.
 
-    Floats are written with repr, so a load/save/load cycle is bit-exact.
+    PyYAML writes floats with repr (`1.0e-11`, `.inf`), so a load/save/load
+    cycle is bit-exact and every number reads back as a typed YAML number.
     """
-    g = scenario.graph
     cfg = scenario.solver_config
-    lines = ["graph:", "  tasks:"]
-    lines += [f"    - {_flow(t)}" for t in g.tasks]
-    if g.edges:
-        lines.append("  edges:")
-        for a, b in g.edges:
-            lines.append(f"    - [{a}, {b}]")
-    else:
-        lines.append("  edges: []")
-    lines += [
-        "platform:",
-        *_block(scenario.platform, "  "),
-        f"budget: {_fmt(scenario.budget)}",
-        f"objective_mode: {scenario.objective_mode.value}",
-        f"seed: {scenario.seed}",
-        f"solver: {_flow(cfg, (f'kind: {solver_kind(cfg)}',))}",
-    ]
+    doc = {
+        "graph": {
+            "tasks": [_doc(t) for t in scenario.graph.tasks],
+            "edges": scenario.graph.edges,
+        },
+        "platform": _doc(scenario.platform),
+        "budget": float(scenario.budget),
+        "objective_mode": scenario.objective_mode.value,
+        "seed": scenario.seed,
+        "solver": {"kind": solver_kind(cfg), **_doc(cfg)},
+    }
     if placement is not None:
-        lines.append("placement:")
-        for task_id in sorted(placement.assignment):
-            lines.append(f"  {task_id}: {_NAME_BY_TIER[placement.assignment[task_id]]}")
-    return "\n".join(lines) + "\n"
+        doc["placement"] = {
+            task_id: _NAME_BY_TIER[placement.assignment[task_id]]
+            for task_id in sorted(placement.assignment)
+        }
+    return yaml.safe_dump(doc, sort_keys=False, default_flow_style=None)
 
 
 def save_scenario(

@@ -433,11 +433,11 @@ def check_feasibility(result: ScheduleResult, scenario: Scenario) -> Feasibility
     unassigned tiers are 0 by convention and carry no constraint).  C4
     checks both utilities, C5/C6 hold by construction, C7 compares total
     cost to the budget.  All comparisons use absolute tolerance TIME_TOL.
-    The checks read the evaluation's per-task lists, not the result's rows,
-    and the report keeps only the violations, from which each constraint's
-    verdict follows.
+    The checks read the evaluation's per-task lists and its own context, not
+    the result's rows; of the scenario only the budget is read.  The report
+    keeps only the violations, from which each constraint's verdict follows.
     """
-    ctx = eval_context(scenario.graph, scenario.platform)
+    ctx = result._ctx
     tiers = result._tiers
     ready, tx, chosen = result._ready, result._finish_tx, result._chosen
     violations: list[tuple[str, int, str]] = []

@@ -1,7 +1,7 @@
 """Domain types: graph/placement validation and scenario file round-trips."""
 import math
 import pickle
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -476,10 +476,51 @@ def test_parse_rejects_bad_objective():
 
 
 def test_plain_exponent_floats_accepted():
-    scn = gen.random_scenario(np.random.default_rng(5))
-    text = render_scenario(scn).replace("kappa: 1e-11", "kappa: 1e-11")
-    parsed = parse_scenario(text)
-    assert parsed.platform.kappa == 1e-11
+    # YAML 1.1 reads an exponent without a dot as a string; the reader
+    # coerces it, though the writer never emits one
+    text = render_scenario(gen.random_scenario(np.random.default_rng(5)))
+    assert "kappa: 1.0e-11" in text
+    text = text.replace("kappa: 1.0e-11", "kappa: 1e-11")
+    assert yaml.safe_load(text)["platform"]["kappa"] == "1e-11"
+    assert parse_scenario(text).platform.kappa == 1e-11
+
+
+def _assert_typed(node, obj):
+    """Each field of dataclass `obj` is a YAML int or float in `node`, equal
+    to the field; file keys are field names except the exhaustive cap."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        got = node[{"cap": "brute_cap"}.get(f.name, f.name)]
+        if is_dataclass(value):
+            _assert_typed(got, value)
+        else:
+            assert type(got) is (int if isinstance(value, int) else float), (f.name, got)
+            assert got == value, f.name
+
+
+def test_rendered_numbers_are_typed_yaml():
+    """Any YAML reader, not only ours, reads each number of a written
+    scenario as the number it is."""
+    rng = np.random.default_rng(14)
+    kinds = (SAConfig(), GreedyConfig(), BruteForceConfig(cap=9))
+    for k in range(90):
+        scn = gen.random_scenario(rng, n_max=10, benign=k % 5 == 0)
+        scn = replace(scn, solver_config=kinds[k % 3],
+                      budget=math.inf if k % 2 else scn.budget)
+        placement = gen.random_placement(rng, scn.graph)
+        text = render_scenario(scn, placement)
+        doc = yaml.safe_load(text)
+        for node, task in zip(doc["graph"]["tasks"], scn.graph.tasks, strict=True):
+            _assert_typed(node, task)
+        assert doc["graph"]["edges"] == [list(e) for e in scn.graph.edges]
+        assert all(type(v) is int for e in doc["graph"]["edges"] for v in e)
+        _assert_typed(doc["platform"], scn.platform)
+        assert type(doc["budget"]) is float and doc["budget"] == scn.budget
+        assert type(doc["seed"]) is int and doc["seed"] == scn.seed
+        _assert_typed(doc["solver"], scn.solver_config)
+        assert doc["placement"] == {i: t.name.lower() for i, t in placement.assignment.items()}
+        assert parse_scenario(text) == scn
+        assert parse_placement(text, scn.graph) == placement
 
 
 def test_physical_ranges_rejected():

@@ -347,6 +347,27 @@ def test_check_feasibility_negative_cloud_utility():
     assert not report.c4_ok
 
 
+def test_check_feasibility_reads_the_context_of_its_result():
+    """The check reads the platform the result was evaluated on, not the
+    scenario's; of the scenario it reads the budget alone."""
+    from fogsched import bundled_scenario, greedy_solve, load_scenario
+
+    scn = load_scenario(bundled_scenario("fig4.scn"))
+    res = evaluate(scn.graph, Placement({t.id: Tier.CLOUD for t in scn.graph.tasks}),
+                   scn.platform)
+    own = check_feasibility(res, scn)
+    assert [v[0] for v in own.violations] == ["C4", "C4", "C7"]
+    slow = replace(scn, platform=replace(scn.platform, fog_cloud_bandwidth=1.0))
+    assert check_feasibility(res, slow) == own
+    # nor does checking against another platform replace the graph's kept
+    # context, with greedy's kept prefix on it
+    greedy_solve(scn)
+    ctx = schedule.eval_context(scn.graph, scn.platform)
+    assert ctx.greedy_prefix is not None
+    check_feasibility(res, slow)
+    assert schedule.eval_context(scn.graph, scn.platform) is ctx
+
+
 def test_check_feasibility_random_evaluations_satisfy_precedence():
     rng = np.random.default_rng(9)
     for _ in range(100):
