@@ -9,10 +9,11 @@ them, so parallelism never changes the output.  Each sweep value's scenario
 is derived from the base scenario once, before any cell is solved; a pool
 worker gets these scenarios once, when it starts, and each cell only as
 (value index, solver, rep), so every cell of one value solved in one process
-shares one graph, with its EvalContext and greedy's budget-independent
-prefix (see solvers.greedy_solve).  Sweep CSV stores wall_time as 0.0 to
-keep files byte-identical across runs; `run` and `compare` report measured
-wall time.
+shares one graph, with its EvalContext and the greedy work kept on it: the
+budget-independent prefix, and what follows it per budget-repair length (see
+solvers.greedy_solve).  Each pool worker keeps its own copy of that work.
+Sweep CSV stores wall_time as 0.0 to keep files byte-identical across runs;
+`run` and `compare` report measured wall time.
 """
 from __future__ import annotations
 
@@ -334,7 +335,7 @@ def sweep(
         from concurrent.futures import ProcessPoolExecutor
 
         # each worker gets the value scenarios once, so it keeps one graph,
-        # one EvalContext and one greedy prefix per sweep value
+        # one EvalContext, with greedy's kept work, per sweep value
         with ProcessPoolExecutor(
             max_workers=n_workers, initializer=_init_worker, initargs=(solve_cell,)
         ) as pool:

@@ -124,6 +124,11 @@ class EvalContext:
     `greedy_prefix` is None until the first greedy solve on the context,
     which keeps there its budget-independent work: the phase-1 tiers and
     the budget repair's moves and cost totals, as far as made so far.
+    What follows the budget repair depends only on k, the number of its
+    moves a solve takes, so `greedy_tails` maps each k solved so far to
+    greedy's fog-utility repair from there, its move count and the
+    evaluation of the final tiers.  A budget repair makes at most 2N moves,
+    so it holds at most 2N+1 entries of O(N) each.
     """
 
     __slots__ = (
@@ -146,6 +151,7 @@ class EvalContext:
         "du_f",
         "du_c",
         "greedy_prefix",
+        "greedy_tails",
     )
 
     def __init__(self, graph: TaskGraph, platform: Platform):
@@ -175,6 +181,7 @@ class EvalContext:
         )
         self.du_c = (None, zero, zero, tuple(map(sub, self.rev_c, self.e_c)))
         self.greedy_prefix = None
+        self.greedy_tails = {}
 
 
 def _tier_step(ctx, i, tier, tiers, chosen):

@@ -4,9 +4,10 @@ search.
 All solvers are deterministic given the scenario seed.  Greedy's budget and
 fog-utility repairs are one mechanism (_Repair) with different keys and term
 tables.  The solvers share mutable state through the graph: the EvalContext
-kept on it, and on that context greedy's budget repair, which a greedy solve
-extends.  Scenarios on different graph objects may be solved from parallel
-threads, but one graph must not be solved from two threads at once.
+kept on it, and on that context greedy's budget repair and what follows it
+per repair length, which a greedy solve extends.  Scenarios on different
+graph objects may be solved from parallel threads, but one graph must not be
+solved from two threads at once.
 """
 from __future__ import annotations
 
@@ -187,6 +188,28 @@ class _Repair:
         return len(totals) - 1
 
 
+def _greedy_tail(ctx, tiers) -> tuple:
+    """Phase 3 of greedy_solve from the tier codes `tiers`, and the
+    evaluation of its final tiers: (the repair, its move count, the
+    ScheduleResult)."""
+    e_s, e_f, rev_f = ctx.e_s, ctx.e_f, ctx.rev_f
+
+    def heavy(i):
+        if e_s[i] <= e_f[i]:
+            return None
+        return -(e_s[i] / e_f[i]) if e_f[i] > 0 else -inf
+
+    def margin(i):
+        return rev_f[i] / e_f[i] if e_f[i] > 0 else inf
+
+    fog = _Repair(ctx, tiers, ctx.du_f)
+    # the negated repair test, so that a NaN total asks for no repair; with
+    # no task left to move the utility stays negative, and the feasibility
+    # check flags it
+    k3 = fog.stop(ctx, lambda u_f: not u_f < -TIME_TOL, heavy, margin)
+    return fog, k3, _core_eval(ctx, fog.tiers(k3))
+
+
 def greedy_solve(scenario: Scenario, trace: list | None = None) -> SolveOutcome:
     """Three-phase greedy heuristic.
 
@@ -211,7 +234,7 @@ def greedy_solve(scenario: Scenario, trace: list | None = None) -> SolveOutcome:
     term table.  A repair re-adds its table's running sums from the moved
     task's topological position with the evaluator's additions in the
     evaluator's order, so every repair decision sees the bits a full
-    evaluation would give; the schedule itself is evaluated once, for the
+    evaluation would give; the schedule itself is evaluated only for the
     returned placement.
 
     Phase 1 and the order of the phase-2 moves do not depend on the budget,
@@ -220,8 +243,12 @@ def greedy_solve(scenario: Scenario, trace: list | None = None) -> SolveOutcome:
     the same graph and platform shares it: a solve takes the first k moves
     after which the cost total is within the budget, making further moves
     only when no kept total is.  Phase 3 starts from the tiers after those k
-    moves and tracks only the fog utility; it and the final evaluation run
-    per solve.
+    moves and tracks only the fog utility, so it and the final evaluation
+    depend only on k: they run for the first solve that takes k moves and
+    are kept on the context (`greedy_tails`, at most 2N+1 entries), and a
+    later solve that takes k moves shares the kept ScheduleResult.  Every
+    solve runs its own phase-2 stop, Infeasible test and feasibility check,
+    which read its budget.
 
     If `trace` is given, (phase, task_id, total_cost) is appended per move;
     the phase-3 cost totals are then re-added by replaying its moves.
@@ -248,30 +275,18 @@ def greedy_solve(scenario: Scenario, trace: list | None = None) -> SolveOutcome:
             f"budget {budget}"
         )
 
-    # Phase 3: fog-utility repair.
-    e_s, e_f, rev_f = ctx.e_s, ctx.e_f, ctx.rev_f
-
-    def heavy(i):
-        if e_s[i] <= e_f[i]:
-            return None
-        return -(e_s[i] / e_f[i]) if e_f[i] > 0 else -inf
-
-    def margin(i):
-        return rev_f[i] / e_f[i] if e_f[i] > 0 else inf
-
-    fog = _Repair(ctx, prefix.tiers(k), ctx.du_f)
-    # the negated repair test, so that a NaN total asks for no repair; with
-    # no task left to move the utility stays negative, and the feasibility
-    # check flags it
-    k3 = fog.stop(ctx, lambda u_f: not u_f < -TIME_TOL, heavy, margin)
+    # Phase 3 and the final evaluation, kept per k.
+    tail = ctx.greedy_tails.get(k)
+    if tail is None:
+        tail = ctx.greedy_tails[k] = _greedy_tail(ctx, prefix.tiers(k))
+    fog, k3, result = tail
     if trace is not None:
         cost = _Repair(ctx, fog.start, ctx.cost)
         for i, tier in fog.moves:
             cost.add(ctx, i, tier)
         trace.extend((3, i + 1, total) for (i, _), total in zip(fog.moves, cost.totals[1:]))
 
-    tiers = fog.tiers(k3)
-    return _outcome(scenario, tiers, _core_eval(ctx, tiers), ctx.n + k + k3, t_start)
+    return _outcome(scenario, fog.tiers(k3), result, ctx.n + k + k3, t_start)
 
 
 def sa_solve(scenario: Scenario) -> SolveOutcome:

@@ -227,24 +227,25 @@ def test_criterion_04_greedy_linear_complexity():
 def test_criterion_05_brute_force_exponential_growth():
     platform = gen.desk_platform()
     ns = list(range(6, 13))
-    times = []
-    for n in ns:
-        sizes = np.random.default_rng(n).uniform(100, 1000, size=n)
-        scn = Scenario(
-            graph=gen.chain_graph(sizes),
+    scenarios = [
+        Scenario(
+            graph=gen.chain_graph(np.random.default_rng(n).uniform(100, 1000, size=n)),
             platform=platform,
             budget=float("inf"),
             solver_config=BruteForceConfig(),
         )
-        # the fastest of three solves: a first solve and a load spike only
-        # ever add time
-        best = math.inf
-        for _ in range(3):
+        for n in ns
+    ]
+    # the fastest of three solves per N: a first solve and a load spike only
+    # ever add time; the solves run in three passes over every N, so that a
+    # drift in the host's speed hits every N alike
+    times = [math.inf] * len(ns)
+    for _ in range(3):
+        for j, (n, scn) in enumerate(zip(ns, scenarios)):
             t0 = time.perf_counter()
             out = brute_force_solve(scn)
-            best = min(best, time.perf_counter() - t0)
+            times[j] = min(times[j], time.perf_counter() - t0)
             assert out.iterations == 3**n
-        times.append(best)
     x = np.array(ns, dtype=float)
     y = np.log(np.array(times))
     slope = float(np.polyfit(x, y, 1)[0])

@@ -214,16 +214,19 @@ def test_sweep_data_size_scales_both(tmp_path):
 
 def test_sweep_task_count_brute_growth(tmp_path):
     # measured wall time along a task_count sweep grows like 3^N; each N
-    # is timed as the fastest of three reps, since load only ever adds time
+    # is timed as the fastest of three one-rep sweeps, since load only ever
+    # adds time, and a drift in the host's speed then hits every N alike
     spec = bench.SweepSpec(
-        parameter="task_count", start=7, stop=10, steps=4, solvers=("brute",), reps=3
+        parameter="task_count", start=7, stop=10, steps=4, solvers=("brute",), reps=1
     )
-    rows = bench.sweep(bundled_scenario("fig4.scn"), spec, tmp_path / "g.csv", workers=1)
-    assert [r.n_tasks for r in rows] == [7, 7, 7, 8, 8, 8, 9, 9, 9, 10, 10, 10]
-    assert all(r.error == "" for r in rows)
     best = {}
-    for r in rows:
-        best[r.n_tasks] = min(best.get(r.n_tasks, math.inf), r.wall_time)
+    for k in range(3):
+        rows = bench.sweep(bundled_scenario("fig4.scn"), spec, tmp_path / f"g{k}.csv",
+                           workers=1)
+        assert [r.n_tasks for r in rows] == [7, 8, 9, 10]
+        assert all(r.error == "" for r in rows)
+        for r in rows:
+            best[r.n_tasks] = min(best.get(r.n_tasks, math.inf), r.wall_time)
     slope = np.polyfit(list(best), np.log(list(best.values())), 1)[0]
     assert 0.9 * math.log(3) <= slope <= 1.1 * math.log(3)
 

@@ -342,6 +342,91 @@ def test_greedy_builds_repair_heaps_only_for_a_move(monkeypatch):
     assert second.placement == first.placement and second.iterations == first.iterations
 
 
+def _kept_totals(scn):
+    """Every phase-2 cost total greedy keeps for `scn`, the phase-1 total
+    first, read from a fresh graph solved at budget 0."""
+    one = _fresh_graph(replace(scn, budget=0.0))
+    _outcome_or_error(greedy_solve, one)
+    return list(schedule.eval_context(one.graph, one.platform).greedy_prefix.totals)
+
+
+def _full_outcome(solver, scn):
+    trace: list = []
+    try:
+        out = solver(scn, trace)
+    except (SolverError, GraphError) as exc:
+        return (type(exc), str(exc)), repr(trace)
+    res = out.result
+    return (out.placement, res, hash(res), out.feasible, out.iterations), repr(trace)
+
+
+def test_greedy_kept_tails_match_cold_solves_and_reference():
+    # one graph solved at a shuffled budget list, each budget twice, so that
+    # most solves read the fog-utility repair and final evaluation kept for
+    # their phase-2 length; every outcome matches a solve on a freshly
+    # unpickled copy of the unsolved graph and the reference, and so does
+    # every solve on an unpickled copy of the solved graph, which carries
+    # what was kept
+    rng = np.random.default_rng(67)
+    seen = Counter()
+    for k in range(40):
+        scn = gen.random_scenario(rng, n_max=12, allow_infinite_budget=False)
+        if k % 3 == 0:
+            scn = replace(scn, graph=gen.permute_ids(rng, scn.graph))
+        if k % 10 == 9:
+            # device energy above any budget: all-local still does not fit
+            scn = replace(scn, platform=replace(scn.platform, kappa=1e-6))
+        budgets = {0.0, math.inf}
+        for total in _kept_totals(scn):
+            budgets.update(b for b in (total - schedule.TIME_TOL, total + schedule.TIME_TOL)
+                           if b >= 0)
+        order = sorted(budgets) * 2
+        rng.shuffle(order)
+        cold = pickle.dumps(scn)
+        one = _fresh_graph(scn)
+        want = {}
+        for b in order:
+            got = _full_outcome(greedy_solve, replace(one, budget=b))
+            fresh = _full_outcome(greedy_solve, replace(pickle.loads(cold), budget=b))
+            if b not in want:
+                want[b] = _full_outcome(oracles.greedy_reference,
+                                        replace(_fresh_graph(scn), budget=b))
+            assert got == fresh == want[b], (k, b)
+            seen["error" if got[0][0] is Infeasible else "solved"] += 1
+        ctx = schedule.eval_context(one.graph, one.platform)
+        # one tail per phase-2 length, and a budget repair makes at most 2N moves
+        assert len(ctx.greedy_tails) <= 2 * len(scn.graph) + 1
+        seen["tails"] += len(ctx.greedy_tails)
+        seen["solves"] += len(order)
+        warm = pickle.loads(pickle.dumps(one))
+        assert len(schedule.eval_context(warm.graph, warm.platform).greedy_tails) == len(
+            ctx.greedy_tails)
+        for b in order[::2]:
+            assert _full_outcome(greedy_solve, replace(warm, budget=b)) == want[b], (k, b)
+    assert seen["error"] > 40 and seen["solved"] > 1000, seen
+    # most solves read a kept tail
+    assert seen["tails"] < seen["solves"] // 3, seen
+
+
+def test_greedy_budget_sweep_evaluates_once_per_phase2_length(tmp_path, monkeypatch):
+    # a serial chain40 budget sweep, 21 budgets x 5 reps, on one graph: its
+    # 105 greedy solves take 17 distinct phase-2 lengths, and greedy
+    # evaluates a schedule once per length
+    calls = []
+    original = schedule._core_eval
+
+    def counting_eval(ctx, tiers, *resume):
+        calls.append(list(tiers))
+        return original(ctx, tiers, *resume)
+
+    monkeypatch.setattr(solvers, "_core_eval", counting_eval)
+    spec = bench.SweepSpec("budget", 0.5, 100.0, 21, reps=5, solvers=("greedy",))
+    rows = bench.sweep(bundled_scenario("chain40.scn"), spec, tmp_path / "b.csv", workers=1)
+    assert len(rows) == 105 and all(r.error == "" for r in rows)
+    assert len(calls) == 17
+    assert len({r.iterations for r in rows}) == 17
+
+
 # ---------------------------------------------------------------- annealing
 
 
