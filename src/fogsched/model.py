@@ -151,10 +151,6 @@ class TaskGraph:
     def __len__(self) -> int:
         return len(self.tasks)
 
-    def sinks(self) -> tuple[int, ...]:
-        """Ids of the tasks without successors, ascending."""
-        return tuple(i + 1 for i in self.structure.sinks)
-
     @cached_property
     def structure(self) -> GraphStructure:
         """The graph's :class:`GraphStructure`, derived on first use and kept

@@ -36,9 +36,10 @@ topological position, so a placement that differs from an evaluated one
 only from some position on is evaluated by resuming the walk there.
 
 One record holds each evaluation: `_core_eval` returns the ScheduleResult,
-which keeps the walk's per-task lists and running sums and builds its
-TaskSchedule rows only when they are read.  `check_feasibility` reads those
-lists and returns a FeasibilityReport holding only the violations found.
+which keeps the walk's finish times and running sums and rebuilds the ready
+and transfer times from them, in one `_tier_step` pass, when its TaskSchedule
+rows or `check_feasibility` first read them.  `check_feasibility` returns a
+FeasibilityReport holding only the violations found.
 
 Everything is pure: identical inputs give bit-identical results.
 """
@@ -276,33 +277,37 @@ def _finishes(ctx, i, tiers, chosen):
 class ScheduleResult:
     """Evaluation of one placement, as `_core_eval` returns it.
 
-    It keeps the walk's per-task lists (0-indexed): each task's ready time
-    and finish time (`chosen`) at its assigned tier, its uplink and forward
-    finishes (0 where it makes no such transfer), and `run`, where `run[d]`
-    holds the running (sum of finish times, cost, fog utility, cloud
-    utility) over the tasks at topological positions before d.  The
-    constructor reads the four totals from `run[n]` into slots, so that
-    reading one costs a slot lookup.  `tiers` is kept, not copied.  The
-    TaskSchedule rows are built from the lists on first read.  `==`, `hash`
-    and `repr` are those of a frozen record of the rows and totals."""
+    It keeps what a resumed walk reads (0-indexed): each task's finish time
+    at its assigned tier (`chosen`) and `run`, where `run[d]` holds the
+    running (sum of finish times, cost, fog utility, cloud utility) over
+    the tasks at topological positions before d.  The constructor reads the
+    four totals from `run[n]` into slots, so that reading one costs a slot
+    lookup.  `tiers` is kept, not copied.  On first read, one pass over the
+    final `chosen` builds the steps, each task's `_tier_step` tuple at its
+    tier, and the TaskSchedule rows are built from the steps and `chosen`;
+    a result shared by several solves builds each once.  `==`, `hash` and
+    `repr` are those of a frozen record of the rows and totals."""
 
-    __slots__ = ("_ctx", "_tiers", "_ready", "_finish_tx", "_finish_fwd", "_chosen", "_run",
-                 "_makespan", "_sum_finish", "_total_cost", "_fog_utility", "_cloud_utility",
-                 "_tasks")
+    __slots__ = ("_ctx", "_tiers", "_chosen", "_run", "_makespan", "_sum_finish",
+                 "_total_cost", "_fog_utility", "_cloud_utility", "_steps", "_tasks")
 
-    def __init__(self, ctx: EvalContext, tiers, ready, finish_tx, finish_fwd, chosen, run,
-                 makespan: float):
-        self._ctx, self._tiers, self._run, self._makespan = ctx, tiers, run, makespan
-        self._ready, self._finish_tx, self._finish_fwd, self._chosen = (
-            ready, finish_tx, finish_fwd, chosen)
+    def __init__(self, ctx: EvalContext, tiers, chosen, run, makespan: float):
+        self._ctx, self._tiers, self._chosen, self._run, self._makespan = (
+            ctx, tiers, chosen, run, makespan)
         self._sum_finish, self._total_cost, self._fog_utility, self._cloud_utility = run[-1]
-        self._tasks = None
+        self._steps = self._tasks = None
 
     makespan = property(attrgetter("_makespan"))
     sum_finish = property(attrgetter("_sum_finish"))
     total_cost = property(attrgetter("_total_cost"))
     fog_utility = property(attrgetter("_fog_utility"))
     cloud_utility = property(attrgetter("_cloud_utility"))
+
+    def _step_list(self) -> list:
+        if self._steps is None:
+            ctx, tiers, chosen = self._ctx, self._tiers, self._chosen
+            self._steps = [_tier_step(ctx, i, t, tiers, chosen) for i, t in enumerate(tiers)]
+        return self._steps
 
     @property
     def tasks(self) -> tuple[TaskSchedule, ...]:
@@ -323,8 +328,8 @@ class ScheduleResult:
                     f,
                     cost[t][i],
                 )
-                for i, (t, r, tx, fwd, f) in enumerate(
-                    zip(self._tiers, self._ready, self._finish_tx, self._finish_fwd, self._chosen)
+                for i, (t, (r, tx, fwd, _), f) in enumerate(
+                    zip(self._tiers, self._step_list(), self._chosen)
                 )
             )
         return self._tasks
@@ -365,22 +370,17 @@ def _core_eval(
     positions before `start` sit on the same tiers as in `tiers`, the walk
     resumes at `start` from `prev`'s state there: it makes the same
     additions in the same order as a full walk, so the result is
-    bit-identical to one.  `start == n` returns `prev` itself.
+    bit-identical to one.  `start == n` returns `prev` itself.  A resumed
+    walk copies only `prev`'s finish times and running sums.
     """
     n = ctx.n
     if prev is None:
         start = 0
-        ready = [0.0] * n
-        tft = [0.0] * n
-        tfr = [0.0] * n
         chosen = [0.0] * n
         run = [(0.0, 0.0, 0.0, 0.0)] * (n + 1)
     elif start >= n:
         return prev
     else:
-        ready = prev._ready.copy()
-        tft = prev._finish_tx.copy()
-        tfr = prev._finish_fwd.copy()
         chosen = prev._chosen.copy()
         run = prev._run.copy()
     cost_t, du_f, du_c = ctx.cost, ctx.du_f, ctx.du_c
@@ -388,8 +388,7 @@ def _core_eval(
     d = start
     for i in ctx.topo[start:]:
         t = tiers[i]
-        ready[i], tft[i], tfr[i], fin = _tier_step(ctx, i, t, tiers, chosen)
-        chosen[i] = fin
+        chosen[i] = fin = _tier_step(ctx, i, t, tiers, chosen)[3]
         sum_finish += fin
         cost += cost_t[t][i]
         u_f += du_f[t][i]
@@ -400,7 +399,7 @@ def _core_eval(
     for i in ctx.sinks:
         if chosen[i] > makespan:
             makespan = chosen[i]
-    return ScheduleResult(ctx, tiers, ready, tft, tfr, chosen, run, makespan)
+    return ScheduleResult(ctx, tiers, chosen, run, makespan)
 
 
 def eval_context(graph: TaskGraph, platform: Platform) -> EvalContext:
@@ -437,16 +436,18 @@ def check_feasibility(result: ScheduleResult, scenario: Scenario) -> Feasibility
 
     C1-C3 re-check each ready time against the precedence terms that define
     it, at the task's assigned tier (the finish times of a predecessor's
-    unassigned tiers are 0 by convention and carry no constraint).  C4
-    checks both utilities, C5/C6 hold by construction, C7 compares total
-    cost to the budget.  All comparisons use absolute tolerance TIME_TOL.
-    The checks read the evaluation's per-task lists and its own context, not
-    the result's rows; of the scenario only the budget is read.  The report
-    keeps only the violations, from which each constraint's verdict follows.
+    unassigned tiers are 0 by convention and carry no constraint).  The
+    ready and transfer times are the result's steps, recomputed by
+    `_tier_step` from its finish times, so C1-C3 hold by construction for
+    an evaluator's result.  C4 checks both utilities, C5/C6 hold by
+    construction, C7 compares total cost to the budget.  All comparisons use
+    absolute tolerance TIME_TOL.  The checks read the result's steps, finish
+    times and context, not its rows; of the scenario only the budget is
+    read.  The report keeps only the violations, from which each
+    constraint's verdict follows.
     """
     ctx = result._ctx
-    tiers = result._tiers
-    ready, tx, chosen = result._ready, result._finish_tx, result._chosen
+    tiers, steps, chosen = result._tiers, result._step_list(), result._chosen
     violations: list[tuple[str, int, str]] = []
 
     def _on(k: int, tier: int) -> float:
@@ -455,13 +456,13 @@ def check_feasibility(result: ScheduleResult, scenario: Scenario) -> Feasibility
 
     for i, ps in enumerate(ctx.preds):
         tier = tiers[i]
-        r = ready[i]
+        r, tx, fwd, _ = steps[i]
         if tier == _LOCAL:
             for k in ps:
                 if r < chosen[k] - TIME_TOL:
                     violations.append(("C1", i + 1, f"ready_local {r} < finish of task {k + 1}"))
         elif tier == _FOG:
-            if r < tx[i] - TIME_TOL:
+            if r < tx - TIME_TOL:
                 violations.append(("C2", i + 1, "ready_fog precedes upload completion"))
             for k in ps:
                 if r < _on(k, _FOG) - TIME_TOL:
@@ -473,9 +474,9 @@ def check_feasibility(result: ScheduleResult, scenario: Scenario) -> Feasibility
                         ("C2", i + 1, f"ready_fog precedes cloud finish of task {k + 1}")
                     )
         else:
-            if r < tx[i] + ctx.tau_r[i] - TIME_TOL:
+            if r < tx + ctx.tau_r[i] - TIME_TOL:
                 violations.append(("C3", i + 1, "ready_cloud precedes upload + forward"))
-            if r < result._finish_fwd[i] - TIME_TOL:
+            if r < fwd - TIME_TOL:
                 violations.append(("C3", i + 1, "ready_cloud precedes forward completion"))
             for k in ps:
                 if r < _on(k, _CLOUD) - TIME_TOL:

@@ -301,14 +301,15 @@ def sa_solve(scenario: Scenario) -> SolveOutcome:
     placement that turns a utility negative stops the run early.  The guard
     starts from u_f = u_c = 0, not from the random start's utilities, so the
     start itself never stops a run: every run makes at least one proposal
-    when t0 > t_stop.  The guard compares with >= 0 exactly, without the
-    TIME_TOL slack that check_feasibility allows.  If the final placement
-    exceeds the budget the whole process restarts from a fresh random
-    placement, up to max_restarts times; restart k draws from the dedicated
-    stream Stream(seed, (k,)), numpy's PCG64 stream for that seed and spawn
-    key.  A proposal is evaluated by resuming the walk of the current
-    placement's evaluation at the moved task's topological position, and
-    re-walks nothing when the clamped step leaves the task's tier unchanged.
+    when t0 > t_stop, except on a graph with no task to perturb, which makes
+    none.  The guard compares with >= 0 exactly, without the TIME_TOL slack
+    that check_feasibility allows.  If the final placement exceeds the
+    budget the whole process restarts from a fresh random placement, up to
+    max_restarts times; restart k draws from the dedicated stream
+    Stream(seed, (k,)), numpy's PCG64 stream for that seed and spawn key.  A
+    proposal is evaluated by resuming the walk of the current placement's
+    evaluation at the moved task's topological position, and re-walks
+    nothing when the clamped step leaves the task's tier unchanged.
     """
     t_start = time.perf_counter()
     cfg = scenario.solver_config
@@ -328,7 +329,7 @@ def sa_solve(scenario: Scenario) -> SolveOutcome:
         u_f = 0.0
         u_c = 0.0
         tem = cfg.t0
-        while tem > cfg.t_stop and u_f >= 0 and u_c >= 0:
+        while n and tem > cfg.t_stop and u_f >= 0 and u_c >= 0:
             step = rng.integers(-cfg.neighbor_range, cfg.neighbor_range + 1)
             idx = rng.integers(0, n)
             cand = list(tiers)

@@ -125,14 +125,14 @@ class ScheduleResult:
 
 def result_from_core(ctx, tiers, result):
     """The ScheduleResult record of an evaluated placement: each TaskSchedule
-    built by keyword from the evaluation's per-task lists, its ready and
-    finish times spread over the three tiers through per-tier lists, and
+    built by keyword from the evaluation's steps and finish times, its ready
+    and finish times spread over the three tiers through per-tier lists, and
     the totals read from the running sums after the last task."""
     rows = []
-    for i in range(ctx.n):
+    for i, (r, tx, fwd, _) in enumerate(result._step_list()):
         t = tiers[i]
         ready = [0.0, 0.0, 0.0]
-        ready[t - 1] = result._ready[i]
+        ready[t - 1] = r
         finish = [0.0, 0.0, 0.0]
         finish[t - 1] = result._chosen[i]
         rows.append(
@@ -143,9 +143,9 @@ def result_from_core(ctx, tiers, result):
                 ready_fog=ready[1],
                 ready_cloud=ready[2],
                 finish_local=finish[0],
-                finish_tx=result._finish_tx[i],
+                finish_tx=tx,
                 finish_fog=finish[1],
-                finish_fwd=result._finish_fwd[i],
+                finish_fwd=fwd,
                 finish_cloud=finish[2],
                 chosen_finish=result._chosen[i],
                 cost=ctx.cost[t][i],
@@ -328,7 +328,7 @@ def anneal_reference(scenario):
         u_f = 0.0
         u_c = 0.0
         tem = cfg.t0
-        while tem > cfg.t_stop and u_f >= 0 and u_c >= 0:
+        while n and tem > cfg.t_stop and u_f >= 0 and u_c >= 0:
             step = int(rng.integers(-cfg.neighbor_range, cfg.neighbor_range + 1))
             idx = int(rng.integers(0, n))
             cand = list(tiers)
@@ -354,7 +354,8 @@ def anneal_reference(scenario):
 
 def check_feasibility_rows(result, scenario):
     """check_feasibility as it reads the result's TaskSchedule rows: the
-    reference for the package's check, which reads the evaluation's lists.
+    reference for the package's check, which reads the evaluation's steps
+    and finish times.
 
     Returns the report of the violations found and this check's own verdict
     per constraint, (c1, ..., c7), for the report's derived verdicts to be

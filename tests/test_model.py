@@ -143,7 +143,7 @@ def test_graph_structure_is_derived_once_and_kept():
                 assert repr(getattr(ctx, name)) == repr(getattr(want, name)), name
         assert (want.preds, want.sinks) == _naive_structure(graph)
         assert [want.pos[i] for i in want.topo] == list(range(n))
-        assert graph.sinks() == tuple(i + 1 for i in want.sinks)
+        assert graph.structure.sinks == want.sinks
 
         order = validate_graph(graph)
         assert order == [i + 1 for i in want.topo]
@@ -521,6 +521,8 @@ def test_rendered_numbers_are_typed_yaml():
         assert doc["placement"] == {i: t.name.lower() for i, t in placement.assignment.items()}
         assert parse_scenario(text) == scn
         assert parse_placement(text, scn.graph) == placement
+        # whichever emitter wrote it, the text is PyYAML's pure-Python one's
+        assert text == yaml.safe_dump(doc, sort_keys=False, default_flow_style=None)
 
 
 def test_physical_ranges_rejected():

@@ -1,6 +1,7 @@
 """Schedule evaluator: hand-traced examples, constraint checks, and agreement
 with the naive fixed-point oracle."""
 import itertools
+import pickle
 import re
 from collections import Counter
 from dataclasses import replace
@@ -128,7 +129,7 @@ def test_precedence_soundness():
         for a, b in scn.graph.edges:
             assert fins[b] >= fins[a] - 1e-12
         assert res.sum_finish == pytest.approx(sum(fins.values()), rel=1e-12)
-        sink_max = max(fins[s] for s in scn.graph.sinks())
+        sink_max = max(fins[s + 1] for s in scn.graph.structure.sinks)
         assert res.makespan == sink_max
 
 
@@ -167,12 +168,13 @@ def test_matches_fixed_point_oracle():
 
 
 def _walk_state(result):
-    """Everything an evaluation keeps from its walk, with floats as hex so
-    that equal means bit-identical: the per-task lists, every running sum,
-    the makespan and the totals read from the last running sum."""
+    """Everything an evaluation keeps from its walk or builds from it, with
+    floats as hex so that equal means bit-identical: the finish times, the
+    steps, every running sum, the makespan and the totals read from the last
+    running sum."""
     return repr([
-        [[v.hex() for v in values] for values in (result._ready, result._finish_tx,
-                                                   result._finish_fwd, result._chosen)],
+        [v.hex() for v in result._chosen],
+        [[v.hex() for v in step] for step in result._step_list()],
         [[v.hex() for v in sums] for sums in result._run],
         [v.hex() for v in (result.makespan, result.sum_finish, result.total_cost,
                            result.fog_utility, result.cloud_utility)],
@@ -197,8 +199,57 @@ def test_resumed_walk_matches_full_walk():
             if d == start or rng.random() < 0.3:
                 cand[ctx.topo[d]] = int(rng.integers(1, 4))
         resumed = schedule._core_eval(ctx, cand, prev, start)
+        # prev's steps were built by _walk_state; the resumed result builds its own
+        assert prev._steps is not None and resumed._steps is None
         assert _walk_state(resumed) == _walk_state(schedule._core_eval(ctx, cand))
         assert _walk_state(prev) == before
+
+
+def test_steps_are_built_once_on_first_read(monkeypatch):
+    """A walk keeps only finish times and running sums; the steps are built
+    by one `_tier_step` per task when the rows or the feasibility check
+    first read them, and a pickled result compares equal with or without
+    them."""
+    calls = Counter()
+    tier_step = schedule._tier_step
+
+    def counted(ctx, i, tier, tiers, chosen):
+        calls[i] += 1
+        return tier_step(ctx, i, tier, tiers, chosen)
+
+    monkeypatch.setattr(schedule, "_tier_step", counted)
+    rng = np.random.default_rng(65)
+    for k in range(100):
+        scn = gen.random_scenario(rng, n_max=12)
+        graph = gen.permute_ids(rng, scn.graph) if k % 2 else scn.graph
+        scn = replace(scn, graph=graph)
+        ctx = schedule.EvalContext(graph, scn.platform)
+        n = ctx.n
+        tiers = [int(v) for v in rng.integers(1, 4, size=n)]
+        full = schedule._core_eval(ctx, tiers)
+        start = int(rng.integers(0, n))
+        cand = list(tiers)
+        cand[ctx.topo[start]] = int(rng.integers(1, 4))
+        resumed = schedule._core_eval(ctx, cand, full, start)
+        assert full._steps is None and resumed._steps is None
+        copies = [pickle.loads(pickle.dumps(r)) for r in (full, resumed)]
+        # the rows build the steps of one, the check those of the other
+        for res, rows_first in ((full, True), (resumed, False)):
+            calls.clear()
+            if rows_first:
+                res.tasks
+            else:
+                check_feasibility(res, scn)
+            steps = res._steps
+            assert calls == Counter(range(n))
+            assert res.tasks is res.tasks
+            check_feasibility(res, scn)
+            assert res._steps is steps and calls == Counter(range(n))
+        for res, copy in zip((full, resumed), copies):
+            assert copy._steps is None
+            built = pickle.loads(pickle.dumps(res))
+            assert built._steps == res._steps
+            assert copy == built == res and hash(copy) == hash(built) == hash(res)
 
 
 def test_finishes_match_three_tier_steps():
@@ -380,9 +431,9 @@ def test_check_feasibility_random_evaluations_satisfy_precedence():
 
 
 def test_check_feasibility_matches_row_reference():
-    """The check reads the evaluation's lists; the reference reads the rows.
-    Evaluations are tampered with to break each precedence term, both
-    utilities and the budget."""
+    """The check reads the evaluation's steps and finish times; the
+    reference reads the rows.  Evaluations are tampered with to break each
+    precedence term, both utilities and the budget."""
     rng = np.random.default_rng(33)
     seen = Counter()
     for k in range(1000):
@@ -393,8 +444,9 @@ def test_check_feasibility_matches_row_reference():
         ctx = schedule.eval_context(graph, scn.platform)
         tiers = [int(gen.random_placement(rng, graph).assignment[i + 1]) for i in range(n)]
         core = schedule._core_eval(ctx, tiers)
-        lists = {f: list(getattr(core, "_" + f))
-                 for f in ("ready", "finish_tx", "finish_fwd", "chosen")}
+        lists = dict(zip(("ready", "finish_tx", "finish_fwd"),
+                         map(list, zip(*core._step_list()))))
+        lists["chosen"] = list(core._chosen)
         for name, values in lists.items():
             if rng.random() < 0.5:
                 i = int(rng.integers(n))
@@ -413,7 +465,10 @@ def test_check_feasibility_matches_row_reference():
             scn = replace(scn, budget=cost + 0.5)
             cost = 2.0 * cost + 1.0
         run = core._run[:n] + [(sum_finish, cost, u_f, u_c)]
-        res = schedule.ScheduleResult(ctx, tiers, *lists.values(), run, core.makespan)
+        res = schedule.ScheduleResult(ctx, tiers, lists["chosen"], run, core.makespan)
+        # the steps as the result keeps them, tampered with where the lists are
+        res._steps = list(zip(lists["ready"], lists["finish_tx"], lists["finish_fwd"],
+                              lists["chosen"]))
         assert (res.total_cost, res.fog_utility, res.cloud_utility) == (cost, u_f, u_c)
         got = check_feasibility(res, scn)
         want, flags = oracles.check_feasibility_rows(res, scn)

@@ -6,13 +6,14 @@ import warnings
 import numpy as np
 import pytest
 
-from fogsched import bench, schedule, solvers
+from fogsched import bench, cli, schedule, solvers
 from fogsched import (
     BruteForceConfig,
     RestartsExhausted,
     CloudSpec,
     FogSpec,
     GraphError,
+    GreedyConfig,
     Infeasible,
     ObjectiveMode,
     Placement,
@@ -34,6 +35,7 @@ from fogsched import (
     metropolis_accept,
     objective_value,
     sa_solve,
+    save_scenario,
     solve,
 )
 from collections import Counter
@@ -419,12 +421,23 @@ def test_greedy_budget_sweep_evaluates_once_per_phase2_length(tmp_path, monkeypa
         calls.append(list(tiers))
         return original(ctx, tiers, *resume)
 
+    steps = Counter()
+    tier_step = schedule._tier_step
+
+    def counting_step(ctx, i, *args):
+        steps[i] += 1
+        return tier_step(ctx, i, *args)
+
     monkeypatch.setattr(solvers, "_core_eval", counting_eval)
+    monkeypatch.setattr(schedule, "_tier_step", counting_step)
     spec = bench.SweepSpec("budget", 0.5, 100.0, 21, reps=5, solvers=("greedy",))
     rows = bench.sweep(bundled_scenario("chain40.scn"), spec, tmp_path / "b.csv", workers=1)
     assert len(rows) == 105 and all(r.error == "" for r in rows)
     assert len(calls) == 17
     assert len({r.iterations for r in rows}) == 17
+    # each kept evaluation's walk steps every task once, and the first
+    # feasibility check of the solves sharing it builds its steps once
+    assert steps == Counter({i: 2 * 17 for i in range(40)})
 
 
 # ---------------------------------------------------------------- annealing
@@ -629,6 +642,28 @@ def test_brute_on_no_tasks_tests_the_empty_placement():
                    solver_config=BruteForceConfig())
     out = brute_force_solve(scn)
     assert (out.placement.assignment, out.iterations, out.feasible) == ({}, 1, True)
+
+
+def test_no_tasks_solve_to_the_empty_placement(tmp_path, capsys, monkeypatch):
+    # annealing has nothing to perturb: it proposes and draws nothing
+    empty = replace(load_scenario(bundled_scenario("fig4.scn")), graph=TaskGraph([], []))
+
+    def no_draw(*args):
+        raise AssertionError("drew from the stream")
+
+    monkeypatch.setattr(solvers.Stream, "integers", no_draw)
+    for cfg, iterations in ((GreedyConfig(), 0), (SAConfig(), 0), (BruteForceConfig(), 1)):
+        out = solve(replace(empty, solver_config=cfg))
+        assert (out.placement.assignment, out.iterations, out.feasible) == ({}, iterations, True)
+        assert (out.result.makespan, out.result.total_cost, out.result.tasks) == (0.0, 0.0, ())
+    scn = replace(empty, solver_config=SAConfig())
+    assert _outcome_or_error(sa_solve, scn) == _outcome_or_error(oracles.anneal_reference, scn)
+    path = save_scenario(empty, tmp_path / "empty.scn")
+    capsys.readouterr()
+    assert cli.main(["compare", "--scenario", str(path)]) == 0
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert [r.split()[0] for r in rows] == ["greedy", "sa", "brute"]
+    assert all(r.split()[-1] == "100%" for r in rows)
 
 
 def test_brute_infeasible_when_budget_zero():
@@ -902,7 +937,6 @@ def test_solve_dispatch():
     assert solve(replace(scn, solver_config=BruteForceConfig())).iterations == 3 ** len(scn.graph)
     sa_out = solve(replace(scn, solver_config=SAConfig(), seed=5))
     assert sa_out.placement == sa_solve(replace(scn, solver_config=SAConfig(), seed=5)).placement
-    from fogsched import GreedyConfig
 
     try:
         g_out = solve(replace(scn, solver_config=GreedyConfig()))
