@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+import time
 import warnings
 from dataclasses import dataclass, fields, replace
 from functools import partial
@@ -51,7 +52,7 @@ SOLVER_NAMES = tuple(SOLVER_KINDS)
 class ResultRow:
     """One solve, flattened for the CSV tables.  A solve that raised keeps
     the defaults after its identity: NaN metrics, zero counts, infeasible,
-    and its `error`."""
+    and its measured `wall_time` and its `error`."""
 
     scenario_id: str
     solver: str
@@ -172,10 +173,12 @@ def _solve_one(
         scenario, seed=seed, solver_config=_solver_config(solver, scenario)
     )
     row = partial(ResultRow, scenario_id, solver, seed, len(scn.graph), sweep_value)
+    t_start = time.perf_counter()
     try:
         outcome = _solvers.solve(scn)
     except (_solvers.SolverError, GraphError) as exc:
-        return row(error=f"{type(exc).__name__}: {exc}")
+        return row(wall_time=time.perf_counter() - t_start,
+                   error=f"{type(exc).__name__}: {exc}")
     if verify and outcome.feasible:
         again = evaluate(scn.graph, outcome.placement, scn.platform)
         report = check_feasibility(again, scn)
@@ -318,8 +321,10 @@ def sweep(
 
     The source scenario file is never modified; each sweep value derives
     its scenario from it once.  Output rows are sorted by (sweep_value,
-    solver, seed).
+    solver, seed).  An `out_path` whose directory does not exist fails
+    before the first solve.
     """
+    out_path = check_out_path(out_path)
     base, scenario_id, _ = _load(scenario_path, None)
     solve_cell = _SweepCells(base, spec, scenario_id, verify)
     cells = [
@@ -433,6 +438,16 @@ def write_rows(rows: Sequence[ResultRow], fh: TextIO) -> None:
     writer.writerow(CSV_COLUMNS)
     for row in rows:
         writer.writerow([_format_value(getattr(row, col)) for col in CSV_COLUMNS])
+
+
+def check_out_path(path: Union[str, Path]) -> Path:
+    """`path` as a Path, or FileNotFoundError when its directory does not
+    exist, so that a batch can fail before its first solve rather than at
+    its write."""
+    path = Path(path)
+    if not path.parent.is_dir():
+        raise FileNotFoundError(f"no directory {str(path.parent)!r} to write {str(path)!r} in")
+    return path
 
 
 def write_csv(rows: Sequence[ResultRow], path: Union[str, Path]) -> Path:

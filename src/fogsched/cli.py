@@ -2,7 +2,8 @@
 
 Subcommands: run, sweep, compare, validate.  Exit code 0 on a completed
 batch (even when individual rows record solver errors), 2 on parse or
-validation failure.
+validation failure or an output file that cannot be written; a `--out`
+whose directory does not exist fails before the first solve.
 """
 from __future__ import annotations
 
@@ -61,6 +62,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
+    if args.out:
+        bench.check_out_path(args.out)
     rows = bench.run(
         args.scenario,
         solver=args.solver,
@@ -140,7 +143,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ParseError, GraphError, ValueError) as exc:
+    except (ParseError, GraphError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

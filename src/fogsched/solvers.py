@@ -371,10 +371,12 @@ def brute_force_solve(scenario: Scenario) -> SolveOutcome:
     place: a placement is feasible when both utilities are non-negative and
     total cost is within budget (precedence constraints hold by
     construction), and only a feasible leaf's objective is compared with
-    the optimum's.  Nothing is pruned: `iterations` counts the leaves
-    tested, 3 per last-depth node, which is 3^N.  Ties keep the optimum
-    whose tiers, read in task-id order, come first lexicographically (local
-    < fog < cloud).  Raises TooLarge above the configured cap and
+    the optimum's.  The limits read only the running sums, so such a node
+    computes its task's finish times only when one of its leaves passes
+    them, at the first that does.  Nothing is pruned: `iterations` counts
+    the leaves tested, 3 per last-depth node, which is 3^N.  Ties keep the
+    optimum whose tiers, read in task-id order, come first lexicographically
+    (local < fog < cloud).  Raises TooLarge above the configured cap and
     Infeasible when nothing qualifies.
     """
     t_start = time.perf_counter()
@@ -413,16 +415,21 @@ def brute_force_solve(scenario: Scenario) -> SolveOutcome:
     def visit(d, makespan, sum_finish, cost, u_f, u_c):
         nonlocal leaves
         i, sink, terms = rows[d]
-        fins = _finishes(ctx, i, tiers, chosen)
         if d == last:
-            # the last task in topological order is a sink
+            # the last task in topological order is a sink; its finish
+            # times are computed at the first leaf within the limits
             leaves += 3
-            for (t, c, df, dc), fin in zip(terms, fins):
+            fins = None
+            for k, (t, c, df, dc) in enumerate(terms):
                 if u_f + df < floor or u_c + dc < floor or cost + c > limit:
                     continue
+                if fins is None:
+                    fins = _finishes(ctx, i, tiers, chosen)
+                fin = fins[k]
                 tiers[i] = t
                 keep(sum_finish + fin if by_sum else fin if fin > makespan else makespan)
             return
+        fins = _finishes(ctx, i, tiers, chosen)
         for (t, c, df, dc), fin in zip(terms, fins):
             tiers[i] = t
             chosen[i] = fin

@@ -8,6 +8,7 @@ import os
 import pickle
 import subprocess
 import sys
+import time
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -15,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fogsched import bench, cli, schedule
+from fogsched import bench, cli, schedule, solvers
 from fogsched import (
     BruteForceConfig,
     ParseError,
@@ -468,11 +469,60 @@ def test_cli_run_stdout_is_the_csv_file(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["run", "--scenario", str(path), "--reps", "2"]) == 0
     stdout = capsys.readouterr().out
-    assert stdout == out.read_text(encoding="utf-8")
+    # the two runs differ only in the measured wall time of their error rows
+    assert _without_wall_time(stdout) == _without_wall_time(out.read_text(encoding="utf-8"))
     rows = list(csv.reader(io.StringIO(stdout)))
     assert len(rows) == 3
     assert all(len(r) == len(bench.CSV_COLUMNS) == 17 for r in rows)
     assert rows[1][-1].startswith("Infeasible: all tasks local, total energy")
+    assert all(float(r[bench.CSV_COLUMNS.index("wall_time")]) > 0 for r in rows[1:])
+
+
+def _raising_solve(calls):
+    """A stand-in for solvers.solve that counts its calls, takes at least
+    10 ms and raises Infeasible."""
+    def solve(scn):
+        calls.append(scn.seed)
+        time.sleep(0.01)
+        raise solvers.Infeasible("nothing fits")
+    return solve
+
+
+def test_error_rows_report_their_wall_time(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(solvers, "solve", _raising_solve(calls))
+    fig4 = bundled_scenario("fig4.scn")
+    rows = bench.run(fig4, solver="greedy", reps=2)
+    assert [r.error for r in rows] == ["Infeasible: nothing fits"] * 2
+    assert all(r.wall_time >= 0.01 for r in rows)
+    summary = bench.compare(fig4, reps=2)
+    assert all(st["mean_wall_time"] >= 0.01 for st in summary["solvers"].values())
+    # a sweep's file still zeroes the column; its returned rows keep the time
+    out = tmp_path / "s.csv"
+    rows = bench.sweep(fig4, bench.SweepSpec("budget", 2.0, 8.0, 2), out, workers=1)
+    assert all(r.wall_time >= 0.01 for r in rows)
+    written = list(csv.DictReader(io.StringIO(out.read_text(encoding="utf-8"))))
+    assert [r["wall_time"] for r in written] == ["0", "0"]
+    assert len(calls) == 2 + 3 * 2 + 2
+
+
+def test_cli_bad_out_fails_before_any_solve(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(solvers, "solve", _raising_solve(calls))
+    monkeypatch.setenv("FOGSCHED_WORKERS", "1")
+    out = tmp_path / "missing" / "x.csv"
+    for argv in (
+        ["sweep", "--scenario", "fig4.scn", "--param", "budget", "--from", "2", "--to", "8",
+         "--steps", "2", "--out", str(out)],
+        ["run", "--scenario", "fig4.scn", "--out", str(out)],
+    ):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: no directory {str(out.parent)!r} to write "
+                                f"{str(out)!r} in\n")
+    assert calls == []
+    assert not out.parent.exists()
 
 
 def test_reps_below_one_rejected(capsys):
@@ -577,11 +627,14 @@ def test_golden_output_digests(tmp_path, capsys):
 # sha256 of sweep CSVs over the paths the golden digests above do not reach:
 # task_count chains (sizes drawn uniformly from their own streams) and
 # linspace values that are not exact multiples; recorded while numpy still
-# drew the streams and spaced the values
+# drew the streams and spaced the values.  The fig4 budget sweep pins
+# exhaustive search across budgets; it was recorded before the exhaustive
+# walk tested a last-depth node's leaves ahead of its finish times
 SWEEP_SHA256 = {
     "chain40 task_count sweep": "553f13ba2719d02c04a116c837e9c5851af13aa75c202a110eb1a7cf589dd03d",
     "fig4 data_size sweep": "de1ae4f74a6eee572774ed695e3fc3a875109b0f8d5b7ae2153b38727586378f",
     "fig4 fog_price sweep": "68fda52a0e3b291b1726a027d61cd9b686b87ea1372c446f1c59d4b99970c93f",
+    "fig4 budget sweep": "80b83a28f9871d587cebd2a55dd6d1180e489ff5186f981c68f3cbf714a64930",
 }
 
 
@@ -593,6 +646,10 @@ def test_sweep_output_digests(tmp_path):
             "data_size", 0.25, 3.0, 7, reps=2, solvers=("greedy", "sa"))),
         "fig4 fog_price sweep": ("fig4.scn", bench.SweepSpec(
             "fog_price", 0.0005, 0.003, 6, reps=2, solvers=("greedy", "sa", "brute"))),
+        # exhaustive last-depth nodes with no passing leaf (budget 0), some
+        # (budget 1) and every utility-feasible one (budget 5 on)
+        "fig4 budget sweep": ("fig4.scn", bench.SweepSpec(
+            "budget", 0.0, 8.0, 9, reps=1, solvers=("greedy", "brute"))),
     }
     got = {}
     for name, (scenario, spec) in sweeps.items():

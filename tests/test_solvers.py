@@ -905,6 +905,40 @@ def test_brute_evaluates_only_the_returned_placement(monkeypatch):
     assert calls == []
 
 
+def test_brute_computes_last_depth_finishes_only_when_a_leaf_passes(monkeypatch):
+    # every internal node scans its predecessors once, (3^N - 1) / 2 of
+    # them at N tasks; a last-depth node scans only when a leaf passes the
+    # budget and utility limits.  On fig4, 256 of the 3^8 last-depth nodes
+    # have a leaf within the utility limits, and none within a zero budget.
+    calls = []
+    original = solvers._finishes
+
+    def counting_finishes(ctx, i, tiers, chosen):
+        calls.append(i)
+        return original(ctx, i, tiers, chosen)
+
+    monkeypatch.setattr(solvers, "_finishes", counting_finishes)
+    fig4 = replace(load_scenario(bundled_scenario("fig4.scn")), solver_config=BruteForceConfig())
+    internal = (3**8 - 1) // 2
+    with pytest.raises(Infeasible):
+        brute_force_solve(replace(fig4, budget=0.0))
+    assert len(calls) == internal == 3280
+    for budget in (6.0, math.inf):
+        calls.clear()
+        out = brute_force_solve(replace(fig4, budget=budget))
+        assert out.iterations == 3**9
+        assert len(calls) == internal + 256 == 3536
+    # nothing costs or earns anything here: every leaf passes
+    for n in range(1, 7):
+        calls.clear()
+        graph = TaskGraph([TaskSpec(i, 1.0, 0.5) for i in range(1, n + 1)],
+                          [(i, i + 1) for i in range(1, n)])
+        out = brute_force_solve(
+            Scenario(graph=graph, platform=_tie_platform(), solver_config=BruteForceConfig()))
+        assert out.iterations == 3**n
+        assert len(calls) == (3**n - 1) // 2
+
+
 def test_brute_dominates_other_solvers():
     rng = np.random.default_rng(77)
     compared = 0
