@@ -321,10 +321,8 @@ def sweep(
 
     The source scenario file is never modified; each sweep value derives
     its scenario from it once.  Output rows are sorted by (sweep_value,
-    solver, seed).  An `out_path` whose directory does not exist fails
-    before the first solve.
+    solver, seed).
     """
-    out_path = check_out_path(out_path)
     base, scenario_id, _ = _load(scenario_path, None)
     solve_cell = _SweepCells(base, spec, scenario_id, verify)
     cells = [
@@ -440,14 +438,13 @@ def write_rows(rows: Sequence[ResultRow], fh: TextIO) -> None:
         writer.writerow([_format_value(getattr(row, col)) for col in CSV_COLUMNS])
 
 
-def check_out_path(path: Union[str, Path]) -> Path:
-    """`path` as a Path, or FileNotFoundError when its directory does not
-    exist, so that a batch can fail before its first solve rather than at
-    its write."""
+def check_out_path(path: Union[str, Path]) -> None:
+    """Raise FileNotFoundError when the directory of `path` does not exist,
+    so that a batch can fail before its first solve rather than at its
+    write."""
     path = Path(path)
     if not path.parent.is_dir():
         raise FileNotFoundError(f"no directory {str(path.parent)!r} to write {str(path)!r} in")
-    return path
 
 
 def write_csv(rows: Sequence[ResultRow], path: Union[str, Path]) -> Path:

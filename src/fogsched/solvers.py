@@ -405,15 +405,8 @@ def brute_force_solve(scenario: Scenario) -> SolveOutcome:
     best_tiers = None
     leaves = 0
 
-    def keep(obj):
-        # a feasible leaf, whose tiers are in `tiers`
-        nonlocal best_obj, best_tiers
-        if obj < best_obj or (obj == best_obj and best_tiers is not None and tiers < best_tiers):
-            best_obj = obj
-            best_tiers = list(tiers)
-
     def visit(d, makespan, sum_finish, cost, u_f, u_c):
-        nonlocal leaves
+        nonlocal leaves, best_obj, best_tiers
         i, sink, terms = rows[d]
         if d == last:
             # the last task in topological order is a sink; its finish
@@ -427,7 +420,11 @@ def brute_force_solve(scenario: Scenario) -> SolveOutcome:
                     fins = _finishes(ctx, i, tiers, chosen)
                 fin = fins[k]
                 tiers[i] = t
-                keep(sum_finish + fin if by_sum else fin if fin > makespan else makespan)
+                obj = sum_finish + fin if by_sum else fin if fin > makespan else makespan
+                if obj < best_obj or (obj == best_obj and best_tiers is not None
+                                      and tiers < best_tiers):
+                    best_obj = obj
+                    best_tiers = list(tiers)
             return
         fins = _finishes(ctx, i, tiers, chosen)
         for (t, c, df, dc), fin in zip(terms, fins):
@@ -441,7 +438,7 @@ def brute_force_solve(scenario: Scenario) -> SolveOutcome:
     else:
         # the empty placement: one leaf, within every budget
         leaves = 1
-        keep(0.0)
+        best_obj, best_tiers = 0.0, []
     if best_tiers is None:
         raise Infeasible("no placement satisfies the utility and budget constraints")
     return _outcome(scenario, best_tiers, _core_eval(ctx, best_tiers), leaves, t_start)

@@ -2,6 +2,7 @@
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -12,6 +13,7 @@ import time
 import warnings
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -459,8 +461,12 @@ def test_cli_compare(capsys):
     assert capsys.readouterr().out == documented
 
 
-def test_cli_run_stdout_is_the_csv_file(tmp_path, capsys):
-    # budget 0: every greedy row is an error whose message holds a comma
+def test_cli_run_stdout_is_the_csv_file(tmp_path, capsys, monkeypatch):
+    # budget 0: every greedy row is an error whose message holds a comma.
+    # bench reads a clock that moves 0.25 s per reading, so each error row
+    # measures the same wall time in both runs
+    clock = itertools.count(0.0, 0.25)
+    monkeypatch.setattr(bench, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
     text = bundled_scenario("fig4.scn").read_text(encoding="utf-8")
     path = tmp_path / "fig4_b0.scn"
     path.write_text(text.replace("\nbudget: 6.0\n", "\nbudget: 0.0\n"), encoding="utf-8")
@@ -469,13 +475,12 @@ def test_cli_run_stdout_is_the_csv_file(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["run", "--scenario", str(path), "--reps", "2"]) == 0
     stdout = capsys.readouterr().out
-    # the two runs differ only in the measured wall time of their error rows
-    assert _without_wall_time(stdout) == _without_wall_time(out.read_text(encoding="utf-8"))
+    assert stdout == out.read_text(encoding="utf-8")
     rows = list(csv.reader(io.StringIO(stdout)))
     assert len(rows) == 3
     assert all(len(r) == len(bench.CSV_COLUMNS) == 17 for r in rows)
     assert rows[1][-1].startswith("Infeasible: all tasks local, total energy")
-    assert all(float(r[bench.CSV_COLUMNS.index("wall_time")]) > 0 for r in rows[1:])
+    assert [float(r[bench.CSV_COLUMNS.index("wall_time")]) for r in rows[1:]] == [0.25, 0.25]
 
 
 def _raising_solve(calls):
