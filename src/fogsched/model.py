@@ -310,11 +310,15 @@ class Placement:
     assignment: Mapping[int, Tier]
 
     def __post_init__(self):
-        # operator.index takes ints, IntEnum members and numpy integers, and
-        # refuses what int() would truncate or parse (1.7, '1'); a bool is an
-        # int to it, so it is refused first
+        # a Tier under an int key is taken as it is; otherwise operator.index
+        # takes ints, IntEnum members and numpy integers, and refuses what
+        # int() would truncate or parse (1.7, '1'); a bool is an int to it,
+        # so it is refused first
         assignment = {}
         for k, v in dict(self.assignment).items():
+            if type(v) is Tier and type(k) is int:
+                assignment[k] = v
+                continue
             if type(k) is bool:
                 raise TypeError(f"placement key {k!r} is a bool, not a task id")
             if type(v) is bool:

@@ -36,10 +36,11 @@ topological position, so a placement that differs from an evaluated one
 only from some position on is evaluated by resuming the walk there.
 
 One record holds each evaluation: `_core_eval` returns the ScheduleResult,
-which keeps the walk's finish times and running sums and rebuilds the ready
-and transfer times from them, in one `_tier_step` pass, when its TaskSchedule
-rows or `check_feasibility` first read them.  `check_feasibility` returns a
-FeasibilityReport holding only the violations found.
+which keeps the walk's finish times, running sums and each task's step (its
+ready and transfer times), recorded as the walk makes them, so neither the
+TaskSchedule rows nor `check_feasibility` walk the tasks again.
+`check_feasibility` returns a FeasibilityReport holding only the violations
+found.
 
 Everything is pure: identical inputs give bit-identical results.
 """
@@ -185,59 +186,12 @@ class EvalContext:
         self.greedy_tails = {}
 
 
-def _tier_step(ctx, i, tier, tiers, chosen):
-    """Ready/finish times of task i at `tier`, given every predecessor's tier
-    code in `tiers` and finish time in `chosen`.
-
-    Returns (ready, uplink_finish, forward_finish, finish); the two transfer
-    finishes are 0 where the tier involves no such transfer.
-    """
-    ps = ctx.preds[i]
-    if tier == _LOCAL:
-        ready = 0.0
-        for k in ps:
-            v = chosen[k]
-            if v > ready:
-                ready = v
-        return ready, 0.0, 0.0, ctx.tau_l[i] + ready
-    ml = 0.0
-    mf = 0.0
-    mc = 0.0
-    for k in ps:
-        v = chosen[k]
-        t = tiers[k]
-        if t == _LOCAL:
-            if v > ml:
-                ml = v
-        elif t == _FOG:
-            if v > mf:
-                mf = v
-        elif v > mc:
-            mc = v
-    up = ctx.tau_t[i] + ml
-    if tier == _FOG:
-        ready = up
-        if mf > ready:
-            ready = mf
-        if mc > ready:
-            ready = mc
-        return ready, up, 0.0, ctx.tau_f[i] + ready
-    fwd = ctx.tau_r[i] + mf
-    ready = up + ctx.tau_r[i]
-    if mc > ready:
-        ready = mc
-    if fwd > ready:
-        ready = fwd
-    return ready, up, fwd, ctx.tau_c[i] + ready
-
-
 def _finishes(ctx, i, tiers, chosen):
-    """Finish times of task i on local, fog and cloud, as
-    `_tier_step(ctx, i, tier, tiers, chosen)[3]` gives them for each tier,
-    from one scan of the predecessors.  The local ready time is the largest
-    of the three per-tier maxima, which is the largest predecessor finish
-    time exactly; the offloaded tiers make `_tier_step`'s additions in its
-    order."""
+    """Finish times of task i on local, fog and cloud, as `_core_eval`'s
+    step gives them for each tier, from one scan of the predecessors.  The
+    local ready time is the largest of the three per-tier maxima, which is
+    the largest predecessor finish time exactly; the offloaded tiers make
+    the step's additions in its order."""
     ml = 0.0
     mf = 0.0
     mc = 0.0
@@ -278,36 +232,31 @@ class ScheduleResult:
     """Evaluation of one placement, as `_core_eval` returns it.
 
     It keeps what a resumed walk reads (0-indexed): each task's finish time
-    at its assigned tier (`chosen`) and `run`, where `run[d]` holds the
-    running (sum of finish times, cost, fog utility, cloud utility) over
-    the tasks at topological positions before d.  The constructor reads the
-    four totals from `run[n]` into slots, so that reading one costs a slot
-    lookup.  `tiers` is kept, not copied.  On first read, one pass over the
-    final `chosen` builds the steps, each task's `_tier_step` tuple at its
-    tier, and the TaskSchedule rows are built from the steps and `chosen`;
-    a result shared by several solves builds each once.  `==`, `hash` and
-    `repr` are those of a frozen record of the rows and totals."""
+    at its assigned tier (`chosen`), each task's step at that tier
+    (`steps`: ready time, uplink finish, forward finish, finish time; a
+    transfer finish is 0 where the tier makes no such transfer) and `run`,
+    where `run[d]` holds the running (sum of finish times, cost, fog
+    utility, cloud utility) over the tasks at topological positions before
+    d.  The constructor reads the four totals from `run[n]` into slots, so
+    that reading one costs a slot lookup.  `tiers` is kept, not copied.  The
+    TaskSchedule rows are built from the steps on first read; a result
+    shared by several solves builds them once.  `==`, `hash` and `repr` are
+    those of a frozen record of the rows and totals."""
 
-    __slots__ = ("_ctx", "_tiers", "_chosen", "_run", "_makespan", "_sum_finish",
-                 "_total_cost", "_fog_utility", "_cloud_utility", "_steps", "_tasks")
+    __slots__ = ("_ctx", "_tiers", "_chosen", "_steps", "_run", "_makespan", "_sum_finish",
+                 "_total_cost", "_fog_utility", "_cloud_utility", "_tasks")
 
-    def __init__(self, ctx: EvalContext, tiers, chosen, run, makespan: float):
-        self._ctx, self._tiers, self._chosen, self._run, self._makespan = (
-            ctx, tiers, chosen, run, makespan)
+    def __init__(self, ctx: EvalContext, tiers, chosen, steps, run, makespan: float):
+        self._ctx, self._tiers, self._chosen, self._steps, self._run, self._makespan = (
+            ctx, tiers, chosen, steps, run, makespan)
         self._sum_finish, self._total_cost, self._fog_utility, self._cloud_utility = run[-1]
-        self._steps = self._tasks = None
+        self._tasks = None
 
     makespan = property(attrgetter("_makespan"))
     sum_finish = property(attrgetter("_sum_finish"))
     total_cost = property(attrgetter("_total_cost"))
     fog_utility = property(attrgetter("_fog_utility"))
     cloud_utility = property(attrgetter("_cloud_utility"))
-
-    def _step_list(self) -> list:
-        if self._steps is None:
-            ctx, tiers, chosen = self._ctx, self._tiers, self._chosen
-            self._steps = [_tier_step(ctx, i, t, tiers, chosen) for i, t in enumerate(tiers)]
-        return self._steps
 
     @property
     def tasks(self) -> tuple[TaskSchedule, ...]:
@@ -329,7 +278,7 @@ class ScheduleResult:
                     cost[t][i],
                 )
                 for i, (t, (r, tx, fwd, _), f) in enumerate(
-                    zip(self._tiers, self._step_list(), self._chosen)
+                    zip(self._tiers, self._steps, self._chosen)
                 )
             )
         return self._tasks
@@ -364,31 +313,79 @@ def _core_eval(
 ) -> ScheduleResult:
     """Evaluate one placement given as a 0-indexed sequence of tier codes.
 
-    Finish times, cost and utilities are all accumulated in one walk in
-    `ctx.topo` order, so every sum adds its terms in topological order.
-    With `prev`, the evaluation of a placement whose tasks at topological
-    positions before `start` sit on the same tiers as in `tiers`, the walk
-    resumes at `start` from `prev`'s state there: it makes the same
-    additions in the same order as a full walk, so the result is
-    bit-identical to one.  `start == n` returns `prev` itself.  A resumed
-    walk copies only `prev`'s finish times and running sums.
+    Finish times, steps, cost and utilities are all made in one walk in
+    `ctx.topo` order, so every sum adds its terms in topological order.  A
+    task's step scans its predecessors once: a local task is ready at the
+    largest predecessor finish time, an offloaded one reads the largest
+    finish time per predecessor tier.  With `prev`, the evaluation of a
+    placement whose tasks at topological positions before `start` sit on
+    the same tiers as in `tiers`, the walk resumes at `start` from `prev`'s
+    state there: it copies `prev`'s finish times, steps and running sums
+    and overwrites those of the tasks it walks, making the same additions
+    in the same order as a full walk, so the result is bit-identical to
+    one.  `start == n` returns `prev` itself.
     """
     n = ctx.n
     if prev is None:
         start = 0
         chosen = [0.0] * n
+        steps = [None] * n
         run = [(0.0, 0.0, 0.0, 0.0)] * (n + 1)
     elif start >= n:
         return prev
     else:
         chosen = prev._chosen.copy()
+        steps = prev._steps.copy()
         run = prev._run.copy()
+    preds = ctx.preds
+    tau_l, tau_t, tau_f, tau_r, tau_c = ctx.tau_l, ctx.tau_t, ctx.tau_f, ctx.tau_r, ctx.tau_c
     cost_t, du_f, du_c = ctx.cost, ctx.du_f, ctx.du_c
     sum_finish, cost, u_f, u_c = run[start]
     d = start
     for i in ctx.topo[start:]:
         t = tiers[i]
-        chosen[i] = fin = _tier_step(ctx, i, t, tiers, chosen)[3]
+        if t == _LOCAL:
+            ready = 0.0
+            for k in preds[i]:
+                v = chosen[k]
+                if v > ready:
+                    ready = v
+            fin = tau_l[i] + ready
+            steps[i] = (ready, 0.0, 0.0, fin)
+        else:
+            ml = 0.0
+            mf = 0.0
+            mc = 0.0
+            for k in preds[i]:
+                v = chosen[k]
+                p = tiers[k]
+                if p == _LOCAL:
+                    if v > ml:
+                        ml = v
+                elif p == _FOG:
+                    if v > mf:
+                        mf = v
+                elif v > mc:
+                    mc = v
+            up = tau_t[i] + ml
+            if t == _FOG:
+                ready = up
+                if mf > ready:
+                    ready = mf
+                if mc > ready:
+                    ready = mc
+                fin = tau_f[i] + ready
+                steps[i] = (ready, up, 0.0, fin)
+            else:
+                fwd = tau_r[i] + mf
+                ready = up + tau_r[i]
+                if mc > ready:
+                    ready = mc
+                if fwd > ready:
+                    ready = fwd
+                fin = tau_c[i] + ready
+                steps[i] = (ready, up, fwd, fin)
+        chosen[i] = fin
         sum_finish += fin
         cost += cost_t[t][i]
         u_f += du_f[t][i]
@@ -399,7 +396,7 @@ def _core_eval(
     for i in ctx.sinks:
         if chosen[i] > makespan:
             makespan = chosen[i]
-    return ScheduleResult(ctx, tiers, chosen, run, makespan)
+    return ScheduleResult(ctx, tiers, chosen, steps, run, makespan)
 
 
 def eval_context(graph: TaskGraph, platform: Platform) -> EvalContext:
@@ -437,9 +434,9 @@ def check_feasibility(result: ScheduleResult, scenario: Scenario) -> Feasibility
     C1-C3 re-check each ready time against the precedence terms that define
     it, at the task's assigned tier (the finish times of a predecessor's
     unassigned tiers are 0 by convention and carry no constraint).  The
-    ready and transfer times are the result's steps, recomputed by
-    `_tier_step` from its finish times, so C1-C3 hold by construction for
-    an evaluator's result.  C4 checks both utilities, C5/C6 hold by
+    ready and transfer times are the steps that the walk recorded as it
+    made the finish times, so C1-C3 hold by construction for an evaluator's
+    result.  C4 checks both utilities, C5/C6 hold by
     construction, C7 compares total cost to the budget.  All comparisons use
     absolute tolerance TIME_TOL.  The checks read the result's steps, finish
     times and context, not its rows; of the scenario only the budget is
@@ -447,13 +444,8 @@ def check_feasibility(result: ScheduleResult, scenario: Scenario) -> Feasibility
     constraint's verdict follows.
     """
     ctx = result._ctx
-    tiers, steps, chosen = result._tiers, result._step_list(), result._chosen
+    tiers, steps, chosen = result._tiers, result._steps, result._chosen
     violations: list[tuple[str, int, str]] = []
-
-    def _on(k: int, tier: int) -> float:
-        # predecessor k's finish time at `tier`
-        return chosen[k] if tiers[k] == tier else 0.0
-
     for i, ps in enumerate(ctx.preds):
         tier = tiers[i]
         r, tx, fwd, _ = steps[i]
@@ -465,11 +457,13 @@ def check_feasibility(result: ScheduleResult, scenario: Scenario) -> Feasibility
             if r < tx - TIME_TOL:
                 violations.append(("C2", i + 1, "ready_fog precedes upload completion"))
             for k in ps:
-                if r < _on(k, _FOG) - TIME_TOL:
+                # predecessor k's finish time on the fog and on the cloud
+                on = tiers[k]
+                if r < (chosen[k] if on == _FOG else 0.0) - TIME_TOL:
                     violations.append(
                         ("C2", i + 1, f"ready_fog precedes fog finish of task {k + 1}")
                     )
-                if r < _on(k, _CLOUD) - TIME_TOL:
+                if r < (chosen[k] if on == _CLOUD else 0.0) - TIME_TOL:
                     violations.append(
                         ("C2", i + 1, f"ready_fog precedes cloud finish of task {k + 1}")
                     )
@@ -479,7 +473,7 @@ def check_feasibility(result: ScheduleResult, scenario: Scenario) -> Feasibility
             if r < fwd - TIME_TOL:
                 violations.append(("C3", i + 1, "ready_cloud precedes forward completion"))
             for k in ps:
-                if r < _on(k, _CLOUD) - TIME_TOL:
+                if r < (chosen[k] if tiers[k] == _CLOUD else 0.0) - TIME_TOL:
                     violations.append(
                         ("C3", i + 1, f"ready_cloud precedes cloud finish of task {k + 1}")
                     )

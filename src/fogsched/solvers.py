@@ -19,6 +19,7 @@ from math import exp, inf
 
 from ._rng import Stream
 from .model import (
+    _TIERS,
     BruteForceConfig,
     ObjectiveMode,
     Placement,
@@ -87,7 +88,7 @@ def metropolis_accept(delta: float, temperature: float, rng: Stream) -> bool:
 
 def _outcome(scenario, tiers, result, iterations, t_start) -> SolveOutcome:
     return SolveOutcome(
-        placement=Placement(dict(enumerate(tiers, 1))),
+        placement=Placement({i: _TIERS[t] for i, t in enumerate(tiers, 1)}),
         result=result,
         feasible=check_feasibility(result, scenario).feasible,
         iterations=iterations,

@@ -11,7 +11,10 @@ and a rescan of all tasks for every greedy pick.  The result-row reference
 builds each row by keyword from per-tier lists, where the package builds it
 positionally, into the frozen record that the package's lazily built
 ScheduleResult must read as.  The feasibility reference checks the result's
-rows, where the package reads the evaluation's per-task lists.
+rows, where the package reads the evaluation's per-task lists.  The step
+reference is the one-task recurrence that the package's walk inlines, as a
+function of one task and one tier; the placement reference is the checked
+path that `Placement` takes for every input outside its fast path.
 """
 from __future__ import annotations
 
@@ -19,6 +22,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
+from operator import index
 
 import numpy as np
 
@@ -32,6 +36,71 @@ from fogsched import (
     solvers,
     validate_graph,
 )
+
+
+def tier_step(ctx, i, tier, tiers, chosen):
+    """Ready/finish times of task i at `tier`, given every predecessor's tier
+    code in `tiers` and finish time in `chosen`, with the comparisons and
+    additions of `schedule._core_eval`'s walk in its order.
+
+    Returns (ready, uplink_finish, forward_finish, finish); the two transfer
+    finishes are 0 where the tier involves no such transfer.
+    """
+    local, fog = int(Tier.LOCAL), int(Tier.FOG)
+    ps = ctx.preds[i]
+    if tier == local:
+        ready = 0.0
+        for k in ps:
+            v = chosen[k]
+            if v > ready:
+                ready = v
+        return ready, 0.0, 0.0, ctx.tau_l[i] + ready
+    ml = 0.0
+    mf = 0.0
+    mc = 0.0
+    for k in ps:
+        v = chosen[k]
+        t = tiers[k]
+        if t == local:
+            if v > ml:
+                ml = v
+        elif t == fog:
+            if v > mf:
+                mf = v
+        elif v > mc:
+            mc = v
+    up = ctx.tau_t[i] + ml
+    if tier == fog:
+        ready = up
+        if mf > ready:
+            ready = mf
+        if mc > ready:
+            ready = mc
+        return ready, up, 0.0, ctx.tau_f[i] + ready
+    fwd = ctx.tau_r[i] + mf
+    ready = up + ctx.tau_r[i]
+    if mc > ready:
+        ready = mc
+    if fwd > ready:
+        ready = fwd
+    return ready, up, fwd, ctx.tau_c[i] + ready
+
+
+def placement_assignment(assignment):
+    """The assignment `Placement(assignment)` keeps, by the checked path
+    alone: keys and tiers go through operator.index, bools are refused
+    first, and a code outside 1..3 raises ValueError."""
+    out = {}
+    for k, v in dict(assignment).items():
+        if type(k) is bool:
+            raise TypeError(f"placement key {k!r} is a bool, not a task id")
+        if type(v) is bool:
+            raise TypeError(f"tier of task {k!r} is a bool, not a tier code")
+        code = index(v)
+        if not 1 <= code <= 3:
+            raise ValueError(f"tier of task {k!r}: {v!r} is not a valid Tier")
+        out[index(k)] = Tier(code)
+    return out
 
 
 def fixed_point_times(graph, placement, platform, sweeps=None):
@@ -129,7 +198,7 @@ def result_from_core(ctx, tiers, result):
     and finish times spread over the three tiers through per-tier lists, and
     the totals read from the running sums after the last task."""
     rows = []
-    for i, (r, tx, fwd, _) in enumerate(result._step_list()):
+    for i, (r, tx, fwd, _) in enumerate(result._steps):
         t = tiers[i]
         ready = [0.0, 0.0, 0.0]
         ready[t - 1] = r
@@ -250,9 +319,9 @@ def greedy_reference(scenario, trace=None):
     tiers = [0] * n
     chosen = [0.0] * n
     for i in ctx.topo:
-        fin_l = schedule._tier_step(ctx, i, local, tiers, chosen)[3]
-        fin_f = schedule._tier_step(ctx, i, fog, tiers, chosen)[3]
-        fin_c = schedule._tier_step(ctx, i, cloud, tiers, chosen)[3]
+        fin_l = tier_step(ctx, i, local, tiers, chosen)[3]
+        fin_f = tier_step(ctx, i, fog, tiers, chosen)[3]
+        fin_c = tier_step(ctx, i, cloud, tiers, chosen)[3]
         if fin_l < fin_f and fin_l < fin_c:
             tiers[i], chosen[i] = local, fin_l
         elif ctx.rev_c[i] >= ctx.e_c[i]:

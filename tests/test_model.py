@@ -1,6 +1,7 @@
 """Domain types: graph/placement validation and scenario file round-trips."""
 import math
 import pickle
+from collections import Counter
 from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
@@ -37,6 +38,7 @@ from fogsched import (
 from fogsched.scenario_io import bundled_scenario
 from fogsched.schedule import EvalContext
 import gen
+import oracles
 
 
 def _tasks(n):
@@ -175,6 +177,54 @@ def test_placement_rejects_what_it_would_coerce():
     assert placement.assignment == {2: Tier.CLOUD, 1: Tier.FOG, 3: Tier.LOCAL}
     assert [type(k) for k in placement.assignment] == [int, int, int]
     assert all(type(v) is Tier for v in placement.assignment.values())
+
+
+def _placement_or_error(assignment):
+    try:
+        placement = Placement(assignment)
+    except Exception as e:  # noqa: BLE001 - compared with the reference's
+        return type(e), str(e)
+    return [(k, type(k), v, type(v)) for k, v in placement.assignment.items()]
+
+
+def _reference_or_error(assignment):
+    try:
+        kept = oracles.placement_assignment(assignment)
+    except Exception as e:  # noqa: BLE001
+        return type(e), str(e)
+    return [(k, type(k), v, type(v)) for k, v in kept.items()]
+
+
+def test_placement_fast_path_matches_checked_path():
+    """A Tier under an int key skips the checks; every input, alone or after
+    items that take the fast path, is kept or refused as the checked path
+    alone keeps or refuses it: the same exception and message, or an equal
+    assignment with the same key and tier types."""
+    keys = [1, 2, np.int64(3), np.int32(4), Tier.CLOUD, True, False, 1.0, 2.5, "1"]
+    values = [1, 2, 3, Tier.LOCAL, Tier.FOG, Tier.CLOUD, np.int64(2), np.uint8(3),
+              True, False, 1.0, 2.5, 0, 4, -1, "2", None]
+    seen = Counter()
+    for k in keys:
+        for v in values:
+            got = _placement_or_error({k: v})
+            assert got == _reference_or_error({k: v}), (k, v)
+            seen[got[0] if isinstance(got, tuple) else "kept"] += 1
+    rng = np.random.default_rng(67)
+    for _ in range(500):
+        items = [(keys[int(rng.integers(len(keys)))], values[int(rng.integers(len(values)))])
+                 for _ in range(int(rng.integers(1, 5)))]
+        assert _placement_or_error(items) == _reference_or_error(items), items
+        assert _placement_or_error(dict(items)) == _reference_or_error(dict(items)), items
+    # 5 int-like keys x 8 valid codes are kept; a bool key, a bool or
+    # non-integer code, or a valid code under a non-integer key is a
+    # TypeError; a code out of 1..3 under a non-bool key is a ValueError
+    assert seen == Counter({"kept": 5 * 8, TypeError: 2 * 17 + 8 * 6 + 3 * 8,
+                            ValueError: 8 * 3}), seen
+    # the solvers' input: Tier members under int keys, in id order
+    tiers = [Tier(int(t)) for t in rng.integers(1, 4, size=40)]
+    assignment = dict(enumerate(tiers, 1))
+    assert _placement_or_error(assignment) == _reference_or_error(assignment)
+    assert Placement(assignment) == Placement({i: int(t) for i, t in assignment.items()})
 
 
 def test_validate_placement_ok():

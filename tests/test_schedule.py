@@ -168,13 +168,13 @@ def test_matches_fixed_point_oracle():
 
 
 def _walk_state(result):
-    """Everything an evaluation keeps from its walk or builds from it, with
-    floats as hex so that equal means bit-identical: the finish times, the
-    steps, every running sum, the makespan and the totals read from the last
-    running sum."""
+    """Everything an evaluation keeps from its walk, with floats as hex so
+    that equal means bit-identical: the finish times, the steps, every
+    running sum, the makespan and the totals read from the last running
+    sum."""
     return repr([
         [v.hex() for v in result._chosen],
-        [[v.hex() for v in step] for step in result._step_list()],
+        [[v.hex() for v in step] for step in result._steps],
         [[v.hex() for v in sums] for sums in result._run],
         [v.hex() for v in (result.makespan, result.sum_finish, result.total_cost,
                            result.fog_utility, result.cloud_utility)],
@@ -199,26 +199,57 @@ def test_resumed_walk_matches_full_walk():
             if d == start or rng.random() < 0.3:
                 cand[ctx.topo[d]] = int(rng.integers(1, 4))
         resumed = schedule._core_eval(ctx, cand, prev, start)
-        # prev's steps were built by _walk_state; the resumed result builds its own
-        assert prev._steps is not None and resumed._steps is None
+        # the resumed walk writes its steps into its own copy of prev's, and
+        # they are the full walk's
+        assert resumed._steps is not prev._steps
         assert _walk_state(resumed) == _walk_state(schedule._core_eval(ctx, cand))
         assert _walk_state(prev) == before
 
 
-def test_steps_are_built_once_on_first_read(monkeypatch):
-    """A walk keeps only finish times and running sums; the steps are built
-    by one `_tier_step` per task when the rows or the feasibility check
-    first read them, and a pickled result compares equal with or without
-    them."""
-    calls = Counter()
-    tier_step = schedule._tier_step
+def _assert_reference_steps(result):
+    ctx, tiers, chosen = result._ctx, result._tiers, result._chosen
+    want = [oracles.tier_step(ctx, i, t, tiers, chosen) for i, t in enumerate(tiers)]
+    assert [[v.hex() for v in s] for s in result._steps] == [
+        [v.hex() for v in s] for s in want]
+    assert [s[3] for s in result._steps] == chosen
 
-    def counted(ctx, i, tier, tiers, chosen):
-        calls[i] += 1
-        return tier_step(ctx, i, tier, tiers, chosen)
 
-    monkeypatch.setattr(schedule, "_tier_step", counted)
+def test_walk_records_the_reference_steps():
+    """Every step that a full or a resumed walk records is the reference
+    step of its task at its tier over the final finish times, bit for bit;
+    each resumed walk starts from the last one's result."""
+    rng = np.random.default_rng(66)
+    walks = Counter()
+    for k in range(300):
+        scn = gen.random_scenario(rng, n_max=12)
+        graph = gen.permute_ids(rng, scn.graph) if k % 2 else scn.graph
+        ctx = schedule.EvalContext(graph, scn.platform)
+        n = ctx.n
+        tiers = [int(v) for v in rng.integers(1, 4, size=n)]
+        res = schedule._core_eval(ctx, tiers)
+        _assert_reference_steps(res)
+        walks["full"] += 1
+        for _ in range(3):
+            start = int(rng.integers(0, n))
+            cand = list(tiers)
+            for d in range(start, n):
+                if d == start or rng.random() < 0.3:
+                    cand[ctx.topo[d]] = int(rng.integers(1, 4))
+            res = schedule._core_eval(ctx, cand, res, start)
+            _assert_reference_steps(res)
+            walks["resumed"] += 1
+            tiers = cand
+        walks["shuffled"] += any(a > b for a, b in graph.edges)
+    assert walks["full"] == 300 and walks["resumed"] == 900, walks
+    assert walks["shuffled"] > 100, walks
+
+
+def test_rows_and_check_make_no_walk(monkeypatch):
+    """A walk records every step, so reading a result's rows or checking it
+    calls no evaluation and leaves its steps as recorded, and a pickled
+    result compares equal."""
     rng = np.random.default_rng(65)
+    results = []
     for k in range(100):
         scn = gen.random_scenario(rng, n_max=12)
         graph = gen.permute_ids(rng, scn.graph) if k % 2 else scn.graph
@@ -231,30 +262,37 @@ def test_steps_are_built_once_on_first_read(monkeypatch):
         cand = list(tiers)
         cand[ctx.topo[start]] = int(rng.integers(1, 4))
         resumed = schedule._core_eval(ctx, cand, full, start)
-        assert full._steps is None and resumed._steps is None
+        results.append((scn, full, resumed))
+
+    calls = Counter()
+
+    def counted(*args):
+        calls["_core_eval"] += 1
+        raise AssertionError("a result's rows or check walked the tasks again")
+
+    monkeypatch.setattr(schedule, "_core_eval", counted)
+    for scn, full, resumed in results:
         copies = [pickle.loads(pickle.dumps(r)) for r in (full, resumed)]
-        # the rows build the steps of one, the check those of the other
+        # the rows first on one, the check first on the other
         for res, rows_first in ((full, True), (resumed, False)):
-            calls.clear()
+            steps = res._steps
+            recorded = _walk_state(res)
             if rows_first:
                 res.tasks
             else:
                 check_feasibility(res, scn)
-            steps = res._steps
-            assert calls == Counter(range(n))
             assert res.tasks is res.tasks
             check_feasibility(res, scn)
-            assert res._steps is steps and calls == Counter(range(n))
+            assert res._steps is steps and _walk_state(res) == recorded
         for res, copy in zip((full, resumed), copies):
-            assert copy._steps is None
-            built = pickle.loads(pickle.dumps(res))
-            assert built._steps == res._steps
-            assert copy == built == res and hash(copy) == hash(built) == hash(res)
+            assert _walk_state(copy) == _walk_state(res)
+            assert copy == res and hash(copy) == hash(res)
+    assert calls == Counter()
 
 
 def test_finishes_match_three_tier_steps():
     # one predecessor scan gives each tier's finish time bit for bit as
-    # _tier_step does, for every mix of predecessor tiers
+    # the reference step does, for every mix of predecessor tiers
     rng = np.random.default_rng(64)
     mixes = Counter()
     shuffled = 0
@@ -276,7 +314,7 @@ def test_finishes_match_three_tier_steps():
                 else:
                     chosen = [float(v) for v in rng.uniform(0.0, 3000.0, size=n)]
                 got = schedule._finishes(ctx, i, tiers, chosen)
-                want = tuple(schedule._tier_step(ctx, i, t, tiers, chosen)[3] for t in (1, 2, 3))
+                want = tuple(oracles.tier_step(ctx, i, t, tiers, chosen)[3] for t in (1, 2, 3))
                 assert [v.hex() for v in got] == [v.hex() for v in want]
                 mixes[frozenset(tiers[p] for p in ps)] += 1
         shuffled += any(a > b for a, b in graph.edges)
@@ -445,7 +483,7 @@ def test_check_feasibility_matches_row_reference():
         tiers = [int(gen.random_placement(rng, graph).assignment[i + 1]) for i in range(n)]
         core = schedule._core_eval(ctx, tiers)
         lists = dict(zip(("ready", "finish_tx", "finish_fwd"),
-                         map(list, zip(*core._step_list()))))
+                         map(list, zip(*core._steps))))
         lists["chosen"] = list(core._chosen)
         for name, values in lists.items():
             if rng.random() < 0.5:
@@ -465,10 +503,10 @@ def test_check_feasibility_matches_row_reference():
             scn = replace(scn, budget=cost + 0.5)
             cost = 2.0 * cost + 1.0
         run = core._run[:n] + [(sum_finish, cost, u_f, u_c)]
-        res = schedule.ScheduleResult(ctx, tiers, lists["chosen"], run, core.makespan)
         # the steps as the result keeps them, tampered with where the lists are
-        res._steps = list(zip(lists["ready"], lists["finish_tx"], lists["finish_fwd"],
-                              lists["chosen"]))
+        steps = list(zip(lists["ready"], lists["finish_tx"], lists["finish_fwd"],
+                         lists["chosen"]))
+        res = schedule.ScheduleResult(ctx, tiers, lists["chosen"], steps, run, core.makespan)
         assert (res.total_cost, res.fog_utility, res.cloud_utility) == (cost, u_f, u_c)
         got = check_feasibility(res, scn)
         want, flags = oracles.check_feasibility_rows(res, scn)

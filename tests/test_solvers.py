@@ -414,30 +414,26 @@ def test_greedy_budget_sweep_evaluates_once_per_phase2_length(tmp_path, monkeypa
     # a serial chain40 budget sweep, 21 budgets x 5 reps, on one graph: its
     # 105 greedy solves take 17 distinct phase-2 lengths, and greedy
     # evaluates a schedule once per length
-    calls = []
+    calls = Counter()
     original = schedule._core_eval
 
     def counting_eval(ctx, tiers, *resume):
-        calls.append(list(tiers))
+        calls["full" if not resume else "resumed"] += 1
         return original(ctx, tiers, *resume)
 
-    steps = Counter()
-    tier_step = schedule._tier_step
-
-    def counting_step(ctx, i, *args):
-        steps[i] += 1
-        return tier_step(ctx, i, *args)
+    def no_walk(*args):
+        calls["outside the solver"] += 1
+        return original(*args)
 
     monkeypatch.setattr(solvers, "_core_eval", counting_eval)
-    monkeypatch.setattr(schedule, "_tier_step", counting_step)
+    monkeypatch.setattr(schedule, "_core_eval", no_walk)
     spec = bench.SweepSpec("budget", 0.5, 100.0, 21, reps=5, solvers=("greedy",))
     rows = bench.sweep(bundled_scenario("chain40.scn"), spec, tmp_path / "b.csv", workers=1)
     assert len(rows) == 105 and all(r.error == "" for r in rows)
-    assert len(calls) == 17
     assert len({r.iterations for r in rows}) == 17
-    # each kept evaluation's walk steps every task once, and the first
-    # feasibility check of the solves sharing it builds its steps once
-    assert steps == Counter({i: 2 * 17 for i in range(40)})
+    # each kept evaluation is one full walk, which records every task's
+    # step, and no feasibility check of the solves sharing it walks again
+    assert calls == Counter({"full": 17})
 
 
 # ---------------------------------------------------------------- annealing
