@@ -436,9 +436,9 @@ def check_feasibility(result: ScheduleResult, scenario: Scenario) -> Feasibility
     unassigned tiers are 0 by convention and carry no constraint).  The
     ready and transfer times are the steps that the walk recorded as it
     made the finish times, so C1-C3 hold by construction for an evaluator's
-    result.  C4 checks both utilities, C5/C6 hold by
-    construction, C7 compares total cost to the budget.  All comparisons use
-    absolute tolerance TIME_TOL.  The checks read the result's steps, finish
+    result.  C4 checks both utilities, C5/C6 hold by construction, C7
+    compares total cost to the budget.  All comparisons use absolute
+    tolerance TIME_TOL.  The checks read the result's steps, finish
     times and context, not its rows; of the scenario only the budget is
     read.  The report keeps only the violations, from which each
     constraint's verdict follows.
