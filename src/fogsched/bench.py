@@ -37,6 +37,7 @@ from .model import (
     Scenario,
     TaskGraph,
     TaskSpec,
+    Tier,
     _require_finite,
     _require_int,
     solver_kind,
@@ -179,25 +180,26 @@ def _solve_one(
     except (_solvers.SolverError, GraphError) as exc:
         return row(wall_time=time.perf_counter() - t_start,
                    error=f"{type(exc).__name__}: {exc}")
-    if verify and outcome.feasible:
+    r = outcome.result
+    if verify:
         again = evaluate(scn.graph, outcome.placement, scn.platform)
         report = check_feasibility(again, scn)
-        if not report.feasible:
+        if again != r or report.feasible != outcome.feasible:
             raise AssertionError(
-                f"verification failed for {scenario_id}/{solver}/{seed}: "
-                f"{report.violations}"
+                f"verification failed for {scenario_id}/{solver}/{seed}: the solver's "
+                f"outcome (feasible={outcome.feasible}) differs from a fresh evaluation "
+                f"and check (violations {report.violations})"
             )
-    n_local, n_fog, n_cloud = outcome.placement.counts()
-    r = outcome.result
+    tiers = r.tiers
     return row(
         makespan=r.makespan,
         sum_finish=r.sum_finish,
         total_cost=r.total_cost,
         fog_utility=r.fog_utility,
         cloud_utility=r.cloud_utility,
-        n_local=n_local,
-        n_fog=n_fog,
-        n_cloud=n_cloud,
+        n_local=tiers.count(Tier.LOCAL),
+        n_fog=tiers.count(Tier.FOG),
+        n_cloud=tiers.count(Tier.CLOUD),
         feasible=outcome.feasible,
         iterations=outcome.iterations,
         wall_time=outcome.wall_time,
@@ -439,12 +441,14 @@ def write_rows(rows: Sequence[ResultRow], fh: TextIO) -> None:
 
 
 def check_out_path(path: Union[str, Path]) -> None:
-    """Raise FileNotFoundError when the directory of `path` does not exist,
-    so that a batch can fail before its first solve rather than at its
-    write."""
+    """Raise FileNotFoundError when the directory of `path` does not exist
+    and IsADirectoryError when `path` names a directory, so that a batch
+    can fail before its first solve rather than at its write."""
     path = Path(path)
     if not path.parent.is_dir():
         raise FileNotFoundError(f"no directory {str(path.parent)!r} to write {str(path)!r} in")
+    if path.is_dir():
+        raise IsADirectoryError(f"{str(path)!r} is a directory, not a file to write")
 
 
 def write_csv(rows: Sequence[ResultRow], path: Union[str, Path]) -> Path:

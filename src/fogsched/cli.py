@@ -3,7 +3,8 @@
 Subcommands: run, sweep, compare, validate.  Exit code 0 on a completed
 batch (even when individual rows record solver errors), 2 on parse or
 validation failure or an output file that cannot be written; a `--out`
-whose directory does not exist fails before the first solve.
+whose directory does not exist, or that names a directory, fails before the
+first solve.
 """
 from __future__ import annotations
 
@@ -28,7 +29,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int, default=None, help="base seed (default: scenario's)")
     p_run.add_argument("--reps", type=int, default=1)
     p_run.add_argument("--out", default=None, help="CSV output path (default: stdout)")
-    p_run.add_argument("--verify", action="store_true", help="re-check feasible rows")
+    p_run.add_argument("--verify", action="store_true",
+                       help="fail unless each solved row matches a fresh evaluation")
 
     p_sweep = sub.add_parser("sweep", help="run a parameter sweep, write a CSV table")
     p_sweep.add_argument("--scenario", required=True)
@@ -48,7 +50,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default="100,1000",
         help="lo,hi uniform range for task_count sweeps",
     )
-    p_sweep.add_argument("--verify", action="store_true")
+    p_sweep.add_argument("--verify", action="store_true",
+                         help="fail unless each solved row matches a fresh evaluation")
 
     p_cmp = sub.add_parser("compare", help="greedy vs sa vs brute on one scenario")
     p_cmp.add_argument("--scenario", required=True)

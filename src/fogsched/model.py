@@ -310,15 +310,11 @@ class Placement:
     assignment: Mapping[int, Tier]
 
     def __post_init__(self):
-        # a Tier under an int key is taken as it is; otherwise operator.index
-        # takes ints, IntEnum members and numpy integers, and refuses what
-        # int() would truncate or parse (1.7, '1'); a bool is an int to it,
-        # so it is refused first
+        # operator.index takes ints, IntEnum members and numpy integers, and
+        # refuses what int() would truncate or parse (1.7, '1'); a bool is
+        # an int to it, so it is refused first
         assignment = {}
         for k, v in dict(self.assignment).items():
-            if type(v) is Tier and type(k) is int:
-                assignment[k] = v
-                continue
             if type(k) is bool:
                 raise TypeError(f"placement key {k!r} is a bool, not a task id")
             if type(v) is bool:
@@ -328,15 +324,6 @@ class Placement:
                 raise ValueError(f"tier of task {k!r}: {v!r} is not a valid Tier")
             assignment[index(k)] = _TIERS[code]
         object.__setattr__(self, "assignment", assignment)
-
-    def counts(self) -> tuple[int, int, int]:
-        """(n_local, n_fog, n_cloud)."""
-        tiers = list(self.assignment.values())
-        return (
-            tiers.count(Tier.LOCAL),
-            tiers.count(Tier.FOG),
-            tiers.count(Tier.CLOUD),
-        )
 
 
 def validate_placement(placement: Placement, graph: TaskGraph) -> None:

@@ -20,10 +20,10 @@ feeds.  Tasks without predecessors take 0 for every predecessor maximum.
 Greedy's first phase and the exhaustive search need a task's finish time on
 all three tiers at once; one scan of its predecessors gives the three maxima,
 from which `_finishes` makes the step's additions for each tier, so it gives
-the evaluator's bits without a scan per tier.  Only the public TaskSchedule
-spreads a task over per-tier fields, with 0 on the tiers the task is not
-assigned to.  There is no machine contention: any number of tasks may execute
-concurrently on one tier, only precedence serializes work.
+the evaluator's bits without a scan per tier.  A TaskSchedule row holds a
+task's step at its assigned tier: one ready time and one finish time.  There
+is no machine contention: any number of tasks may execute concurrently on one
+tier, only precedence serializes work.
 
 Each per-tier cost and utility term is defined once, as a table on
 EvalContext indexed by tier code.  Makespan is the largest sink finish time.
@@ -36,9 +36,10 @@ topological position, so a placement that differs from an evaluated one
 only from some position on is evaluated by resuming the walk there.
 
 One record holds each evaluation: `_core_eval` returns the ScheduleResult,
-which keeps the walk's finish times, running sums and each task's step (its
-ready and transfer times), recorded as the walk makes them, so neither the
-TaskSchedule rows nor `check_feasibility` walk the tasks again.
+which keeps the walk's tier codes, finish times, running sums and each task's
+step (its ready and transfer times), recorded as the walk makes them, so
+neither the TaskSchedule rows nor `check_feasibility` walk the tasks again,
+and a solver's outcome reads its tiers from it.
 `check_feasibility` returns a FeasibilityReport holding only the violations
 found.
 
@@ -72,19 +73,17 @@ _CLOUD = int(Tier.CLOUD)
 
 @dataclass(frozen=True)
 class TaskSchedule:
-    """Per-task slice of a schedule: ready/finish times and device cost."""
+    """Per-task slice of a schedule, at the task's tier: its ready time,
+    uplink finish, forward finish, finish time and device cost.  A transfer
+    finish is 0 where the tier makes no such transfer: `finish_tx` on the
+    device, `finish_fwd` off the cloud."""
 
     task_id: int
     tier: Tier
-    ready_local: float
-    ready_fog: float
-    ready_cloud: float
-    finish_local: float
+    ready: float
     finish_tx: float
-    finish_fog: float
     finish_fwd: float
-    finish_cloud: float
-    chosen_finish: float
+    finish: float
     cost: float
 
 
@@ -128,9 +127,9 @@ class EvalContext:
     the budget repair's moves and cost totals, as far as made so far.
     What follows the budget repair depends only on k, the number of its
     moves a solve takes, so `greedy_tails` maps each k solved so far to
-    greedy's fog-utility repair from there, its move count and the
-    evaluation of the final tiers.  A budget repair makes at most 2N moves,
-    so it holds at most 2N+1 entries of O(N) each.
+    (the moves of greedy's fog-utility repair from there, the evaluation
+    of the final tiers).  A budget repair makes at most 2N moves, so it
+    holds at most 2N+1 entries of O(N) each.
     """
 
     __slots__ = (
@@ -238,9 +237,10 @@ class ScheduleResult:
     where `run[d]` holds the running (sum of finish times, cost, fog
     utility, cloud utility) over the tasks at topological positions before
     d.  The constructor reads the four totals from `run[n]` into slots, so
-    that reading one costs a slot lookup.  `tiers` is kept, not copied.  The
-    TaskSchedule rows are built from the steps on first read; a result
-    shared by several solves builds them once.  `==`, `hash` and `repr` are
+    that reading one costs a slot lookup.  The tier codes given are kept,
+    not copied; `tiers` reads them as a tuple.  The TaskSchedule rows are
+    built from the steps on first read, one row per step; a result shared
+    by several solves builds them once.  `==`, `hash` and `repr` are
     those of a frozen record of the rows and totals."""
 
     __slots__ = ("_ctx", "_tiers", "_chosen", "_steps", "_run", "_makespan", "_sum_finish",
@@ -257,29 +257,15 @@ class ScheduleResult:
     total_cost = property(attrgetter("_total_cost"))
     fog_utility = property(attrgetter("_fog_utility"))
     cloud_utility = property(attrgetter("_cloud_utility"))
+    tiers = property(lambda self: tuple(self._tiers), doc="Each task's tier code, by id.")
 
     @property
     def tasks(self) -> tuple[TaskSchedule, ...]:
         if self._tasks is None:
             cost = self._ctx.cost
             self._tasks = tuple(
-                TaskSchedule(
-                    i + 1,
-                    _TIERS[t],
-                    r if t == _LOCAL else 0.0,
-                    r if t == _FOG else 0.0,
-                    r if t == _CLOUD else 0.0,
-                    f if t == _LOCAL else 0.0,
-                    tx,
-                    f if t == _FOG else 0.0,
-                    fwd,
-                    f if t == _CLOUD else 0.0,
-                    f,
-                    cost[t][i],
-                )
-                for i, (t, (r, tx, fwd, _), f) in enumerate(
-                    zip(self._tiers, self._steps, self._chosen)
-                )
+                TaskSchedule(i + 1, _TIERS[t], *step, cost[t][i])
+                for i, (t, step) in enumerate(zip(self._tiers, self._steps))
             )
         return self._tasks
 
@@ -432,8 +418,9 @@ def check_feasibility(result: ScheduleResult, scenario: Scenario) -> Feasibility
     """Verify the seven constraints on an evaluated schedule.
 
     C1-C3 re-check each ready time against the precedence terms that define
-    it, at the task's assigned tier (the finish times of a predecessor's
-    unassigned tiers are 0 by convention and carry no constraint).  The
+    it, at the task's assigned tier (a predecessor's finish time bounds a
+    fog task's ready time only when the predecessor ran on the fog or the
+    cloud, and a cloud task's only when it ran on the cloud).  The
     ready and transfer times are the steps that the walk recorded as it
     made the finish times, so C1-C3 hold by construction for an evaluator's
     result.  C4 checks both utilities, C5/C6 hold by construction, C7

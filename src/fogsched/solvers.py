@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import accumulate
 from math import exp, inf
 
 from ._rng import Stream
 from .model import (
-    _TIERS,
     BruteForceConfig,
     ObjectiveMode,
     Placement,
@@ -57,19 +57,25 @@ class TooLarge(SolverError):
 
 @dataclass(frozen=True)
 class SolveOutcome:
-    """A solver's placement with its full evaluation.
+    """A solver's answer: `result`, the evaluation of the returned placement,
+    is the one record of the solve, its tier codes included.
 
-    `feasible` is the verdict of check_feasibility on the returned placement;
+    `feasible` is the verdict of check_feasibility on `result`;
     `iterations` counts solver steps (greedy: initial pass plus repair moves,
     annealing: proposals across restarts, exhaustive: the placements its walk
-    tested, which is all 3^N).
+    tested, which is all 3^N).  `placement` is derived from `result.tiers`
+    on first read, through Placement's checked path, and kept; no solver
+    builds it.
     """
 
-    placement: Placement
     result: ScheduleResult
     feasible: bool
     iterations: int
     wall_time: float
+
+    @cached_property
+    def placement(self) -> Placement:
+        return Placement(dict(enumerate(self.result.tiers, 1)))
 
 
 def metropolis_accept(delta: float, temperature: float, rng: Stream) -> bool:
@@ -86,9 +92,8 @@ def metropolis_accept(delta: float, temperature: float, rng: Stream) -> bool:
     return rng.random() < exp(-delta / temperature)
 
 
-def _outcome(scenario, tiers, result, iterations, t_start) -> SolveOutcome:
+def _outcome(scenario, result, iterations, t_start) -> SolveOutcome:
     return SolveOutcome(
-        placement=Placement({i: _TIERS[t] for i, t in enumerate(tiers, 1)}),
         result=result,
         feasible=check_feasibility(result, scenario).feasible,
         iterations=iterations,
@@ -191,8 +196,7 @@ class _Repair:
 
 def _greedy_tail(ctx, tiers) -> tuple:
     """Phase 3 of greedy_solve from the tier codes `tiers`, and the
-    evaluation of its final tiers: (the repair, its move count, the
-    ScheduleResult)."""
+    evaluation of its final tiers: (its moves, the ScheduleResult)."""
     e_s, e_f, rev_f = ctx.e_s, ctx.e_f, ctx.rev_f
 
     def heavy(i):
@@ -208,7 +212,7 @@ def _greedy_tail(ctx, tiers) -> tuple:
     # no task left to move the utility stays negative, and the feasibility
     # check flags it
     k3 = fog.stop(ctx, lambda u_f: not u_f < -TIME_TOL, heavy, margin)
-    return fog, k3, _core_eval(ctx, fog.tiers(k3))
+    return fog.moves, _core_eval(ctx, fog.tiers(k3))
 
 
 def greedy_solve(scenario: Scenario, trace: list | None = None) -> SolveOutcome:
@@ -245,14 +249,16 @@ def greedy_solve(scenario: Scenario, trace: list | None = None) -> SolveOutcome:
     after which the cost total is within the budget, making further moves
     only when no kept total is.  Phase 3 starts from the tiers after those k
     moves and tracks only the fog utility, so it and the final evaluation
-    depend only on k: they run for the first solve that takes k moves and
-    are kept on the context (`greedy_tails`, at most 2N+1 entries), and a
-    later solve that takes k moves shares the kept ScheduleResult.  Every
-    solve runs its own phase-2 stop, Infeasible test and feasibility check,
-    which read its budget.
+    depend only on k: they run for the first solve that takes k moves, and
+    what a later solve reads of them, phase 3's moves and the final
+    ScheduleResult, is kept on the context (`greedy_tails`, at most 2N+1
+    entries); a later solve that takes k moves shares the kept result and
+    reads its tiers from it.  Every solve runs its own phase-2 stop,
+    Infeasible test and feasibility check, which read its budget.
 
     If `trace` is given, (phase, task_id, total_cost) is appended per move;
-    the phase-3 cost totals are then re-added by replaying its moves.
+    the phase-3 cost totals are then re-added by replaying its moves from
+    the tiers after phase 2.
     Raises Infeasible when all tasks are local and the budget still cannot be
     met.
     """
@@ -280,14 +286,14 @@ def greedy_solve(scenario: Scenario, trace: list | None = None) -> SolveOutcome:
     tail = ctx.greedy_tails.get(k)
     if tail is None:
         tail = ctx.greedy_tails[k] = _greedy_tail(ctx, prefix.tiers(k))
-    fog, k3, result = tail
+    moves, result = tail
     if trace is not None:
-        cost = _Repair(ctx, fog.start, ctx.cost)
-        for i, tier in fog.moves:
+        cost = _Repair(ctx, prefix.tiers(k), ctx.cost)
+        for i, tier in moves:
             cost.add(ctx, i, tier)
-        trace.extend((3, i + 1, total) for (i, _), total in zip(fog.moves, cost.totals[1:]))
+        trace.extend((3, i + 1, total) for (i, _), total in zip(moves, cost.totals[1:]))
 
-    return _outcome(scenario, fog.tiers(k3), result, ctx.n + k + k3, t_start)
+    return _outcome(scenario, result, ctx.n + k + len(moves), t_start)
 
 
 def sa_solve(scenario: Scenario) -> SolveOutcome:
@@ -351,7 +357,7 @@ def sa_solve(scenario: Scenario) -> SolveOutcome:
         if core.total_cost <= budget + TIME_TOL:
             # one evaluation call for the returned placement: resuming at n walks nothing
             core = _core_eval(ctx, tiers, core, n)
-            return _outcome(scenario, tiers, core, total_iterations, t_start)
+            return _outcome(scenario, core, total_iterations, t_start)
 
     raise RestartsExhausted(
         f"no budget-feasible placement in {cfg.max_restarts + 1} annealing runs"
@@ -442,7 +448,7 @@ def brute_force_solve(scenario: Scenario) -> SolveOutcome:
         best_obj, best_tiers = 0.0, []
     if best_tiers is None:
         raise Infeasible("no placement satisfies the utility and budget constraints")
-    return _outcome(scenario, best_tiers, _core_eval(ctx, best_tiers), leaves, t_start)
+    return _outcome(scenario, _core_eval(ctx, best_tiers), leaves, t_start)
 
 
 def solve(scenario: Scenario) -> SolveOutcome:

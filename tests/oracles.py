@@ -8,13 +8,13 @@ prefix-sharing walk replaces: one full evaluation per placement.  The greedy
 and annealing references are the straightforward loops that the package's
 incremental ones replace: one full evaluation per repair move or proposal,
 and a rescan of all tasks for every greedy pick.  The result-row reference
-builds each row by keyword from per-tier lists, where the package builds it
-positionally, into the frozen record that the package's lazily built
-ScheduleResult must read as.  The feasibility reference checks the result's
+builds each row by keyword, its finish time from the walk's finish times,
+where the package unpacks each step positionally, into the frozen record
+that the package's lazily built ScheduleResult must read as.  The feasibility reference checks the result's
 rows, where the package reads the evaluation's per-task lists.  The step
 reference is the one-task recurrence that the package's walk inlines, as a
 function of one task and one tier; the placement reference is the checked
-path that `Placement` takes for every input outside its fast path.
+path that `Placement` must take for every input, written out again.
 """
 from __future__ import annotations
 
@@ -194,29 +194,20 @@ class ScheduleResult:
 
 def result_from_core(ctx, tiers, result):
     """The ScheduleResult record of an evaluated placement: each TaskSchedule
-    built by keyword from the evaluation's steps and finish times, its ready
-    and finish times spread over the three tiers through per-tier lists, and
-    the totals read from the running sums after the last task."""
+    built by keyword from the evaluation's steps, its finish time read from
+    the walk's finish times rather than the step, and the totals read from
+    the running sums after the last task."""
     rows = []
     for i, (r, tx, fwd, _) in enumerate(result._steps):
         t = tiers[i]
-        ready = [0.0, 0.0, 0.0]
-        ready[t - 1] = r
-        finish = [0.0, 0.0, 0.0]
-        finish[t - 1] = result._chosen[i]
         rows.append(
             schedule.TaskSchedule(
                 task_id=i + 1,
                 tier=Tier(t),
-                ready_local=ready[0],
-                ready_fog=ready[1],
-                ready_cloud=ready[2],
-                finish_local=finish[0],
+                ready=r,
                 finish_tx=tx,
-                finish_fog=finish[1],
                 finish_fwd=fwd,
-                finish_cloud=finish[2],
-                chosen_finish=result._chosen[i],
+                finish=result._chosen[i],
                 cost=ctx.cost[t][i],
             )
         )
@@ -373,7 +364,7 @@ def greedy_reference(scenario, trace=None):
         if trace is not None:
             trace.append((3, moved + 1, core.total_cost))
 
-    return solvers._outcome(scenario, tiers, schedule._core_eval(ctx, tiers), iterations, t_start)
+    return solvers._outcome(scenario, schedule._core_eval(ctx, tiers), iterations, t_start)
 
 
 def anneal_reference(scenario):
@@ -414,7 +405,7 @@ def anneal_reference(scenario):
             total_iterations += 1
         if cost_cur <= scenario.budget + schedule.TIME_TOL:
             return solvers._outcome(
-                scenario, tiers, schedule._core_eval(ctx, tiers), total_iterations, t_start
+                scenario, schedule._core_eval(ctx, tiers), total_iterations, t_start
             )
     raise RestartsExhausted(
         f"no budget-feasible placement in {cfg.max_restarts + 1} annealing runs"
@@ -431,8 +422,9 @@ def check_feasibility_rows(result, scenario):
     checked against.
 
     C1-C3 re-check each ready time against the precedence terms that define
-    it, at the task's assigned tier (fields of unassigned tiers are 0 by
-    convention and carry no constraint).  C4 checks both utilities, C5/C6 are
+    it, at the task's assigned tier: a predecessor's finish time on a tier
+    is its row's finish where it ran there and 0 elsewhere, which carries no
+    constraint.  C4 checks both utilities, C5/C6 are
     guaranteed by the Placement type, C7 compares total cost to the budget.
     All comparisons use absolute tolerance schedule.TIME_TOL.
     """
@@ -442,8 +434,8 @@ def check_feasibility_rows(result, scenario):
     rows = result.tasks
     violations: list[tuple[str, int, str]] = []
 
-    def _chosen(k: int) -> float:
-        return rows[k].chosen_finish
+    def _on(k: int, tier: Tier) -> float:
+        return rows[k].finish if rows[k].tier is tier else 0.0
 
     c1 = c2 = c3 = True
     for t in graph.tasks:
@@ -452,36 +444,36 @@ def check_feasibility_rows(result, scenario):
         ps = preds[i]
         if row.tier is Tier.LOCAL:
             for k in ps:
-                if row.ready_local < _chosen(k) - schedule.TIME_TOL:
+                if row.ready < rows[k].finish - schedule.TIME_TOL:
                     c1 = False
                     violations.append(
-                        ("C1", t.id, f"ready_local {row.ready_local} < finish of task {k + 1}")
+                        ("C1", t.id, f"ready_local {row.ready} < finish of task {k + 1}")
                     )
         elif row.tier is Tier.FOG:
-            if row.ready_fog < row.finish_tx - schedule.TIME_TOL:
+            if row.ready < row.finish_tx - schedule.TIME_TOL:
                 c2 = False
                 violations.append(("C2", t.id, "ready_fog precedes upload completion"))
             for k in ps:
-                if row.ready_fog < rows[k].finish_fog - schedule.TIME_TOL:
+                if row.ready < _on(k, Tier.FOG) - schedule.TIME_TOL:
                     c2 = False
                     violations.append(
                         ("C2", t.id, f"ready_fog precedes fog finish of task {k + 1}")
                     )
-                if row.ready_fog < rows[k].finish_cloud - schedule.TIME_TOL:
+                if row.ready < _on(k, Tier.CLOUD) - schedule.TIME_TOL:
                     c2 = False
                     violations.append(
                         ("C2", t.id, f"ready_fog precedes cloud finish of task {k + 1}")
                     )
         else:
             forward = costs.fog_cloud_time(t, scenario.platform)
-            if row.ready_cloud < row.finish_tx + forward - schedule.TIME_TOL:
+            if row.ready < row.finish_tx + forward - schedule.TIME_TOL:
                 c3 = False
                 violations.append(("C3", t.id, "ready_cloud precedes upload + forward"))
-            if row.ready_cloud < row.finish_fwd - schedule.TIME_TOL:
+            if row.ready < row.finish_fwd - schedule.TIME_TOL:
                 c3 = False
                 violations.append(("C3", t.id, "ready_cloud precedes forward completion"))
             for k in ps:
-                if row.ready_cloud < rows[k].finish_cloud - schedule.TIME_TOL:
+                if row.ready < _on(k, Tier.CLOUD) - schedule.TIME_TOL:
                     c3 = False
                     violations.append(
                         ("C3", t.id, f"ready_cloud precedes cloud finish of task {k + 1}")

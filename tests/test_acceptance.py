@@ -79,7 +79,7 @@ def test_criterion_01_evaluator_matches_fixed_point_oracle():
         expected = oracles.fixed_point_times(scn.graph, placement, scn.platform)
         for row in res.tasks:
             tx, fwd, fin = expected[row.task_id]
-            worst = max(worst, _rel_err(row.chosen_finish, fin))
+            worst = max(worst, _rel_err(row.finish, fin))
             if row.tier is not Tier.LOCAL:
                 worst = max(worst, _rel_err(row.finish_tx, tx))
             if row.tier is Tier.CLOUD:

@@ -22,6 +22,7 @@ from fogsched import bench, cli, schedule, solvers
 from fogsched import (
     BruteForceConfig,
     ParseError,
+    Placement,
     SAConfig,
     Scenario,
     bundled_scenario,
@@ -528,6 +529,108 @@ def test_cli_bad_out_fails_before_any_solve(tmp_path, monkeypatch, capsys):
                                 f"{str(out)!r} in\n")
     assert calls == []
     assert not out.parent.exists()
+
+
+def test_cli_directory_out_fails_before_any_solve(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(solvers, "solve", _raising_solve(calls))
+    monkeypatch.setenv("FOGSCHED_WORKERS", "1")
+    for argv in (
+        ["sweep", "--scenario", "fig4.scn", "--param", "budget", "--from", "2", "--to", "8",
+         "--steps", "2", "--out", str(tmp_path)],
+        ["run", "--scenario", "fig4.scn", "--solver", "brute", "--reps", "3",
+         "--out", str(tmp_path)],
+    ):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {str(tmp_path)!r} is a directory, not a file to write\n"
+    assert calls == []
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(IsADirectoryError):
+        bench.check_out_path(tmp_path)
+
+
+def _tampered(result, step=None, totals=None):
+    """A copy of the evaluation `result` with task 1's step or the totals
+    changed, built as the evaluator builds its results."""
+    steps = list(result._steps)
+    if step is not None:
+        steps[0] = step(steps[0])
+    run = list(result._run)
+    if totals is not None:
+        run[-1] = totals(run[-1])
+    return schedule.ScheduleResult(result._ctx, result._tiers, result._chosen, steps, run,
+                                   result.makespan)
+
+
+def test_verify_checks_the_returned_result(monkeypatch):
+    """--verify compares every solved row's result, feasible or not, with a
+    fresh evaluation of its placement, and the solver's verdict with a
+    fresh check; a result that differs in one step or total, or a wrong
+    verdict, fails the batch."""
+    real = solvers.solve
+    tamper = [None]
+
+    def solve(scn):
+        out = real(scn)
+        return out if tamper[0] is None else tamper[0](out)
+
+    monkeypatch.setattr(solvers, "solve", solve)
+    shifted = (
+        lambda out: replace(out, result=_tampered(
+            out.result, step=lambda s: (s[0] - 1e-6,) + s[1:])),
+        lambda out: replace(out, result=_tampered(
+            out.result, step=lambda s: s[:1] + (s[1] + 1.0,) + s[2:])),
+        lambda out: replace(out, result=_tampered(
+            out.result, totals=lambda t: (t[0], t[1] + 1e-9, t[2], t[3]))),
+        lambda out: replace(out, result=_tampered(
+            out.result, totals=lambda t: (t[0], t[1], t[2] - 1.0, t[3]))),
+        lambda out: replace(out, feasible=not out.feasible),
+    )
+    for scenario, solver, feasible in (("fig4.scn", "greedy", True),
+                                       ("fig4.scn", "brute", True),
+                                       ("chain40.scn", "greedy", True),
+                                       ("chain40.scn", "sa", False)):
+        path = bundled_scenario(scenario)
+        tamper[0] = None
+        rows = bench.run(path, solver=solver, reps=2, verify=True)
+        assert [r.feasible for r in rows] == [feasible] * 2
+        for change in shifted:
+            tamper[0] = change
+            # the same solve, unverified, writes its row
+            assert bench.run(path, solver=solver, reps=1)[0].error == ""
+            with pytest.raises(AssertionError, match="verification failed"):
+                bench.run(path, solver=solver, reps=1, verify=True)
+
+
+def test_no_solve_builds_a_placement(monkeypatch, tmp_path):
+    """A serial chain40 budget sweep, run and compare read every row off the
+    solver's result and construct no Placement; --verify builds one per
+    solved row, for the fresh evaluation."""
+    built = []
+    checked = Placement.__post_init__
+
+    def counting(self):
+        built.append(len(self.assignment))
+        checked(self)
+
+    monkeypatch.setattr(Placement, "__post_init__", counting)
+    chain40, fig4 = bundled_scenario("chain40.scn"), bundled_scenario("fig4.scn")
+    spec = bench.SweepSpec("budget", 0.5, 100.0, 21, reps=5, solvers=("greedy", "sa"))
+    rows = bench.sweep(chain40, spec, tmp_path / "sweep.csv", workers=1)
+    for solver in ("greedy", "sa", "brute"):
+        rows += bench.run(chain40, solver=solver, reps=2)
+        rows += bench.run(fig4, solver=solver, reps=2)
+    bench.compare(fig4, reps=2)
+    assert built == []
+    # 28 of the sweep's annealing rows exhaust their restarts, and brute
+    # refuses chain40: 192 solved rows
+    assert len(rows) == 222 and sum(not r.error for r in rows) == 192
+    verified = bench.run(fig4, solver="brute", reps=2, verify=True)
+    verified += bench.run(chain40, solver="sa", reps=2, verify=True)
+    assert built == [9, 9, 40, 40]
+    assert [r.feasible for r in verified] == [True, True, False, False]
 
 
 def test_reps_below_one_rejected(capsys):

@@ -92,7 +92,7 @@ def test_tasks_listed_out_of_id_order_are_kept_in_id_order():
     ordered = TaskGraph([TaskSpec(1, 100, 100), TaskSpec(2, 500, 10)])
     assert listed == ordered
     row = evaluate(listed, placement, platform).task(1)
-    assert (row.tier, row.chosen_finish) == (Tier.LOCAL, 100.0)
+    assert (row.tier, row.finish) == (Tier.LOCAL, 100.0)
     assert repr(evaluate(listed, placement, platform)) == repr(
         evaluate(ordered, placement, platform)
     )
@@ -195,11 +195,10 @@ def _reference_or_error(assignment):
     return [(k, type(k), v, type(v)) for k, v in kept.items()]
 
 
-def test_placement_fast_path_matches_checked_path():
-    """A Tier under an int key skips the checks; every input, alone or after
-    items that take the fast path, is kept or refused as the checked path
-    alone keeps or refuses it: the same exception and message, or an equal
-    assignment with the same key and tier types."""
+def test_placement_matches_checked_reference():
+    """Every input, alone or among other items, is kept or refused as the
+    reference's checked path keeps or refuses it: the same exception and
+    message, or an equal assignment with the same key and tier types."""
     keys = [1, 2, np.int64(3), np.int32(4), Tier.CLOUD, True, False, 1.0, 2.5, "1"]
     values = [1, 2, 3, Tier.LOCAL, Tier.FOG, Tier.CLOUD, np.int64(2), np.uint8(3),
               True, False, 1.0, 2.5, 0, 4, -1, "2", None]
@@ -220,7 +219,7 @@ def test_placement_fast_path_matches_checked_path():
     # TypeError; a code out of 1..3 under a non-bool key is a ValueError
     assert seen == Counter({"kept": 5 * 8, TypeError: 2 * 17 + 8 * 6 + 3 * 8,
                             ValueError: 8 * 3}), seen
-    # the solvers' input: Tier members under int keys, in id order
+    # Tier members under int keys, in id order
     tiers = [Tier(int(t)) for t in rng.integers(1, 4, size=40)]
     assignment = dict(enumerate(tiers, 1))
     assert _placement_or_error(assignment) == _reference_or_error(assignment)

@@ -45,8 +45,8 @@ def test_single_local_task():
     g = TaskGraph([TaskSpec(1, 2.0, 1.0)])
     res = evaluate(g, Placement({1: Tier.LOCAL}), _unit_platform())
     row = res.task(1)
-    assert row.ready_local == 0.0
-    assert row.finish_local == 2.0
+    assert row.ready == 0.0
+    assert row.finish == 2.0
     assert res.makespan == 2.0
     for bad in (0, -1, 2):  # no wrap-around to the last tasks
         with pytest.raises(IndexError, match=f"no task {bad}"):
@@ -58,10 +58,10 @@ def test_chain_both_fog_uploads_overlap():
     g = TaskGraph([TaskSpec(1, 2.0, 1.0), TaskSpec(2, 3.0, 1.0)], [(1, 2)])
     res = evaluate(g, Placement({1: Tier.FOG, 2: Tier.FOG}), _unit_platform())
     first, second = res.task(1), res.task(2)
-    assert first.finish_fog == 3.0
+    assert first.finish == 3.0
     assert second.finish_tx == 1.0  # no local predecessor: upload floats free
-    assert second.ready_fog == 3.0
-    assert second.finish_fog == 6.0
+    assert second.ready == 3.0
+    assert second.finish == 6.0
     assert res.makespan == 6.0
 
 
@@ -69,10 +69,10 @@ def test_chain_local_then_fog():
     # local time 2, then uplink 1 + fog execution 1
     g = TaskGraph([TaskSpec(1, 2.0, 1.0), TaskSpec(2, 1.0, 1.0)], [(1, 2)])
     res = evaluate(g, Placement({1: Tier.LOCAL, 2: Tier.FOG}), _unit_platform())
-    assert res.task(1).finish_local == 2.0
+    assert res.task(1).finish == 2.0
     assert res.task(2).finish_tx == 3.0
-    assert res.task(2).ready_fog == 3.0
-    assert res.task(2).finish_fog == 4.0
+    assert res.task(2).ready == 3.0
+    assert res.task(2).finish == 4.0
     assert res.makespan == 4.0
 
 
@@ -83,12 +83,7 @@ def test_unassigned_tier_fields_are_zero():
         placement = gen.random_placement(rng, scn.graph)
         res = evaluate(scn.graph, placement, scn.platform)
         for row in res.tasks:
-            if row.tier is not Tier.LOCAL:
-                assert row.finish_local == 0.0 and row.ready_local == 0.0
-            if row.tier is not Tier.FOG:
-                assert row.finish_fog == 0.0 and row.ready_fog == 0.0
             if row.tier is not Tier.CLOUD:
-                assert row.finish_cloud == 0.0 and row.ready_cloud == 0.0
                 assert row.finish_fwd == 0.0
             if row.tier is Tier.LOCAL:
                 assert row.finish_tx == 0.0
@@ -125,7 +120,7 @@ def test_precedence_soundness():
         scn = gen.random_scenario(rng)
         placement = gen.random_placement(rng, scn.graph)
         res = evaluate(scn.graph, placement, scn.platform)
-        fins = {row.task_id: row.chosen_finish for row in res.tasks}
+        fins = {row.task_id: row.finish for row in res.tasks}
         for a, b in scn.graph.edges:
             assert fins[b] >= fins[a] - 1e-12
         assert res.sum_finish == pytest.approx(sum(fins.values()), rel=1e-12)
@@ -160,7 +155,7 @@ def test_matches_fixed_point_oracle():
         expected = oracles.fixed_point_times(scn.graph, placement, scn.platform)
         for row in res.tasks:
             tx, fwd, fin = expected[row.task_id]
-            assert row.chosen_finish == pytest.approx(fin, rel=1e-12)
+            assert row.finish == pytest.approx(fin, rel=1e-12)
             if row.tier is not Tier.LOCAL:
                 assert row.finish_tx == pytest.approx(tx, rel=1e-12)
             if row.tier is Tier.CLOUD:

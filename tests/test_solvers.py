@@ -75,7 +75,7 @@ def test_greedy_all_local_when_local_dominates():
     g = TaskGraph(tasks, [(1, 2), (2, 3)])
     scn = Scenario(graph=g, platform=gen.desk_platform(), budget=float("inf"))
     out = greedy_solve(scn)
-    assert out.placement.counts() == (3, 0, 0)
+    assert out.result.tiers == (Tier.LOCAL,) * 3
     assert out.iterations == 3  # no repair moves
     assert out.feasible
 
@@ -973,6 +973,63 @@ def test_solve_dispatch():
         assert g_out.iterations >= len(scn.graph)
     except Infeasible:
         pass
+
+
+def test_outcome_placement_is_derived_once_from_the_result(monkeypatch):
+    built = []
+    checked = Placement.__post_init__
+
+    def counting(self):
+        built.append(self)
+        checked(self)
+
+    monkeypatch.setattr(Placement, "__post_init__", counting)
+    rng = np.random.default_rng(71)
+    seen = Counter()
+    for k in range(60):
+        scn = gen.random_scenario(rng, n_max=7)
+        if k % 3 == 0:
+            scn = replace(scn, graph=gen.permute_ids(rng, scn.graph))
+        for solver in (greedy_solve, sa_solve, brute_force_solve):
+            try:
+                out = solver(scn)
+            except (Infeasible, RestartsExhausted):
+                continue
+            tiers = out.result.tiers
+            assert type(tiers) is tuple and set(tiers) <= {1, 2, 3}
+            assert len(tiers) == len(scn.graph)
+            assert built == []
+            placement = out.placement
+            assert out.placement is placement and built == [placement]
+            want = oracles.placement_assignment(dict(enumerate(tiers, 1)))
+            assert [(k, type(k), v, type(v)) for k, v in placement.assignment.items()] == [
+                (k, type(k), v, type(v)) for k, v in want.items()]
+            assert evaluate(scn.graph, placement, scn.platform) == out.result
+            built.clear()
+            seen[solver.__name__] += 1
+    assert min(seen.values()) >= 20 and len(seen) == 3, seen
+
+
+def test_greedy_tails_keep_moves_and_result():
+    # chain40 over the budget sweep's range: each kept tail is phase 3's
+    # moves from the tiers after k phase-2 moves and the evaluation of the
+    # tiers they lead to
+    scn = load_scenario(bundled_scenario("chain40.scn"))
+    for b in bench.SweepSpec("budget", 0.5, 100.0, 21).values():
+        try:
+            greedy_solve(replace(scn, budget=b))
+        except Infeasible:
+            pass
+    ctx = schedule.eval_context(scn.graph, scn.platform)
+    assert len(ctx.greedy_tails) > 1
+    for k, (moves, result) in ctx.greedy_tails.items():
+        assert type(result) is schedule.ScheduleResult
+        tiers = ctx.greedy_prefix.tiers(k)
+        for i, tier in moves:
+            assert (tiers[i], tier) in ((3, 2), (2, 1))
+            tiers[i] = tier
+        assert result.tiers == tuple(tiers)
+        assert result == schedule._core_eval(ctx, tiers)
 
 
 def test_outcome_feasible_matches_report():
