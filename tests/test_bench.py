@@ -577,7 +577,7 @@ def test_verify_checks_the_returned_result(monkeypatch):
         return out if tamper[0] is None else tamper[0](out)
 
     monkeypatch.setattr(solvers, "solve", solve)
-    shifted = (
+    changes = (
         lambda out: replace(out, result=_tampered(
             out.result, step=lambda s: (s[0] - 1e-6,) + s[1:])),
         lambda out: replace(out, result=_tampered(
@@ -596,7 +596,7 @@ def test_verify_checks_the_returned_result(monkeypatch):
         tamper[0] = None
         rows = bench.run(path, solver=solver, reps=2, verify=True)
         assert [r.feasible for r in rows] == [feasible] * 2
-        for change in shifted:
+        for change in changes:
             tamper[0] = change
             # the same solve, unverified, writes its row
             assert bench.run(path, solver=solver, reps=1)[0].error == ""
