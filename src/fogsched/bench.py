@@ -262,7 +262,7 @@ def _apply_sweep_value(
     n = max(1, int(round(value)))
     rng = Stream(base.seed, (1000, value_index))
     lo, hi = map(float, spec.task_size_range)
-    sizes = [lo + (hi - lo) * rng.random() for _ in range(n)]
+    sizes = [lo + (hi - lo) * u for u in rng.random(n)]
     return replace(base, graph=_chain_graph(sizes))
 
 

@@ -18,7 +18,7 @@ from heapq import heapify, heappop, heappush
 from itertools import accumulate
 from math import exp, inf
 
-from ._rng import Stream
+from ._rng import Stream, mix_entropy
 from .model import (
     BruteForceConfig,
     ObjectiveMode,
@@ -313,7 +313,9 @@ def sa_solve(scenario: Scenario) -> SolveOutcome:
     that check_feasibility allows.  If the final placement exceeds the
     budget the whole process restarts from a fresh random placement, up to
     max_restarts times; restart k draws from the dedicated stream
-    Stream(seed, (k,)), numpy's PCG64 stream for that seed and spawn key.  A
+    Stream(seed, (k,)), numpy's PCG64 stream for that seed and spawn key.
+    The seed is mixed once per solve (`mix_entropy`), and each restart mixes
+    only its key into that pool; a run draws its start tiers in one call.  A
     proposal is evaluated by resuming the walk of the current placement's
     evaluation at the moved task's topological position, and re-walks
     nothing when the clamped step leaves the task's tier unchanged.
@@ -327,10 +329,12 @@ def sa_solve(scenario: Scenario) -> SolveOutcome:
     by_sum = scenario.objective_mode is ObjectiveMode.SUM_FINISH
     budget = scenario.budget
     total_iterations = 0
+    pool = mix_entropy(scenario.seed)
 
     for restart in range(cfg.max_restarts + 1):
-        rng = Stream(scenario.seed, (restart,))
-        tiers = [rng.integers(1, 4) for _ in range(n)]
+        rng = Stream.from_pool(pool, (restart,))
+        # a graph with no tasks draws nothing
+        tiers = rng.integers(1, 4, n) if n else []
         core = _core_eval(ctx, tiers)
         obj_cur = core.sum_finish if by_sum else core.makespan
         u_f = 0.0

@@ -440,7 +440,10 @@ def test_greedy_budget_sweep_evaluates_once_per_phase2_length(tmp_path, monkeypa
 
 
 def test_anneal_matches_reference_loop():
-    # resumed walks against a full evaluation per proposal
+    # resumed walks, the seed mixed once per solve and the start drawn in
+    # one call, against a full evaluation per proposal and numpy's streams;
+    # every fifth case has a seed of 2^64 or more (three to five 32-bit
+    # words), and every eleventh up to 61 runs
     rng = np.random.default_rng(62)
     seen = Counter()
     with warnings.catch_warnings():
@@ -451,12 +454,19 @@ def test_anneal_matches_reference_loop():
         scn = gen.random_scenario(rng, n_max=10, mode=mode, benign=k % 6 == 0)
         if k < 120:
             scn = replace(scn, graph=gen.permute_ids(rng, scn.graph))
-        cfg = SAConfig(neighbor_range=1 + k % 3, max_restarts=k % 3)
+        if k % 5 == 4:
+            scn = replace(scn, seed=scn.seed + 2 ** (64 + k % 70))
+        restarts = 60 - k % 7 if k % 11 == 5 else k % 3
+        cfg = SAConfig(neighbor_range=1 + k % 3, max_restarts=restarts)
         scn = replace(scn, solver_config=cold if k % 20 == 7 else cfg)
         got = _outcome_or_error(sa_solve, scn)
         assert got == _outcome_or_error(oracles.anneal_reference, scn)
-        seen[got[0] if isinstance(got[0], type) else "solved"] += 1
+        kind = got[0] if isinstance(got[0], type) else "solved"
+        seen[kind] += 1
+        if restarts > 2:
+            seen["long", kind] += 1
     assert seen[RestartsExhausted] > 50 and seen["solved"] > 150, seen
+    assert seen["long", RestartsExhausted] > 5 and seen["long", "solved"] > 5, seen
 
 
 def test_anneal_evaluates_each_proposal_once(monkeypatch):
