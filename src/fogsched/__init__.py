@@ -6,6 +6,7 @@ three placement solvers (`solvers`), scenario file I/O (`scenario_io`) and a
 sweep-running experiment harness (`bench`, CLI in `cli`).
 """
 from .costs import (
+    energy_coefficient,
     fog_cloud_energy,
     fog_cloud_time,
     local_energy,
@@ -51,6 +52,7 @@ from .scenario_io import (
 )
 from .schedule import (
     TIME_TOL,
+    DerivedValueError,
     FeasibilityReport,
     ScheduleResult,
     TaskSchedule,

@@ -43,7 +43,7 @@ from .model import (
     solver_kind,
 )
 from .scenario_io import load_scenario, parse_scenario, resolve_scenario_path
-from .schedule import check_feasibility, eval_context, evaluate
+from .schedule import DerivedValueError, check_feasibility, eval_context, evaluate
 
 SWEEP_PARAMETERS = ("data_size", "budget", "fog_price", "task_count")
 SOLVER_NAMES = tuple(SOLVER_KINDS)
@@ -323,8 +323,10 @@ def sweep(
 
     The source scenario file is never modified; each sweep value derives
     its scenario from it once.  Output rows are sorted by (sweep_value,
-    solver, seed).
+    solver, seed).  An `out_path` that cannot be written fails before the
+    first solve (`check_out_path`).
     """
+    check_out_path(out_path)
     base, scenario_id, _ = _load(scenario_path, None)
     solve_cell = _SweepCells(base, spec, scenario_id, verify)
     cells = [
@@ -392,7 +394,8 @@ def compare(
 
 
 def validate(scenario_path: Union[str, Path]) -> Diagnostics:
-    """Structural diagnostics: graph checks, parameter-range warnings and a
+    """Structural diagnostics: graph checks, derived quantities the model
+    cannot use (DerivedValueError), parameter-range warnings and a
     budget-versus-minimum-cost prescreen.  Parse failures raise ParseError."""
     path = resolve_scenario_path(scenario_path)
     text = path.read_text(encoding="utf-8")
@@ -409,8 +412,12 @@ def validate(scenario_path: Union[str, Path]) -> Diagnostics:
     for w in caught:
         warnings_.append(str(w.message))
 
-    if math.isfinite(scenario.budget):
+    try:
         ctx = eval_context(scenario.graph, scenario.platform)
+    except DerivedValueError as exc:
+        errors.append(f"{type(exc).__name__}: {exc}")
+        return Diagnostics(errors=tuple(errors), warnings=tuple(warnings_))
+    if math.isfinite(scenario.budget):
         floor = 0.0
         for terms in zip(*ctx.cost[1:]):
             floor += min(terms)

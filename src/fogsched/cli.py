@@ -91,7 +91,6 @@ def _task_size_range(text: str) -> tuple[float, float]:
 
 
 def _cmd_sweep(args) -> int:
-    bench.check_out_path(args.out)
     lo, hi = _task_size_range(args.task_size_range)
     spec = bench.SweepSpec(
         parameter=args.param,

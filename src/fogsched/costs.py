@@ -31,11 +31,14 @@ def server_exec_time(task: TaskSpec, server: ServerSpec) -> float:
     return task.workload / server.cpu
 
 
+def energy_coefficient(server: ServerSpec) -> float:
+    """alpha * cpu^epsilon + beta: energy per unit of execution time."""
+    return server.alpha * server.cpu**server.epsilon + server.beta
+
+
 def server_energy(task: TaskSpec, server: ServerSpec) -> float:
     """(alpha * cpu^epsilon + beta) * execution time on the fog node or cloud server."""
-    return (server.alpha * server.cpu**server.epsilon + server.beta) * server_exec_time(
-        task, server
-    )
+    return energy_coefficient(server) * server_exec_time(task, server)
 
 
 def uplink_time(task: TaskSpec, link: RadioLink) -> float:

@@ -97,7 +97,7 @@ def _as_int(value, where: str) -> int:
         raise ParseError(f"{where}: expected an integer, got {value!r}")
     try:
         out = int(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ParseError(f"{where}: expected an integer, got {value!r}") from None
     if isinstance(value, float) and value != out:
         raise ParseError(f"{where}: expected an integer, got {value!r}")

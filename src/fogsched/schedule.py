@@ -48,6 +48,8 @@ Everything is pure: identical inputs give bit-identical results.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from math import inf, isfinite
 from operator import attrgetter, neg, sub
 
 from . import costs as _costs
@@ -109,19 +111,53 @@ class FeasibilityReport:
         return not self.violations
 
 
+class DerivedValueError(ValueError):
+    """A scenario whose fields pass their checks derives a quantity the
+    model cannot use: an uplink rate that is not finite and > 0, or a server
+    energy coefficient, time, energy or price that is not finite.  The
+    message names the quantity, and the task for a per-task one."""
+
+
+def _energy_coefficient(server) -> float:
+    try:
+        coef = _costs.energy_coefficient(server)
+    except OverflowError:
+        coef = inf
+    if not isfinite(coef):
+        raise DerivedValueError(
+            f"{server.label} energy coefficient alpha * cpu**epsilon + beta is not finite"
+        )
+    return coef
+
+
+def _require_finite_columns(columns: dict) -> None:
+    """Raise DerivedValueError naming the first non-finite entry of the
+    per-task columns, given by name."""
+    if all(map(isfinite, chain.from_iterable(columns.values()))):
+        return
+    for name, column in columns.items():
+        for i, value in enumerate(column):
+            if not isfinite(value):
+                raise DerivedValueError(f"{name} of task {i + 1} is {value!r}, not finite")
+
+
 class EvalContext:
     """Per-scenario precomputation shared by the evaluator and the solvers.
 
     Task ids are 1..N, so index i corresponds to task id i+1.  `topo`,
     `pos`, `preds` and `sinks` are the graph's :class:`GraphStructure`, so
     an invalid graph raises here; the solvers take the graph's kept context
-    from :func:`eval_context`.  Each per-task column is filled straight from
-    its `costs` function.  The per-tier terms are tables indexed [tier
-    code][task] (slot 0 unused): `cost` is what the device pays (local
-    energy, or the serving tier's price for the task's data), `du_f` what
-    the task adds to the fog's utility (revenue minus execution energy on
-    the fog, minus forwarding energy on the cloud) and `du_c` what it adds
-    to the cloud's (revenue minus execution energy on the cloud).
+    from :func:`eval_context`.  Each per-task column is filled with its
+    `costs` function's expression, from the uplink rate and the servers'
+    energy coefficients computed once per context.  A rate that is not
+    finite and > 0, or a coefficient or column entry that is not finite,
+    raises DerivedValueError, so no inf or NaN reaches a solver.  The
+    per-tier terms are tables indexed [tier code][task] (slot 0 unused):
+    `cost` is what the device pays (local energy, or the serving tier's
+    price for the task's data), `du_f` what the task adds to the fog's
+    utility (revenue minus execution energy on the fog, minus forwarding
+    energy on the cloud) and `du_c` what it adds to the cloud's (revenue
+    minus execution energy on the cloud).
     `greedy_prefix` is None until the first greedy solve on the context,
     which keeps there its budget-independent work: the phase-1 tiers and
     the budget repair's moves and cost totals, as far as made so far.
@@ -161,18 +197,30 @@ class EvalContext:
         fog, cloud = platform.fog, platform.cloud
         self.n = n
         self.topo, self.pos, self.preds, self.sinks = graph.structure
+        rate = _costs.uplink_rate(platform.radio)
+        if not (rate > 0 and isfinite(rate)):
+            raise DerivedValueError(f"uplink rate is {rate!r}; it must be finite and > 0")
+        coef_f = _energy_coefficient(fog)
+        coef_c = _energy_coefficient(cloud)
         self.tau_l = tuple(_costs.local_exec_time(t, platform) for t in tasks)
-        self.tau_t = tuple(_costs.uplink_time(t, platform.radio) for t in tasks)
+        self.tau_t = tuple(t.data_size / rate for t in tasks)
         self.tau_f = tuple(_costs.server_exec_time(t, fog) for t in tasks)
         self.tau_r = tuple(_costs.fog_cloud_time(t, platform) for t in tasks)
         self.tau_c = tuple(_costs.server_exec_time(t, cloud) for t in tasks)
-        self.e_f = tuple(_costs.server_energy(t, fog) for t in tasks)
-        self.e_c = tuple(_costs.server_energy(t, cloud) for t in tasks)
+        self.e_f = tuple(coef_f * tau for tau in self.tau_f)
+        self.e_c = tuple(coef_c * tau for tau in self.tau_c)
         self.e_s = tuple(_costs.fog_cloud_energy(t, platform) for t in tasks)
         self.rev_f = tuple(fog.price * t.data_size for t in tasks)
         self.rev_c = tuple(cloud.price * t.data_size for t in tasks)
         zero = (0.0,) * n
         local = tuple(_costs.local_energy(t, platform) for t in tasks)
+        _require_finite_columns({
+            "local execution time": self.tau_l, "uplink time": self.tau_t,
+            "fog execution time": self.tau_f, "fog-cloud transfer time": self.tau_r,
+            "cloud execution time": self.tau_c, "fog execution energy": self.e_f,
+            "cloud execution energy": self.e_c, "fog forwarding energy": self.e_s,
+            "local energy": local, "fog price": self.rev_f, "cloud price": self.rev_c,
+        })
         self.cost = (None, local, self.rev_f, self.rev_c)
         self.du_f = (
             None,

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import pickle
+import re
 import subprocess
 import sys
 import time
@@ -549,6 +550,62 @@ def test_cli_directory_out_fails_before_any_solve(tmp_path, monkeypatch, capsys)
     assert list(tmp_path.iterdir()) == []
     with pytest.raises(IsADirectoryError):
         bench.check_out_path(tmp_path)
+
+
+def test_library_sweep_bad_out_fails_before_any_solve(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(solvers, "solve", _raising_solve(calls))
+    spec = bench.SweepSpec("budget", 0.0, 8.0, 9, solvers=("greedy", "brute"))
+    with pytest.raises(IsADirectoryError):
+        bench.sweep(bundled_scenario("fig4.scn"), spec, tmp_path, workers=1)
+    with pytest.raises(FileNotFoundError):
+        bench.sweep(bundled_scenario("fig4.scn"), spec, tmp_path / "missing" / "x.csv",
+                    workers=1)
+    assert calls == []
+    assert list(tmp_path.iterdir()) == []
+
+
+# one-token mutants of fig4.scn (two for the device CPU) that passed every
+# field check and then printed a traceback and exited 1
+UNUSABLE_DERIVED = {
+    "edge_inf": ((("    - [8, 9]", "    - [8, .inf]"),),
+                 "edge succ: expected an integer, got inf"),
+    "noise": ((("noise: 1.0", "noise: 99999999999999999999"),),
+              "uplink rate is 0.0; it must be finite and > 0"),
+    "epsilon": ((("epsilon: 3.0, price: 0.004", "epsilon: 1000.0, price: 0.004"),),
+                "cloud energy coefficient alpha * cpu**epsilon + beta is not finite"),
+    "device_cpu": ((("device_cpu: 1.0", "device_cpu: 1e-320"), ("budget: 6.0", "budget: 0")),
+                   "local execution time of task 1 is inf, not finite"),
+}
+
+
+@pytest.mark.filterwarnings("ignore:cloud power exponent")
+@pytest.mark.parametrize("name", sorted(UNUSABLE_DERIVED))
+def test_cli_rejects_unusable_derived_quantities(name, tmp_path, capsys, monkeypatch):
+    edits, message = UNUSABLE_DERIVED[name]
+    text = bundled_scenario("fig4.scn").read_text()
+    for old, new in edits:
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    path = tmp_path / "mutant.scn"
+    path.write_text(text)
+    monkeypatch.setenv("FOGSCHED_WORKERS", "1")
+    out = tmp_path / "sweep.csv"
+    for argv in (["run", "--solver", "greedy"], ["run", "--solver", "sa"],
+                 ["run", "--solver", "brute"], ["compare"], ["validate"],
+                 ["sweep", "--param", "budget", "--from", "0", "--to", "8", "--steps", "3",
+                  "--solvers", "greedy,sa,brute", "--out", str(out)]):
+        assert cli.main(argv + ["--scenario", str(path)]) == 2, argv
+        captured = capsys.readouterr()
+        # validate prints a derived quantity among its diagnostics
+        where = captured.out if argv == ["validate"] and name != "edge_inf" else captured.err
+        assert where.startswith("error: ") and message in where, argv
+        assert "Traceback" not in captured.err + captured.out
+    assert not out.exists()
+    if name != "edge_inf":
+        scn = load_scenario(path)
+        with pytest.raises(schedule.DerivedValueError, match=re.escape(message)):
+            schedule.EvalContext(scn.graph, scn.platform)
 
 
 def _tampered(result, step=None, totals=None):

@@ -328,6 +328,15 @@ def test_parse_rejects_booleans_as_numbers(old, new, where):
         parse_scenario(text.replace(old, new, 1))
 
 
+@pytest.mark.parametrize("end", (".inf", "-.inf", ".nan", "1.5"))
+def test_parse_rejects_edge_endpoints_that_are_not_integers(end):
+    from fogsched import ParseError, bundled_scenario
+
+    text = bundled_scenario("fig4.scn").read_text()
+    with pytest.raises(ParseError, match="^edge succ: expected an integer"):
+        parse_scenario(text.replace("    - [1, 2]", f"    - [1, {end}]", 1))
+
+
 def test_sa_config_invariants():
     with pytest.raises(ValueError):
         SAConfig(cool=1.0)
