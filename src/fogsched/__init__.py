@@ -43,9 +43,7 @@ from .model import (
 from .scenario_io import (
     ParseError,
     bundled_scenario,
-    load_placement,
     load_scenario,
-    parse_placement,
     parse_scenario,
     render_scenario,
     save_scenario,
@@ -58,7 +56,6 @@ from .schedule import (
     TaskSchedule,
     check_feasibility,
     evaluate,
-    objective_value,
 )
 from .solvers import (
     Infeasible,

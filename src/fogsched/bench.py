@@ -3,7 +3,8 @@ scenario diagnostics, all emitting deterministic CSV.
 
 Sweep cells (sweep value x solver x repetition) are independent and may be
 computed by a process pool (FOGSCHED_WORKERS, default: the number of CPUs
-this process may run on, per its CPU affinity where the OS reports one); rows
+this process may run on, per its CPU affinity where the OS reports one; never
+more workers than the sweep has cells, and none for a single cell); rows
 are sorted by (sweep_value, solver, seed) before the single writer emits
 them, so parallelism never changes the output.  Each sweep value's scenario
 is derived from the base scenario once, before any cell is solved; a pool
@@ -335,8 +336,8 @@ def sweep(
         for solver in spec.solvers
         for rep in range(spec.reps)
     ]
-    n_workers = _worker_count(workers)
-    if n_workers > 1 and len(cells) > 1:
+    n_workers = min(_worker_count(workers), len(cells))
+    if n_workers > 1:
         # imported here: the pool pulls in multiprocessing (about 1 MB of
         # modules), which run, compare and validate never use
         from concurrent.futures import ProcessPoolExecutor

@@ -12,8 +12,6 @@ import argparse
 import sys
 
 from . import bench
-from .model import GraphError
-from .scenario_io import ParseError
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -146,7 +144,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ParseError, GraphError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

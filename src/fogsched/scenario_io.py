@@ -1,12 +1,11 @@
 """Scenario file reading and writing.
 
 A scenario file is a YAML document (conventionally `.scn`) with the sections
-`graph`, `platform`, `budget`, `objective_mode`, `seed` and `solver`, plus an
-optional `placement` section pinning a tier per task.  Tasks, the platform
-with its fog, cloud and radio specs, and the settings of each solver kind are
-read and written from the fields of their dataclasses, so the file keys are
-the field names; the one exception is the exhaustive solver's `cap`, written
-`brute_cap`.  Unknown keys are rejected so typos fail loudly.
+`graph`, `platform`, `budget`, `objective_mode`, `seed` and `solver`.  Tasks,
+the platform with its fog, cloud and radio specs, and the settings of each
+solver kind are read and written from the fields of their dataclasses, so the
+file keys are the field names; the one exception is the exhaustive solver's
+`cap`, written `brute_cap`.  Unknown keys are rejected so typos fail loudly.
 
 The reader coerces numeric fields with float()/int() after YAML parsing, so
 plain exponent notation like `1e-11` is accepted even where YAML would read
@@ -21,7 +20,7 @@ import functools
 import typing
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Optional, Union
+from typing import Union
 
 import yaml
 
@@ -30,25 +29,19 @@ from .model import (
     BruteForceConfig,
     GreedyConfig,
     ObjectiveMode,
-    Placement,
     Platform,
     Scenario,
     SolverConfig,
     TaskGraph,
     TaskSpec,
-    Tier,
     solver_kind,
     validate_graph,
-    validate_placement,
 )
 
 
 class ParseError(ValueError):
     """The scenario file is malformed."""
 
-
-_TIER_BY_NAME = {t.name.lower(): t for t in Tier}
-_NAME_BY_TIER = {v: k for k, v in _TIER_BY_NAME.items()}
 
 # file keys that differ from the field name
 _FILE_KEYS = {(BruteForceConfig, "cap"): "brute_cap"}
@@ -185,7 +178,7 @@ def parse_scenario(text: str) -> Scenario:
     doc = _document(text)
     _check_keys(
         doc,
-        ("graph", "platform", "budget", "objective_mode", "seed", "solver", "placement"),
+        ("graph", "platform", "budget", "objective_mode", "seed", "solver"),
         "scenario",
     )
     graph = _parse_graph(_get(doc, "graph", "scenario"))
@@ -210,30 +203,8 @@ def parse_scenario(text: str) -> Scenario:
         )
 
 
-def parse_placement(text: str, graph: TaskGraph) -> Optional[Placement]:
-    """Extract the optional placement section; None when absent."""
-    doc = _document(text)
-    node = doc.get("placement")
-    if node is None:
-        return None
-    node = _as_map(node, "placement")
-    assignment = {}
-    for key, value in node.items():
-        tier = _TIER_BY_NAME.get(str(value).lower())
-        if tier is None:
-            raise ParseError(f"placement[{key}]: unknown tier {value!r}")
-        assignment[_as_int(key, "placement key")] = tier
-    placement = Placement(assignment)
-    validate_placement(placement, graph)
-    return placement
-
-
 def load_scenario(path: Union[str, Path]) -> Scenario:
     return parse_scenario(Path(path).read_text(encoding="utf-8"))
-
-
-def load_placement(path: Union[str, Path], graph: TaskGraph) -> Optional[Placement]:
-    return parse_placement(Path(path).read_text(encoding="utf-8"), graph)
 
 
 def _doc(obj) -> dict:
@@ -250,8 +221,8 @@ def _doc(obj) -> dict:
     return doc
 
 
-def render_scenario(scenario: Scenario, placement: Optional[Placement] = None) -> str:
-    """Serialize a scenario (and optional placement) to scenario-file text.
+def render_scenario(scenario: Scenario) -> str:
+    """Serialize a scenario to scenario-file text.
 
     PyYAML writes floats with repr (`1.0e-11`, `.inf`), so a load/save/load
     cycle is bit-exact and every number reads back as a typed YAML number.
@@ -268,19 +239,13 @@ def render_scenario(scenario: Scenario, placement: Optional[Placement] = None) -
         "seed": scenario.seed,
         "solver": {"kind": solver_kind(cfg), **_doc(cfg)},
     }
-    if placement is not None:
-        doc["placement"] = {
-            task_id: _NAME_BY_TIER[placement.assignment[task_id]]
-            for task_id in sorted(placement.assignment)
-        }
     return yaml.dump(doc, Dumper=_DUMPER, sort_keys=False, default_flow_style=None)
 
 
-def save_scenario(
-    scenario: Scenario, path: Union[str, Path], placement: Optional[Placement] = None
-) -> Path:
+def save_scenario(scenario: Scenario, path: Union[str, Path]) -> Path:
+    """Write `render_scenario(scenario)` to `path` and return the path."""
     path = Path(path)
-    path.write_text(render_scenario(scenario, placement), encoding="utf-8")
+    path.write_text(render_scenario(scenario), encoding="utf-8")
     return path
 
 

@@ -55,7 +55,6 @@ from operator import attrgetter, neg, sub
 from . import costs as _costs
 from .model import (
     _TIERS,
-    ObjectiveMode,
     Placement,
     Platform,
     Scenario,
@@ -89,11 +88,6 @@ class TaskSchedule:
     cost: float
 
 
-def _holds(name: str) -> property:
-    return property(lambda report: all(v[0] != name for v in report.violations),
-                    doc=f"{name} holds: no violation names it.")
-
-
 @dataclass(frozen=True)
 class FeasibilityReport:
     """Outcome of the seven constraint checks: the violations found, each as
@@ -102,9 +96,6 @@ class FeasibilityReport:
     hold by construction, as a result holds a single tier code per task."""
 
     violations: tuple[tuple[str, int, str], ...] = ()
-
-    c1_ok, c2_ok, c3_ok, c4_ok, c7_ok = map(_holds, ("C1", "C2", "C3", "C4", "C7"))
-    c5_ok = c6_ok = True
 
     @property
     def feasible(self) -> bool:
@@ -317,11 +308,6 @@ class ScheduleResult:
             )
         return self._tasks
 
-    def task(self, task_id: int) -> TaskSchedule:
-        if not 1 <= task_id <= len(self._tiers):
-            raise IndexError(f"no task {task_id!r}: ids are 1..{len(self._tiers)}")
-        return self.tasks[task_id - 1]
-
     def _fields(self) -> tuple:
         return (self.tasks, self._makespan, self._sum_finish, self._total_cost,
                 self._fog_utility, self._cloud_utility)
@@ -453,13 +439,6 @@ def evaluate(graph: TaskGraph, placement: Placement, platform: Platform) -> Sche
     validate_placement(placement, graph)
     tiers = [int(placement.assignment[t.id]) for t in graph.tasks]
     return _core_eval(eval_context(graph, platform), tiers)
-
-
-def objective_value(result: ScheduleResult, mode: ObjectiveMode) -> float:
-    """The scalar minimized by the solvers under the given objective mode."""
-    if ObjectiveMode(mode) is ObjectiveMode.MAKESPAN:
-        return result.makespan
-    return result.sum_finish
 
 
 def check_feasibility(result: ScheduleResult, scenario: Scenario) -> FeasibilityReport:

@@ -172,6 +172,41 @@ def test_pooled_sweep_sends_the_base_scenario_once_per_worker(monkeypatch, tmp_p
     assert chunks[5] == chunks[400]
 
 
+def test_sweep_pool_has_no_more_workers_than_cells(monkeypatch, tmp_path):
+    # an in-process stand-in that records the pool size asked for; a real
+    # pool under fork starts every worker up front, idle or not
+    import concurrent.futures
+
+    asked = []
+
+    class InProcessPool:
+        def __init__(self, max_workers, initializer, initargs):
+            asked.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, cells, chunksize):
+            return list(map(fn, cells))
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(bench, "_worker_cells", None)
+    fig4 = bundled_scenario("fig4.scn")
+    for steps, names, workers, pool in ((9, ("greedy",), 16, [9]),
+                                         (9, ("greedy", "brute"), 2, [2]),
+                                         (1, ("greedy",), 16, [])):
+        spec = bench.SweepSpec("budget", 0.0, 8.0, steps, solvers=names)
+        asked.clear()
+        rows = bench.sweep(fig4, spec, tmp_path / "pooled.csv", workers=workers)
+        assert asked == pool and len(rows) == steps * len(names)
+        bench.sweep(fig4, spec, tmp_path / "serial.csv", workers=1)
+        assert (tmp_path / "pooled.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+
+
 def test_sweep_builds_one_context_per_value(monkeypatch, tmp_path):
     # every solver and rep of one sweep value solves the same derived
     # scenario, so the value's graph builds its EvalContext once

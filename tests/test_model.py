@@ -26,9 +26,7 @@ from fogsched import (
     UnknownTask,
     evaluate,
     greedy_solve,
-    load_placement,
     load_scenario,
-    parse_placement,
     parse_scenario,
     render_scenario,
     save_scenario,
@@ -91,7 +89,7 @@ def test_tasks_listed_out_of_id_order_are_kept_in_id_order():
     listed = TaskGraph([TaskSpec(2, 500, 10), TaskSpec(1, 100, 100)])
     ordered = TaskGraph([TaskSpec(1, 100, 100), TaskSpec(2, 500, 10)])
     assert listed == ordered
-    row = evaluate(listed, placement, platform).task(1)
+    row = evaluate(listed, placement, platform).tasks[0]
     assert (row.tier, row.finish) == (Tier.LOCAL, 100.0)
     assert repr(evaluate(listed, placement, platform)) == repr(
         evaluate(ordered, placement, platform)
@@ -472,18 +470,13 @@ def test_libyaml_loader_reads_the_same_scenarios(monkeypatch):
     kinds = (SAConfig(), GreedyConfig(), BruteForceConfig(cap=9))
     for k in range(300):
         scn = gen.random_scenario(rng, n_max=12, benign=k % 5 == 0)
-        scn = replace(scn, solver_config=kinds[k % 3])
-        placement = gen.random_placement(rng, scn.graph) if k % 2 else None
-        texts.append(render_scenario(scn, placement))
+        texts.append(render_scenario(replace(scn, solver_config=kinds[k % 3])))
     malformed = ["graph: {tasks: [}\n", "budget: [1, 2\n", "a:\n  - b\n c: d\n",
                  "seed: 'open\n", "\tgraph: 1\n", "budget: *x\n"]
     seen = {}
     for loader in (yaml.SafeLoader, yaml.CSafeLoader):
         monkeypatch.setattr(scenario_io, "_LOADER", loader)
-        parsed = []
-        for text in texts:
-            scn = parse_scenario(text)
-            parsed.append(repr((scn, parse_placement(text, scn.graph))))
+        parsed = [repr(parse_scenario(text)) for text in texts]
         errors = []
         for text in malformed:
             with pytest.raises(ParseError) as err:
@@ -492,17 +485,6 @@ def test_libyaml_loader_reads_the_same_scenarios(monkeypatch):
             errors.append((type(cause), cause.problem_mark.line, cause.problem_mark.column))
         seen[loader] = parsed, errors
     assert seen[yaml.SafeLoader] == seen[yaml.CSafeLoader]
-
-
-def test_placement_roundtrip_bit_exact(tmp_path):
-    rng = np.random.default_rng(13)
-    scn = gen.random_scenario(rng)
-    placement = gen.random_placement(rng, scn.graph)
-    path = tmp_path / "placed.scn"
-    save_scenario(scn, path, placement)
-    back = load_placement(path, scn.graph)
-    assert back is not None
-    assert back.assignment == placement.assignment
 
 
 def test_infinite_budget_roundtrip(tmp_path):
@@ -522,6 +504,10 @@ def test_parse_rejects_unknown_keys():
     # YAML keys of mixed types are reported, not compared
     with pytest.raises(ParseError, match=r"unknown keys \[1, 'zz'\]"):
         parse_scenario(render_scenario(scn) + "1: 2\nzz: 3\n")
+    # a scenario file has no placement section
+    text = bundled_scenario("fig4.scn").read_text(encoding="utf-8")
+    with pytest.raises(ParseError, match=r"scenario: unknown keys \['placement'\]"):
+        parse_scenario(text + "placement: {1: local}\n")
 
 
 def test_parse_rejects_bad_objective():
@@ -565,8 +551,7 @@ def test_rendered_numbers_are_typed_yaml():
         scn = gen.random_scenario(rng, n_max=10, benign=k % 5 == 0)
         scn = replace(scn, solver_config=kinds[k % 3],
                       budget=math.inf if k % 2 else scn.budget)
-        placement = gen.random_placement(rng, scn.graph)
-        text = render_scenario(scn, placement)
+        text = render_scenario(scn)
         doc = yaml.safe_load(text)
         for node, task in zip(doc["graph"]["tasks"], scn.graph.tasks, strict=True):
             _assert_typed(node, task)
@@ -576,9 +561,7 @@ def test_rendered_numbers_are_typed_yaml():
         assert type(doc["budget"]) is float and doc["budget"] == scn.budget
         assert type(doc["seed"]) is int and doc["seed"] == scn.seed
         _assert_typed(doc["solver"], scn.solver_config)
-        assert doc["placement"] == {i: t.name.lower() for i, t in placement.assignment.items()}
         assert parse_scenario(text) == scn
-        assert parse_placement(text, scn.graph) == placement
         # whichever emitter wrote it, the text is PyYAML's pure-Python one's
         assert text == yaml.safe_dump(doc, sort_keys=False, default_flow_style=None)
 
