@@ -25,7 +25,6 @@ from .model import (
     GraphError,
     GreedyConfig,
     MissingTask,
-    ObjectiveMode,
     Placement,
     PlacementError,
     Platform,

@@ -3,8 +3,9 @@ scenario diagnostics, all emitting deterministic CSV.
 
 Sweep cells (sweep value x solver x repetition) are independent and may be
 computed by a process pool (FOGSCHED_WORKERS, default: the number of CPUs
-this process may run on, per its CPU affinity where the OS reports one; never
-more workers than the sweep has cells, and none for a single cell); rows
+this process may run on, per its CPU affinity where the OS reports one; a
+worker takes 8 cells at a time, so never more workers than the sweep has such
+chunks, and none when the sweep has at most 8 cells); rows
 are sorted by (sweep_value, solver, seed) before the single writer emits
 them, so parallelism never changes the output.  Each sweep value's scenario
 is derived from the base scenario once, before any cell is solved; a pool
@@ -313,6 +314,10 @@ def _worker_count(workers: Optional[int]) -> int:
     return os.cpu_count() or 1
 
 
+# cells a pool worker takes at a time
+_CHUNKSIZE = 8
+
+
 def sweep(
     scenario_path: Union[str, Path],
     spec: SweepSpec,
@@ -336,7 +341,8 @@ def sweep(
         for solver in spec.solvers
         for rep in range(spec.reps)
     ]
-    n_workers = min(_worker_count(workers), len(cells))
+    # a worker that would get no chunk is not started
+    n_workers = min(_worker_count(workers), math.ceil(len(cells) / _CHUNKSIZE))
     if n_workers > 1:
         # imported here: the pool pulls in multiprocessing (about 1 MB of
         # modules), which run, compare and validate never use
@@ -347,7 +353,7 @@ def sweep(
         with ProcessPoolExecutor(
             max_workers=n_workers, initializer=_init_worker, initargs=(solve_cell,)
         ) as pool:
-            rows = list(pool.map(_worker_cell, cells, chunksize=8))
+            rows = list(pool.map(_worker_cell, cells, chunksize=_CHUNKSIZE))
     else:
         rows = list(map(solve_cell, cells))
     rows.sort(key=lambda r: (r.sweep_value, r.solver, r.seed))

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, fields
-from enum import Enum, IntEnum
+from enum import IntEnum
 from functools import cached_property
 from heapq import heappop, heappush
 from numbers import Real
@@ -29,13 +29,6 @@ class Tier(IntEnum):
 
 # Tier member by tier code
 _TIERS = (None, Tier.LOCAL, Tier.FOG, Tier.CLOUD)
-
-
-class ObjectiveMode(str, Enum):
-    """Objective minimized by the solvers."""
-
-    MAKESPAN = "makespan"
-    SUM_FINISH = "sum_finish"
 
 
 class GraphError(ValueError):
@@ -406,17 +399,16 @@ def solver_kind(config: SolverConfig) -> str:
 
 @dataclass(frozen=True)
 class Scenario:
-    """One experiment: graph + platform + budget + objective + seed + solver."""
+    """One experiment: graph + platform + budget + seed + solver.  Every
+    solver minimizes the makespan, the latest finish time of a sink task."""
 
     graph: TaskGraph
     platform: Platform
     budget: float = math.inf
-    objective_mode: ObjectiveMode = ObjectiveMode.MAKESPAN
     seed: int = 0
     solver_config: SolverConfig = field(default_factory=GreedyConfig)
 
     def __post_init__(self):
-        object.__setattr__(self, "objective_mode", ObjectiveMode(self.objective_mode))
         # budget = inf disables C7; NaN would do so silently, and a bool
         # would pass as 0 or 1
         if isinstance(self.budget, bool):

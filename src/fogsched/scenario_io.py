@@ -1,11 +1,14 @@
 """Scenario file reading and writing.
 
 A scenario file is a YAML document (conventionally `.scn`) with the sections
-`graph`, `platform`, `budget`, `objective_mode`, `seed` and `solver`.  Tasks,
-the platform with its fog, cloud and radio specs, and the settings of each
-solver kind are read and written from the fields of their dataclasses, so the
-file keys are the field names; the one exception is the exhaustive solver's
-`cap`, written `brute_cap`.  Unknown keys are rejected so typos fail loudly.
+`graph`, `platform`, `budget`, `seed` and `solver`.  Tasks, the platform with
+its fog, cloud and radio specs, and the settings of each solver kind are read
+and written from the fields of their dataclasses, so the file keys are the
+field names; the one exception is the exhaustive solver's `cap`, written
+`brute_cap`.  Unknown keys are rejected so typos fail loudly.  Files written
+by earlier versions carry `objective_mode: makespan`; the reader accepts that
+key with that value only, since the makespan is the one objective, and the
+writer no longer emits it.
 
 The reader coerces numeric fields with float()/int() after YAML parsing, so
 plain exponent notation like `1e-11` is accepted even where YAML would read
@@ -28,7 +31,6 @@ from .model import (
     SOLVER_KINDS,
     BruteForceConfig,
     GreedyConfig,
-    ObjectiveMode,
     Platform,
     Scenario,
     SolverConfig,
@@ -185,19 +187,14 @@ def parse_scenario(text: str) -> Scenario:
     validate_graph(graph)
     with _reraise("platform: "):
         platform = _build(Platform, _get(doc, "platform", "scenario"), "platform")
-    mode_raw = doc.get("objective_mode", "makespan")
-    try:
-        mode = ObjectiveMode(mode_raw)
-    except ValueError:
-        raise ParseError(
-            f"objective_mode must be 'makespan' or 'sum_finish', got {mode_raw!r}"
-        ) from None
+    mode = doc.get("objective_mode", "makespan")
+    if mode != "makespan":
+        raise ParseError(f"objective_mode: makespan is the only objective, got {mode!r}")
     with _reraise(""):
         return Scenario(
             graph=graph,
             platform=platform,
             budget=_as_float(doc.get("budget", float("inf")), "budget"),
-            objective_mode=mode,
             seed=_as_int(doc.get("seed", 0), "seed"),
             solver_config=_parse_solver(doc.get("solver")),
         )
@@ -235,7 +232,6 @@ def render_scenario(scenario: Scenario) -> str:
         },
         "platform": _doc(scenario.platform),
         "budget": float(scenario.budget),
-        "objective_mode": scenario.objective_mode.value,
         "seed": scenario.seed,
         "solver": {"kind": solver_kind(cfg), **_doc(cfg)},
     }

@@ -21,7 +21,6 @@ from math import exp, inf
 from ._rng import Stream, mix_entropy
 from .model import (
     BruteForceConfig,
-    ObjectiveMode,
     Placement,
     SAConfig,
     Scenario,
@@ -302,7 +301,8 @@ def sa_solve(scenario: Scenario) -> SolveOutcome:
     Starts from a uniformly random placement.  Each iteration perturbs one
     uniformly chosen task by a uniform integer step in
     [-neighbor_range, neighbor_range] clamped to [1, 3], cools the
-    temperature, and applies the Metropolis rule to the objective change.
+    temperature, and applies the Metropolis rule to the change in makespan,
+    the one objective.
     The annealing loop runs while the temperature exceeds t_stop AND both
     utilities of the last accepted placement are non-negative, so accepting a
     placement that turns a utility negative stops the run early.  The guard
@@ -326,7 +326,6 @@ def sa_solve(scenario: Scenario) -> SolveOutcome:
         raise TypeError("sa_solve needs a Scenario carrying an SAConfig")
     ctx = eval_context(scenario.graph, scenario.platform)
     n = ctx.n
-    by_sum = scenario.objective_mode is ObjectiveMode.SUM_FINISH
     budget = scenario.budget
     total_iterations = 0
     pool = mix_entropy(scenario.seed)
@@ -336,7 +335,6 @@ def sa_solve(scenario: Scenario) -> SolveOutcome:
         # a graph with no tasks draws nothing
         tiers = rng.integers(1, 4, n) if n else []
         core = _core_eval(ctx, tiers)
-        obj_cur = core.sum_finish if by_sum else core.makespan
         u_f = 0.0
         u_c = 0.0
         tem = cfg.t0
@@ -350,11 +348,9 @@ def sa_solve(scenario: Scenario) -> SolveOutcome:
             # clamped step left its tier as it was
             start = ctx.pos[idx] if cand[idx] != tiers[idx] else n
             cand_core = _core_eval(ctx, cand, core, start)
-            obj_cand = cand_core.sum_finish if by_sum else cand_core.makespan
-            if metropolis_accept(obj_cand - obj_cur, tem, rng):
+            if metropolis_accept(cand_core.makespan - core.makespan, tem, rng):
                 tiers = cand
                 core = cand_core
-                obj_cur = obj_cand
                 u_f = cand_core.fog_utility
                 u_c = cand_core.cloud_utility
             total_iterations += 1
@@ -369,26 +365,27 @@ def sa_solve(scenario: Scenario) -> SolveOutcome:
 
 
 def brute_force_solve(scenario: Scenario) -> SolveOutcome:
-    """Enumerate all 3^N placements and return the feasible optimum.
+    """Enumerate all 3^N placements and return the feasible placement with
+    the smallest makespan.
 
     The enumeration is a depth-first walk over tasks in topological order:
     each search-tree node at depth d takes the finish times of task topo[d]
     on local, fog and cloud from one predecessor scan (`_finishes`) over its
     prefix's tier codes and finish times, and visits the three children in
     that order, adding each one's terms to the prefix's running makespan,
-    sum of finish times, cost and utilities in the same order as the
-    evaluator adds them.  The terms of each depth are read from a row built
-    once per solve.  A node at the last depth tests its three leaves in
-    place: a placement is feasible when both utilities are non-negative and
-    total cost is within budget (precedence constraints hold by
-    construction), and only a feasible leaf's objective is compared with
-    the optimum's.  The limits read only the running sums, so such a node
-    computes its task's finish times only when one of its leaves passes
-    them, at the first that does.  Nothing is pruned: `iterations` counts
-    the leaves tested, 3 per last-depth node, which is 3^N.  Ties keep the
-    optimum whose tiers, read in task-id order, come first lexicographically
-    (local < fog < cloud).  Raises TooLarge above the configured cap and
-    Infeasible when nothing qualifies.
+    cost and utilities in the same order as the evaluator adds them.  The
+    terms of each depth are read from a row built once per solve.  A node
+    at the last depth tests its three leaves in place: a placement is
+    feasible when both utilities are non-negative and total cost is within
+    budget (precedence constraints hold by construction), and only a
+    feasible leaf's makespan is compared with the optimum's.  The limits
+    read only the running sums, so such a node computes its task's finish
+    times only when one of its leaves passes them, at the first that does.
+    Every placement is tested and nothing is pruned, so `iterations` is 3^N
+    (1 for a graph with no tasks).  Ties keep the optimum whose tiers, read
+    in task-id order, come first lexicographically (local < fog < cloud).
+    Raises TooLarge above the configured cap and Infeasible when nothing
+    qualifies.
     """
     t_start = time.perf_counter()
     cfg = scenario.solver_config
@@ -397,7 +394,6 @@ def brute_force_solve(scenario: Scenario) -> SolveOutcome:
     if n > cap:
         raise TooLarge(f"{n} tasks exceed the exhaustive-search cap of {cap}")
     ctx = eval_context(scenario.graph, scenario.platform)
-    by_sum = scenario.objective_mode is ObjectiveMode.SUM_FINISH
     limit = scenario.budget + TIME_TOL
     floor = -TIME_TOL
     sinks = set(ctx.sinks)
@@ -414,15 +410,13 @@ def brute_force_solve(scenario: Scenario) -> SolveOutcome:
     chosen = [0.0] * n
     best_obj = inf
     best_tiers = None
-    leaves = 0
 
-    def visit(d, makespan, sum_finish, cost, u_f, u_c):
-        nonlocal leaves, best_obj, best_tiers
+    def visit(d, makespan, cost, u_f, u_c):
+        nonlocal best_obj, best_tiers
         i, sink, terms = rows[d]
         if d == last:
             # the last task in topological order is a sink; its finish
             # times are computed at the first leaf within the limits
-            leaves += 3
             fins = None
             for k, (t, c, df, dc) in enumerate(terms):
                 if u_f + df < floor or u_c + dc < floor or cost + c > limit:
@@ -431,7 +425,7 @@ def brute_force_solve(scenario: Scenario) -> SolveOutcome:
                     fins = _finishes(ctx, i, tiers, chosen)
                 fin = fins[k]
                 tiers[i] = t
-                obj = sum_finish + fin if by_sum else fin if fin > makespan else makespan
+                obj = fin if fin > makespan else makespan
                 if obj < best_obj or (obj == best_obj and best_tiers is not None
                                       and tiers < best_tiers):
                     best_obj = obj
@@ -441,18 +435,17 @@ def brute_force_solve(scenario: Scenario) -> SolveOutcome:
         for (t, c, df, dc), fin in zip(terms, fins):
             tiers[i] = t
             chosen[i] = fin
-            visit(d + 1, fin if sink and fin > makespan else makespan, sum_finish + fin,
-                  cost + c, u_f + df, u_c + dc)
+            visit(d + 1, fin if sink and fin > makespan else makespan, cost + c,
+                  u_f + df, u_c + dc)
 
     if n:
-        visit(0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        visit(0, 0.0, 0.0, 0.0, 0.0)
     else:
-        # the empty placement: one leaf, within every budget
-        leaves = 1
-        best_obj, best_tiers = 0.0, []
+        # the empty placement, within every budget
+        best_tiers = []
     if best_tiers is None:
         raise Infeasible("no placement satisfies the utility and budget constraints")
-    return _outcome(scenario, _core_eval(ctx, best_tiers), leaves, t_start)
+    return _outcome(scenario, _core_eval(ctx, best_tiers), 3 ** n, t_start)
 
 
 def solve(scenario: Scenario) -> SolveOutcome:

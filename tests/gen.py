@@ -15,7 +15,6 @@ import numpy as np
 from fogsched import (
     CloudSpec,
     FogSpec,
-    ObjectiveMode,
     Placement,
     Platform,
     RadioLink,
@@ -130,7 +129,6 @@ def benign_platform(rng: np.random.Generator) -> Platform:
 def random_scenario(
     rng: np.random.Generator,
     n_max: int = 8,
-    mode: ObjectiveMode = ObjectiveMode.MAKESPAN,
     allow_infinite_budget: bool = True,
     benign: bool = False,
 ) -> Scenario:
@@ -153,7 +151,6 @@ def random_scenario(
         graph=graph,
         platform=platform,
         budget=budget,
-        objective_mode=mode,
         seed=int(rng.integers(0, 2**32)),
         solver_config=SAConfig(),
     )

@@ -28,7 +28,6 @@ import numpy as np
 
 from fogsched import (
     Infeasible,
-    ObjectiveMode,
     RestartsExhausted,
     SAConfig,
     Tier,
@@ -284,7 +283,6 @@ def exhaustive_optimum(scenario):
     tol = schedule.TIME_TOL
     best_tiers = None
     best_obj = math.inf
-    by_sum = scenario.objective_mode is ObjectiveMode.SUM_FINISH
     count = 0
     for tiers in itertools.product((1, 2, 3), repeat=ctx.n):
         count += 1
@@ -293,9 +291,8 @@ def exhaustive_optimum(scenario):
             continue
         if core.total_cost > scenario.budget + tol:
             continue
-        obj = core.sum_finish if by_sum else core.makespan
-        if obj < best_obj:
-            best_obj = obj
+        if core.makespan < best_obj:
+            best_obj = core.makespan
             best_tiers = tiers
     return best_tiers, count
 
@@ -376,7 +373,6 @@ def anneal_reference(scenario):
     assert isinstance(cfg, SAConfig)
     ctx = schedule.EvalContext(scenario.graph, scenario.platform)
     n = ctx.n
-    by_sum = scenario.objective_mode is ObjectiveMode.SUM_FINISH
     local, cloud = int(Tier.LOCAL), int(Tier.CLOUD)
     total_iterations = 0
     for restart in range(cfg.max_restarts + 1):
@@ -385,7 +381,7 @@ def anneal_reference(scenario):
         )
         tiers = [int(v) for v in rng.integers(1, 4, size=n)]
         core = schedule._core_eval(ctx, tiers)
-        obj_cur = core.sum_finish if by_sum else core.makespan
+        obj_cur = core.makespan
         cost_cur = core.total_cost
         u_f = 0.0
         u_c = 0.0
@@ -397,7 +393,7 @@ def anneal_reference(scenario):
             cand[idx] = min(cloud, max(local, cand[idx] + step))
             tem *= cfg.cool
             cand_core = schedule._core_eval(ctx, cand)
-            obj_cand = cand_core.sum_finish if by_sum else cand_core.makespan
+            obj_cand = cand_core.makespan
             if solvers.metropolis_accept(obj_cand - obj_cur, tem, rng):
                 tiers = cand
                 obj_cur = obj_cand

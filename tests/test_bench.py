@@ -174,7 +174,8 @@ def test_pooled_sweep_sends_the_base_scenario_once_per_worker(monkeypatch, tmp_p
 
 def test_sweep_pool_has_no_more_workers_than_cells(monkeypatch, tmp_path):
     # an in-process stand-in that records the pool size asked for; a real
-    # pool under fork starts every worker up front, idle or not
+    # pool under fork starts every worker up front, idle or not, and a
+    # worker takes 8 cells at a time, so a sweep asks for one per chunk
     import concurrent.futures
 
     asked = []
@@ -196,8 +197,10 @@ def test_sweep_pool_has_no_more_workers_than_cells(monkeypatch, tmp_path):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(bench, "_worker_cells", None)
     fig4 = bundled_scenario("fig4.scn")
-    for steps, names, workers, pool in ((9, ("greedy",), 16, [9]),
+    for steps, names, workers, pool in ((9, ("greedy",), 16, [2]),
+                                         (17, ("greedy",), 16, [3]),
                                          (9, ("greedy", "brute"), 2, [2]),
+                                         (8, ("greedy",), 16, []),
                                          (1, ("greedy",), 16, [])):
         spec = bench.SweepSpec("budget", 0.0, 8.0, steps, solvers=names)
         asked.clear()
@@ -829,16 +832,21 @@ def test_golden_output_digests(tmp_path, capsys):
 # linspace values that are not exact multiples; recorded while numpy still
 # drew the streams and spaced the values.  The fig4 budget sweep pins
 # exhaustive search across budgets; it was recorded before the exhaustive
-# walk tested a last-depth node's leaves ahead of its finish times
+# walk tested a last-depth node's leaves ahead of its finish times.  The
+# dag9 entries pin a DAG with several sinks and multi-predecessor tasks, on
+# which greedy makes both kinds of repair move; they were recorded while the
+# solvers still carried a second, sum-of-finish-times objective
 SWEEP_SHA256 = {
     "chain40 task_count sweep": "553f13ba2719d02c04a116c837e9c5851af13aa75c202a110eb1a7cf589dd03d",
     "fig4 data_size sweep": "de1ae4f74a6eee572774ed695e3fc3a875109b0f8d5b7ae2153b38727586378f",
     "fig4 fog_price sweep": "68fda52a0e3b291b1726a027d61cd9b686b87ea1372c446f1c59d4b99970c93f",
     "fig4 budget sweep": "80b83a28f9871d587cebd2a55dd6d1180e489ff5186f981c68f3cbf714a64930",
+    "dag9 budget sweep": "0c579969707b8b4437623ebe3fd1d89fcbff40165d2d4d94ff8ad0ed136d5399",
+    "dag9 compare": "ac69b8fba0dd33f1484dd7751da9e2736bf84dac242c9c1ad068c3bf472dac4a",
 }
 
 
-def test_sweep_output_digests(tmp_path):
+def test_sweep_output_digests(tmp_path, capsys):
     sweeps = {
         "chain40 task_count sweep": ("chain40.scn", bench.SweepSpec(
             "task_count", 5.0, 60.0, 10, reps=2, solvers=("greedy", "sa"))),
@@ -850,12 +858,19 @@ def test_sweep_output_digests(tmp_path):
         # (budget 1) and every utility-feasible one (budget 5 on)
         "fig4 budget sweep": ("fig4.scn", bench.SweepSpec(
             "budget", 0.0, 8.0, 9, reps=1, solvers=("greedy", "brute"))),
+        # every solver infeasible at budget 0; greedy makes budget repairs
+        # only at 3 to 12, both kinds at 15 to 21, fog-utility repairs only
+        # at 24
+        "dag9 budget sweep": ("dag9.scn", bench.SweepSpec(
+            "budget", 0.0, 24.0, 9, reps=2, solvers=("greedy", "sa", "brute"))),
     }
     got = {}
     for name, (scenario, spec) in sweeps.items():
         out = tmp_path / "sweep.csv"
         bench.sweep(scenario, spec, out, workers=1)
         got[name] = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert cli.main(["compare", "--scenario", "dag9.scn", "--seed", "1", "--reps", "3"]) == 0
+    got["dag9 compare"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert got == SWEEP_SHA256
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
-from fogsched import bench, scenario_io
+from fogsched import bench, cli, scenario_io
 from fogsched import (
     BruteForceConfig,
     CycleDetected,
@@ -450,7 +450,7 @@ def test_scenario_file_roundtrip_bit_exact(tmp_path):
     cases = [replace(scn, solver_config=cfg)
              for cfg in (scn.solver_config, GreedyConfig(), BruteForceConfig(cap=9))]
     cases += [load_scenario(bundled_scenario(name))
-              for name in ("defaults.scn", "fig4.scn", "chain40.scn")]
+              for name in ("defaults.scn", "fig4.scn", "chain40.scn", "dag9.scn")]
     path = tmp_path / "roundtrip.scn"
     for scn in cases:
         save_scenario(scn, path)
@@ -459,6 +459,9 @@ def test_scenario_file_roundtrip_bit_exact(tmp_path):
         assert repr(again) == repr(scn)
         # a second cycle is byte-stable
         assert render_scenario(again) == render_scenario(scn)
+        # older writers put `objective_mode: makespan` between budget and seed
+        older = render_scenario(scn).replace("\nseed: ", "\nobjective_mode: makespan\nseed: ")
+        assert "objective_mode" in older and parse_scenario(older) == scn
 
 
 def test_libyaml_loader_reads_the_same_scenarios(monkeypatch):
@@ -466,7 +469,7 @@ def test_libyaml_loader_reads_the_same_scenarios(monkeypatch):
         pytest.skip("PyYAML was built without libyaml")
     rng = np.random.default_rng(12)
     texts = [bundled_scenario(name).read_text(encoding="utf-8")
-             for name in ("defaults.scn", "fig4.scn", "chain40.scn")]
+             for name in ("defaults.scn", "fig4.scn", "chain40.scn", "dag9.scn")]
     kinds = (SAConfig(), GreedyConfig(), BruteForceConfig(cap=9))
     for k in range(300):
         scn = gen.random_scenario(rng, n_max=12, benign=k % 5 == 0)
@@ -510,13 +513,22 @@ def test_parse_rejects_unknown_keys():
         parse_scenario(text + "placement: {1: local}\n")
 
 
-def test_parse_rejects_bad_objective():
-    from fogsched import ParseError
-
+def test_parse_rejects_bad_objective(tmp_path, capsys):
+    # the makespan is the one objective: the writer leaves the key out, and
+    # the reader takes `objective_mode: makespan`, as older files carry it,
+    # but no other value
     scn = gen.random_scenario(np.random.default_rng(3))
-    text = render_scenario(scn).replace("objective_mode: makespan", "objective_mode: latency")
-    with pytest.raises(ParseError):
-        parse_scenario(text)
+    text = render_scenario(scn)
+    assert "objective_mode" not in text
+    assert parse_scenario(text + "objective_mode: makespan\n") == scn
+    for value in ("sum_finish", "latency", "null", "[makespan]"):
+        with pytest.raises(ParseError, match="makespan is the only objective"):
+            parse_scenario(text + f"objective_mode: {value}\n")
+    path = tmp_path / "sum_finish.scn"
+    path.write_text(text + "objective_mode: sum_finish\n", encoding="utf-8")
+    assert cli.main(["run", "--scenario", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: objective_mode: makespan is the only objective, got 'sum_finish'\n")
 
 
 def test_plain_exponent_floats_accepted():

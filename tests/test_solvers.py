@@ -15,7 +15,6 @@ from fogsched import (
     GraphError,
     GreedyConfig,
     Infeasible,
-    ObjectiveMode,
     Placement,
     Platform,
     RadioLink,
@@ -140,9 +139,8 @@ def test_greedy_matches_reference_when_ids_are_not_topological():
     # reference loop
     rng = np.random.default_rng(66)
     seen = Counter()
-    for k in range(200):
-        mode = ObjectiveMode.MAKESPAN if k % 2 else ObjectiveMode.SUM_FINISH
-        scn = gen.random_scenario(rng, n_max=12, mode=mode)
+    for _ in range(200):
+        scn = gen.random_scenario(rng, n_max=12)
         shuffled = replace(scn, graph=gen.permute_ids(rng, scn.graph))
         # the sizes are continuous draws, so they tell which task got which id
         old_id = {(t.workload, t.data_size): t.id for t in scn.graph.tasks}
@@ -185,8 +183,7 @@ def test_greedy_matches_reference_loop():
     rng = np.random.default_rng(61)
     seen = Counter()
     for k in range(320):
-        mode = ObjectiveMode.MAKESPAN if k % 2 else ObjectiveMode.SUM_FINISH
-        scn = gen.random_scenario(rng, n_max=12, mode=mode, allow_infinite_budget=k % 4 == 0)
+        scn = gen.random_scenario(rng, n_max=12, allow_infinite_budget=k % 4 == 0)
         n = len(scn.graph)
         if k % 5 == 0:
             # equal tasks: every pick is decided by the lowest-index tie rule
@@ -449,8 +446,7 @@ def test_anneal_matches_reference_loop():
         warnings.simplefilter("ignore")
         cold = SAConfig(t0=0.05, t_stop=0.1)
     for k in range(440):
-        mode = ObjectiveMode.MAKESPAN if k % 2 else ObjectiveMode.SUM_FINISH
-        scn = gen.random_scenario(rng, n_max=10, mode=mode, benign=k % 6 == 0)
+        scn = gen.random_scenario(rng, n_max=10, benign=k % 6 == 0)
         if k < 120:
             scn = replace(scn, graph=gen.permute_ids(rng, scn.graph))
         if k % 5 == 4:
@@ -743,9 +739,8 @@ def _assert_brute_matches_oracle(scn):
 def test_brute_matches_oracle_on_random_scenarios():
     rng = np.random.default_rng(2024)
     solved = 0
-    for k in range(240):
-        mode = ObjectiveMode.MAKESPAN if k % 2 else ObjectiveMode.SUM_FINISH
-        scn = gen.random_scenario(rng, n_max=7, mode=mode)
+    for _ in range(240):
+        scn = gen.random_scenario(rng, n_max=7)
         solved += _assert_brute_matches_oracle(replace(scn, solver_config=BruteForceConfig()))
     assert solved == 240
 
@@ -753,7 +748,7 @@ def test_brute_matches_oracle_on_random_scenarios():
 def test_brute_matches_oracle_when_ids_are_not_topological():
     rng = np.random.default_rng(2025)
     shuffled = 0
-    for k in range(60):
+    for _ in range(60):
         graph = gen.permute_ids(rng, gen.random_dag(rng, int(rng.integers(3, 8)), p_edge=0.5))
         shuffled += any(a > b for a, b in graph.edges)
         platform = gen.desk_platform(rng)
@@ -762,7 +757,6 @@ def test_brute_matches_oracle_when_ids_are_not_topological():
             graph=graph,
             platform=platform,
             budget=float(rng.uniform(0.3, 1.5)) * all_fog_cost,
-            objective_mode=ObjectiveMode.MAKESPAN if k % 2 else ObjectiveMode.SUM_FINISH,
             solver_config=BruteForceConfig(),
         )
         _assert_brute_matches_oracle(scn)
@@ -782,7 +776,6 @@ def test_brute_matches_oracle_on_exact_ties():
         scn = Scenario(
             graph=graph,
             platform=_tie_platform(),
-            objective_mode=ObjectiveMode.SUM_FINISH if k % 4 < 2 else ObjectiveMode.MAKESPAN,
             solver_config=BruteForceConfig(),
         )
         assert _assert_brute_matches_oracle(scn)
@@ -796,9 +789,8 @@ def test_brute_matches_oracle_at_the_budget_tolerance():
     rng = np.random.default_rng(2028)
     tol = schedule.TIME_TOL
     refused = 0
-    for k in range(30):
+    for _ in range(30):
         scn = replace(gen.random_scenario(rng, n_max=6), budget=float("inf"),
-                      objective_mode=ObjectiveMode.SUM_FINISH if k % 2 else ObjectiveMode.MAKESPAN,
                       solver_config=BruteForceConfig())
         free = brute_force_solve(scn)
         other = evaluate(scn.graph, gen.random_placement(rng, scn.graph), scn.platform)
@@ -823,7 +815,7 @@ def test_brute_matches_oracle_on_one_task():
     # the root is the last depth: its three leaves are tested in place
     rng = np.random.default_rng(2029)
     tiers = Counter()
-    for k in range(60):
+    for _ in range(60):
         w = float(rng.uniform(50.0, 1000.0))
         graph = gen.chain_graph([w], [w * float(rng.uniform(0.5, 2.0))])
         platform = gen.desk_platform(rng)
@@ -831,7 +823,6 @@ def test_brute_matches_oracle_on_one_task():
             graph=graph,
             platform=platform,
             budget=float(rng.uniform(0.3, 1.5)) * platform.fog.price * graph.tasks[0].data_size,
-            objective_mode=ObjectiveMode.MAKESPAN if k % 2 else ObjectiveMode.SUM_FINISH,
             solver_config=BruteForceConfig(),
         )
         if _assert_brute_matches_oracle(scn):
@@ -853,7 +844,6 @@ def test_brute_matches_oracle_with_several_sinks():
             graph=graph,
             platform=platform,
             budget=float(rng.uniform(0.3, 1.5)) * all_fog_cost,
-            objective_mode=ObjectiveMode.SUM_FINISH if k % 4 < 2 else ObjectiveMode.MAKESPAN,
             solver_config=BruteForceConfig(),
         )
         _assert_brute_matches_oracle(scn)
@@ -868,13 +858,12 @@ def test_brute_ties_inside_a_last_depth_node_keep_the_first_leaf():
     platform = replace(_tie_platform(), kappa=1.0)
     for n in range(1, 6):
         graph = TaskGraph([TaskSpec(i, 1.0, 0.5) for i in range(1, n + 1)])
-        for mode in ObjectiveMode:
-            scn = Scenario(graph=graph, platform=platform, budget=0.0, objective_mode=mode,
-                           solver_config=BruteForceConfig())
-            assert _assert_brute_matches_oracle(scn)
-            out = brute_force_solve(scn)
-            assert set(out.placement.assignment.values()) == {Tier.FOG}
-            assert out.result.makespan == 1.0
+        scn = Scenario(graph=graph, platform=platform, budget=0.0,
+                       solver_config=BruteForceConfig())
+        assert _assert_brute_matches_oracle(scn)
+        out = brute_force_solve(scn)
+        assert set(out.placement.assignment.values()) == {Tier.FOG}
+        assert out.result.makespan == 1.0
 
 
 def test_brute_matches_oracle_when_infeasible():
@@ -952,15 +941,10 @@ def test_brute_dominates_other_solvers():
         brute = brute_force_solve(replace(scn, solver_config=BruteForceConfig()))
         if not brute.feasible:
             continue
-        by_sum = scn.objective_mode is ObjectiveMode.SUM_FINISH
-
-        def objective(out):
-            return out.result.sum_finish if by_sum else out.result.makespan
-
         try:
             g = greedy_solve(scn)
             if g.feasible:
-                assert objective(brute) <= objective(g)
+                assert brute.result.makespan <= g.result.makespan
                 compared += 1
         except Infeasible:
             pass
@@ -969,7 +953,7 @@ def test_brute_dominates_other_solvers():
         except RestartsExhausted:
             continue
         if s.feasible:
-            assert objective(brute) <= objective(s)
+            assert brute.result.makespan <= s.result.makespan
             compared += 1
     assert compared > 20
 
