@@ -8,12 +8,14 @@ worker takes 8 cells at a time, so never more workers than the sweep has such
 chunks, and none when the sweep has at most 8 cells); rows
 are sorted by (sweep_value, solver, seed) before the single writer emits
 them, so parallelism never changes the output.  Each sweep value's scenario
-is derived from the base scenario once, before any cell is solved; a pool
-worker gets these scenarios once, when it starts, and each cell only as
-(value index, solver, rep), so every cell of one value solved in one process
-shares one graph, with its EvalContext and the greedy work kept on it: the
-budget-independent prefix, and what follows it per budget-repair length (see
-solvers.greedy_solve).  Each pool worker keeps its own copy of that work.
+is derived from the base scenario once, and the EvalContext of its graph
+built, before any cell is solved, so no solve's wall time pays for a build;
+a pool worker gets these scenarios, with their contexts, once, when it
+starts, and each cell only as (value index, solver, rep), so every cell of
+one value solved in one process shares one graph, with its EvalContext and
+the greedy work kept on it: the budget-independent prefix, and what follows
+it per budget-repair length (see solvers.greedy_solve).  Each pool worker
+keeps its own copy of that work.
 Sweep CSV stores wall_time as 0.0 to keep files byte-identical across runs;
 `run` and `compare` report measured wall time.
 """
@@ -24,6 +26,7 @@ import math
 import os
 import time
 import warnings
+from copy import copy
 from dataclasses import dataclass, fields, replace
 from functools import partial
 from pathlib import Path
@@ -259,7 +262,9 @@ def _apply_sweep_value(
         return replace(base, budget=value)
     if spec.parameter == "fog_price":
         fog = replace(base.platform.fog, price=value)
-        return replace(base, platform=replace(base.platform, fog=fog))
+        # a graph keeps one context, so each platform gets its own copy of
+        # the graph, which shares the graph's structure
+        return replace(base, graph=copy(base.graph), platform=replace(base.platform, fog=fog))
     # task_count: fresh chain per sweep value, sizes from a dedicated stream
     n = max(1, int(round(value)))
     rng = Stream(base.seed, (1000, value_index))
@@ -272,13 +277,18 @@ class _SweepCells:
     """Solves the cells of one sweep, each given as (value index, solver,
     rep), against the scenario of each sweep value, derived once from the
     base scenario, so that every cell of a value shares its graph and the
-    graph's EvalContext."""
+    graph's EvalContext.  Each value's context is built here, before the
+    first cell, so no solve's wall time pays for it and pool workers get
+    it with the scenarios."""
 
     def __init__(self, base: Scenario, spec: SweepSpec, scenario_id: str, verify: bool):
         self.seed, self.scenario_id, self.verify = base.seed, scenario_id, verify
         self.values = spec.values()
-        self.scenarios = [_apply_sweep_value(base, spec, value, vi)
-                          for vi, value in enumerate(self.values)]
+        self.scenarios = []
+        for vi, value in enumerate(self.values):
+            scenario = _apply_sweep_value(base, spec, value, vi)
+            eval_context(scenario.graph, scenario.platform)
+            self.scenarios.append(scenario)
 
     def __call__(self, cell) -> ResultRow:
         value_index, solver, rep = cell

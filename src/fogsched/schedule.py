@@ -104,9 +104,10 @@ class FeasibilityReport:
 
 class DerivedValueError(ValueError):
     """A scenario whose fields pass their checks derives a quantity the
-    model cannot use: an uplink rate that is not finite and > 0, or a server
-    energy coefficient, time, energy or price that is not finite.  The
-    message names the quantity, and the task for a per-task one."""
+    model cannot use: an uplink rate that is not finite and > 0, a server
+    energy coefficient, time, energy or price that is not finite, or a
+    total that some placement's evaluation could overflow.  The message
+    names the quantity, and the task for a per-task one."""
 
 
 def _energy_coefficient(server) -> float:
@@ -130,6 +131,31 @@ def _require_finite_columns(columns: dict) -> None:
         for i, value in enumerate(column):
             if not isfinite(value):
                 raise DerivedValueError(f"{name} of task {i + 1} is {value!r}, not finite")
+
+
+def _require_finite_totals(ctx) -> None:
+    """Raise DerivedValueError unless every total an evaluation can make is
+    finite.  Each bound adds, in topological order, every task's largest
+    term with the evaluator's kind of additions: a finish time is at most
+    the task's largest execution time plus its uplink and forwarding times
+    plus the largest finish time before it, and since rounding is monotone
+    a bound made so is at least every total it bounds."""
+    finish = finishes = cost = u_f = u_c = 0.0
+    tau_l, tau_t, tau_f, tau_r, tau_c = ctx.tau_l, ctx.tau_t, ctx.tau_f, ctx.tau_r, ctx.tau_c
+    _, cost_l, cost_f, cost_c = ctx.cost
+    _, _, du_f_f, du_f_c = ctx.du_f
+    du_c_c = ctx.du_c[_CLOUD]
+    for i in ctx.topo:
+        finish = max(tau_l[i], tau_f[i], tau_c[i]) + (tau_t[i] + finish + tau_r[i])
+        finishes += finish
+        cost += max(cost_l[i], cost_f[i], cost_c[i])
+        u_f += max(abs(du_f_f[i]), abs(du_f_c[i]))
+        u_c += abs(du_c_c[i])
+    for name, bound in (("a finish time", finish), ("the sum of finish times", finishes),
+                        ("the device cost", cost), ("the fog utility", u_f),
+                        ("the cloud utility", u_c)):
+        if not isfinite(bound):
+            raise DerivedValueError(f"{name} can add up to {bound!r}, not finite")
 
 
 class EvalContext:
@@ -204,7 +230,12 @@ class EvalContext:
         self.rev_f = tuple(fog.price * t.data_size for t in tasks)
         self.rev_c = tuple(cloud.price * t.data_size for t in tasks)
         zero = (0.0,) * n
-        local = tuple(_costs.local_energy(t, platform) for t in tasks)
+        try:
+            local = tuple(_costs.local_energy(t, platform) for t in tasks)
+        except OverflowError:
+            # device_cpu**2 overflows whatever the task: the check below
+            # names task 1
+            local = (inf,) * n
         _require_finite_columns({
             "local execution time": self.tau_l, "uplink time": self.tau_t,
             "fog execution time": self.tau_f, "fog-cloud transfer time": self.tau_r,
@@ -220,6 +251,7 @@ class EvalContext:
             tuple(map(neg, self.e_s)),
         )
         self.du_c = (None, zero, zero, tuple(map(sub, self.rev_c, self.e_c)))
+        _require_finite_totals(self)
         self.greedy_prefix = None
         self.greedy_tails = {}
 

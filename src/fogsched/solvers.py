@@ -374,18 +374,20 @@ def brute_force_solve(scenario: Scenario) -> SolveOutcome:
     prefix's tier codes and finish times, and visits the three children in
     that order, adding each one's terms to the prefix's running makespan,
     cost and utilities in the same order as the evaluator adds them.  The
-    terms of each depth are read from a row built once per solve.  A node
-    at the last depth tests its three leaves in place: a placement is
-    feasible when both utilities are non-negative and total cost is within
-    budget (precedence constraints hold by construction), and only a
-    feasible leaf's makespan is compared with the optimum's.  The limits
-    read only the running sums, so such a node computes its task's finish
-    times only when one of its leaves passes them, at the first that does.
-    Every placement is tested and nothing is pruned, so `iterations` is 3^N
-    (1 for a graph with no tasks).  Ties keep the optimum whose tiers, read
-    in task-id order, come first lexicographically (local < fog < cloud).
-    Raises TooLarge above the configured cap and Infeasible when nothing
-    qualifies.
+    terms of each depth are read from a row built once per solve.  A
+    placement is feasible when both utilities are non-negative and total
+    cost is within budget (precedence constraints hold by construction),
+    and only a feasible leaf's makespan is compared with the optimum's.  A
+    node at the second-to-last depth tests its children's leaves in its own
+    loop, so no last-depth node costs a call: the limits read only the
+    running sums, and only a child with a leaf within them goes on to the
+    leaf code, which computes the last task's finish times at the first
+    such leaf and updates the optimum (on a one-task graph the root runs
+    the leaf code).  Every placement is tested and nothing is pruned, so
+    `iterations` is 3^N (1 for a graph with no tasks).  Ties keep the
+    optimum whose tiers, read in task-id order, come first lexicographically
+    (local < fog < cloud).  Raises TooLarge above the configured cap and
+    Infeasible when nothing qualifies.
     """
     t_start = time.perf_counter()
     cfg = scenario.solver_config
@@ -394,6 +396,9 @@ def brute_force_solve(scenario: Scenario) -> SolveOutcome:
     if n > cap:
         raise TooLarge(f"{n} tasks exceed the exhaustive-search cap of {cap}")
     ctx = eval_context(scenario.graph, scenario.platform)
+    if not n:
+        # the empty placement, within every budget
+        return _outcome(scenario, _core_eval(ctx, []), 1, t_start)
     limit = scenario.budget + TIME_TOL
     floor = -TIME_TOL
     sinks = set(ctx.sinks)
@@ -405,44 +410,63 @@ def brute_force_solve(scenario: Scenario) -> SolveOutcome:
                               for t in (_LOCAL, _FOG, _CLOUD)))
         for i in ctx.topo
     ]
-    last = n - 1
+    # the last task in topological order, which is a sink, and the terms of
+    # its local, fog and cloud leaves
+    last, _, leaf_terms = rows[-1]
+    (_, c1, f1, g1), (_, c2, f2, g2), (_, c3, f3, g3) = leaf_terms
+    fold = n - 2
     tiers = [_LOCAL] * n
     chosen = [0.0] * n
     best_obj = inf
     best_tiers = None
 
-    def visit(d, makespan, cost, u_f, u_c):
+    def leaves(makespan, cost, u_f, u_c):
+        # the last task's leaves under a prefix with these running sums; its
+        # finish times are computed at the first leaf within the limits
         nonlocal best_obj, best_tiers
+        fins = None
+        for k, (t, c, df, dc) in enumerate(leaf_terms):
+            if u_f + df < floor or u_c + dc < floor or cost + c > limit:
+                continue
+            if fins is None:
+                fins = _finishes(ctx, last, tiers, chosen)
+            fin = fins[k]
+            tiers[last] = t
+            obj = fin if fin > makespan else makespan
+            if obj < best_obj or (obj == best_obj and best_tiers is not None
+                                  and tiers < best_tiers):
+                best_obj = obj
+                best_tiers = list(tiers)
+
+    def visit(d, makespan, cost, u_f, u_c):
         i, sink, terms = rows[d]
-        if d == last:
-            # the last task in topological order is a sink; its finish
-            # times are computed at the first leaf within the limits
-            fins = None
-            for k, (t, c, df, dc) in enumerate(terms):
-                if u_f + df < floor or u_c + dc < floor or cost + c > limit:
-                    continue
-                if fins is None:
-                    fins = _finishes(ctx, i, tiers, chosen)
-                fin = fins[k]
-                tiers[i] = t
-                obj = fin if fin > makespan else makespan
-                if obj < best_obj or (obj == best_obj and best_tiers is not None
-                                      and tiers < best_tiers):
-                    best_obj = obj
-                    best_tiers = list(tiers)
-            return
         fins = _finishes(ctx, i, tiers, chosen)
+        if d < fold:
+            for (t, c, df, dc), fin in zip(terms, fins):
+                tiers[i] = t
+                chosen[i] = fin
+                visit(d + 1, fin if sink and fin > makespan else makespan, cost + c,
+                      u_f + df, u_c + dc)
+            return
+        # the second-to-last depth: each child's three leaves are tested
+        # here, and only a child with a leaf within the limits goes on to
+        # the leaf code
         for (t, c, df, dc), fin in zip(terms, fins):
+            c = cost + c
+            df = u_f + df
+            dc = u_c + dc
+            if ((df + f1 < floor or dc + g1 < floor or c + c1 > limit)
+                    and (df + f2 < floor or dc + g2 < floor or c + c2 > limit)
+                    and (df + f3 < floor or dc + g3 < floor or c + c3 > limit)):
+                continue
             tiers[i] = t
             chosen[i] = fin
-            visit(d + 1, fin if sink and fin > makespan else makespan, cost + c,
-                  u_f + df, u_c + dc)
+            leaves(fin if sink and fin > makespan else makespan, c, df, dc)
 
-    if n:
+    if fold >= 0:
         visit(0, 0.0, 0.0, 0.0, 0.0)
     else:
-        # the empty placement, within every budget
-        best_tiers = []
+        leaves(0.0, 0.0, 0.0, 0.0)
     if best_tiers is None:
         raise Infeasible("no placement satisfies the utility and budget constraints")
     return _outcome(scenario, _core_eval(ctx, best_tiers), 3 ** n, t_start)

@@ -212,22 +212,38 @@ def test_sweep_pool_has_no_more_workers_than_cells(monkeypatch, tmp_path):
 
 def test_sweep_builds_one_context_per_value(monkeypatch, tmp_path):
     # every solver and rep of one sweep value solves the same derived
-    # scenario, so the value's graph builds its EvalContext once
+    # scenario, whose EvalContext the sweep builds before its first cell:
+    # one build per distinct graph, none inside a solve, and a pool writes
+    # the same bytes as a serial run
     builds = []
-    original = schedule.EvalContext.__init__
+    solving = []
+    original_init = schedule.EvalContext.__init__
+    original_solve = solvers.solve
 
     def counting_init(ctx, graph, platform):
-        builds.append(len(graph))
-        original(ctx, graph, platform)
+        builds.append((len(graph), bool(solving)))
+        original_init(ctx, graph, platform)
+
+    def marked_solve(scn):
+        solving.append(scn.seed)
+        try:
+            return original_solve(scn)
+        finally:
+            solving.pop()
 
     monkeypatch.setattr(schedule.EvalContext, "__init__", counting_init)
+    monkeypatch.setattr(solvers, "solve", marked_solve)
     for parameter, start, stop, sizes in (("task_count", 7.0, 10.0, [7, 8, 9, 10]),
-                                          ("data_size", 0.5, 2.0, [9, 9, 9, 9])):
+                                          ("data_size", 0.5, 2.0, [9, 9, 9, 9]),
+                                          ("budget", 0.5, 10.0, [9]),
+                                          ("fog_price", 0.0005, 0.003, [9, 9, 9, 9])):
         spec = bench.SweepSpec(parameter, start, stop, 4, reps=3, solvers=("greedy", "brute"))
         builds.clear()
         rows = bench.sweep(bundled_scenario("fig4.scn"), spec, tmp_path / "s.csv", workers=1)
         assert len(rows) == 24 and all(r.error == "" for r in rows)
-        assert builds == sizes
+        assert builds == [(n, False) for n in sizes], parameter
+        bench.sweep(bundled_scenario("fig4.scn"), spec, tmp_path / "p.csv", workers=2)
+        assert (tmp_path / "p.csv").read_bytes() == (tmp_path / "s.csv").read_bytes()
 
 
 def test_sweep_does_not_mutate_source(tmp_path):
@@ -603,8 +619,9 @@ def test_library_sweep_bad_out_fails_before_any_solve(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
-# one-token mutants of fig4.scn (two for the device CPU) that passed every
-# field check and then printed a traceback and exited 1
+# one-token mutants of fig4.scn (two for the slow device CPU) that passed
+# every field check and then printed a traceback and exited 1, or solved to
+# a total that is not finite
 UNUSABLE_DERIVED = {
     "edge_inf": ((("    - [8, 9]", "    - [8, .inf]"),),
                  "edge succ: expected an integer, got inf"),
@@ -614,6 +631,11 @@ UNUSABLE_DERIVED = {
                 "cloud energy coefficient alpha * cpu**epsilon + beta is not finite"),
     "device_cpu": ((("device_cpu: 1.0", "device_cpu: 1e-320"), ("budget: 6.0", "budget: 0")),
                    "local execution time of task 1 is inf, not finite"),
+    "device_cpu_squared": ((("device_cpu: 1.0", "device_cpu: 1e308"),),
+                           "local energy of task 1 is inf, not finite"),
+    # every column is finite, but the finish times from task 3 on add up to inf
+    "workload": ((("workload: 536.0", "workload: 1e308"),),
+                 "the sum of finish times can add up to inf, not finite"),
 }
 
 

@@ -866,6 +866,55 @@ def test_brute_ties_inside_a_last_depth_node_keep_the_first_leaf():
         assert out.result.makespan == 1.0
 
 
+def test_brute_second_to_last_depth_matches_oracle():
+    # a node at the second-to-last depth tests its children's leaves in its
+    # own loop: at the root of a two-task graph, where its task is a sink,
+    # where every leaf passes, and where its children tie exactly
+    rng = np.random.default_rng(2031)
+
+    def scenario(graph, platform, budget):
+        return Scenario(graph=graph, platform=platform, budget=budget,
+                        solver_config=BruteForceConfig())
+
+    def budget(platform, graph):
+        return float(rng.uniform(0.3, 1.5)) * platform.fog.price * sum(
+            t.data_size for t in graph.tasks)
+
+    # two tasks, chained or independent
+    solved = 0
+    for _ in range(40):
+        graph = gen.random_dag(rng, 2, p_edge=0.5)
+        platform = gen.desk_platform(rng)
+        solved += _assert_brute_matches_oracle(scenario(graph, platform, budget(platform, graph)))
+    assert solved > 10
+    # the second-to-last task in topological order is a sink
+    sink_before_last = 0
+    while sink_before_last < 30:
+        graph = gen.permute_ids(rng, gen.random_dag(rng, int(rng.integers(3, 8)), p_edge=0.3))
+        structure = graph.structure
+        if structure.topo[-2] not in structure.sinks:
+            continue
+        sink_before_last += 1
+        platform = gen.desk_platform(rng)
+        _assert_brute_matches_oracle(scenario(graph, platform, budget(platform, graph)))
+    # no budget and no utility can go negative: every leaf passes
+    for _ in range(30):
+        graph = gen.random_dag(rng, int(rng.integers(2, 7)))
+        assert _assert_brute_matches_oracle(
+            scenario(graph, gen.benign_platform(rng), math.inf))
+    # independent tasks that take exactly 1.0 on every tier: every child of
+    # a second-to-last node ties with its siblings, and the optimum is the
+    # first placement in id order that passes (all-local when nothing
+    # costs anything, all-fog when only the device pays and the budget is 0)
+    for n in range(2, 7):
+        graph = TaskGraph([TaskSpec(i, 1.0, 0.5) for i in range(1, n + 1)])
+        for platform, limit, tier in ((_tie_platform(), math.inf, Tier.LOCAL),
+                                      (replace(_tie_platform(), kappa=1.0), 0.0, Tier.FOG)):
+            scn = scenario(graph, platform, limit)
+            assert _assert_brute_matches_oracle(scn)
+            assert set(brute_force_solve(scn).placement.assignment.values()) == {tier}
+
+
 def test_brute_matches_oracle_when_infeasible():
     rng = np.random.default_rng(2027)
     for k in range(20):
