@@ -94,7 +94,7 @@ class SweepSpec:
     `data_size` scales every task's workload and data size by the sweep value
     (a multiplicative factor); `budget` and `fog_price` set those parameters
     directly; `task_count` regenerates a chain of round(value) tasks whose
-    workload = data_size is drawn i.i.d. uniformly from `task_size_range`.
+    workload = data_size is drawn i.i.d. uniformly from [100, 1000].
     """
 
     parameter: str
@@ -103,7 +103,6 @@ class SweepSpec:
     steps: int
     reps: int = 1
     solvers: tuple[str, ...] = ("greedy",)
-    task_size_range: tuple[float, float] = (100.0, 1000.0)
 
     def __post_init__(self):
         if self.parameter not in SWEEP_PARAMETERS:
@@ -115,13 +114,6 @@ class SweepSpec:
         _require_finite("sweep ", self, ("start", "stop"))
         if self.start > self.stop:
             raise ValueError("start must be <= stop")
-        size = tuple(self.task_size_range)
-        if any(isinstance(v, bool) for v in size):
-            raise TypeError(f"task_size_range must hold numbers, got {size}")
-        if not (len(size) == 2 and all(map(math.isfinite, size)) and 0 <= size[0] <= size[1]):
-            raise ValueError(
-                f"task_size_range must be finite lo,hi with 0 <= lo <= hi, got {size}"
-            )
         if not self.solvers:
             raise ValueError("solvers must name at least one solver")
         bad = [s for s in self.solvers if s not in SOLVER_NAMES]
@@ -240,6 +232,10 @@ def run(
     ]
 
 
+# lo, hi of the uniform range a task_count sweep draws each task's size from
+_TASK_SIZES = (100.0, 1000.0)
+
+
 def _chain_graph(sizes: Sequence[float]) -> TaskGraph:
     tasks = [
         TaskSpec(id=i + 1, workload=float(s), data_size=float(s))
@@ -268,7 +264,7 @@ def _apply_sweep_value(
     # task_count: fresh chain per sweep value, sizes from a dedicated stream
     n = max(1, int(round(value)))
     rng = Stream(base.seed, (1000, value_index))
-    lo, hi = map(float, spec.task_size_range)
+    lo, hi = _TASK_SIZES
     sizes = [lo + (hi - lo) * u for u in rng.random(n)]
     return replace(base, graph=_chain_graph(sizes))
 

@@ -43,11 +43,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help=f"comma-separated list ({','.join(bench.SOLVER_NAMES)})",
     )
     p_sweep.add_argument("--out", required=True)
-    p_sweep.add_argument(
-        "--task-size-range",
-        default="100,1000",
-        help="lo,hi uniform range for task_count sweeps",
-    )
     p_sweep.add_argument("--verify", action="store_true",
                          help="fail unless each solved row matches a fresh evaluation")
 
@@ -80,16 +75,7 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _task_size_range(text: str) -> tuple[float, float]:
-    try:
-        lo, hi = map(float, text.split(","))
-    except ValueError:
-        raise ValueError(f"--task-size-range must be two numbers lo,hi, got {text!r}") from None
-    return lo, hi
-
-
 def _cmd_sweep(args) -> int:
-    lo, hi = _task_size_range(args.task_size_range)
     spec = bench.SweepSpec(
         parameter=args.param,
         start=args.start,
@@ -97,7 +83,6 @@ def _cmd_sweep(args) -> int:
         steps=args.steps,
         reps=args.reps,
         solvers=tuple(s.strip() for s in args.solvers.split(",") if s.strip()),
-        task_size_range=(lo, hi),
     )
     rows = bench.sweep(args.scenario, spec, args.out, verify=args.verify)
     print(f"wrote {len(rows)} rows to {args.out}")

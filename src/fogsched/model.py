@@ -366,6 +366,10 @@ class SAConfig:
             raise ValueError("t_stop must be > 0")
         if self.neighbor_range < 1:
             raise ValueError("neighbor_range must be >= 1")
+        # a move draws one of 2 * neighbor_range + 1 steps, and the annealing
+        # stream draws from at most 2^32 values
+        if self.neighbor_range > 2**31 - 1:
+            raise ValueError(f"neighbor_range must be <= 2**31 - 1, got {self.neighbor_range}")
         if self.max_restarts < 0:
             raise ValueError("max_restarts must be >= 0")
         if self.t0 <= self.t_stop:
@@ -376,14 +380,7 @@ class SAConfig:
 
 @dataclass(frozen=True)
 class BruteForceConfig:
-    """Exhaustive enumeration, refused above `cap` tasks (3^N placements)."""
-
-    cap: int = 14
-
-    def __post_init__(self):
-        _require_int(self, ("cap",))
-        if self.cap < 1:
-            raise ValueError("cap must be >= 1")
+    """Exhaustive enumeration has no tunables."""
 
 
 SolverConfig = Union[GreedyConfig, SAConfig, BruteForceConfig]

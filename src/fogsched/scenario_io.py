@@ -4,8 +4,7 @@ A scenario file is a YAML document (conventionally `.scn`) with the sections
 `graph`, `platform`, `budget`, `seed` and `solver`.  Tasks, the platform with
 its fog, cloud and radio specs, and the settings of each solver kind are read
 and written from the fields of their dataclasses, so the file keys are the
-field names; the one exception is the exhaustive solver's `cap`, written
-`brute_cap`.  Unknown keys are rejected so typos fail loudly.  Files written
+field names.  Unknown keys are rejected so typos fail loudly.  Files written
 by earlier versions carry `objective_mode: makespan`; the reader accepts that
 key with that value only, since the makespan is the one objective, and the
 writer no longer emits it.
@@ -29,7 +28,6 @@ import yaml
 
 from .model import (
     SOLVER_KINDS,
-    BruteForceConfig,
     GreedyConfig,
     Platform,
     Scenario,
@@ -45,18 +43,11 @@ class ParseError(ValueError):
     """The scenario file is malformed."""
 
 
-# file keys that differ from the field name
-_FILE_KEYS = {(BruteForceConfig, "cap"): "brute_cap"}
-
-
 @functools.lru_cache(maxsize=None)
-def _fields(cls) -> tuple[tuple[dataclasses.Field, str, type], ...]:
-    """(field, file key, resolved type) for each field of dataclass `cls`."""
+def _fields(cls) -> tuple[tuple[dataclasses.Field, type], ...]:
+    """(field, resolved type) for each field of dataclass `cls`."""
     hints = typing.get_type_hints(cls)
-    return tuple(
-        (f, _FILE_KEYS.get((cls, f.name), f.name), hints[f.name])
-        for f in dataclasses.fields(cls)
-    )
+    return tuple((f, hints[f.name]) for f in dataclasses.fields(cls))
 
 
 def _as_map(node, where: str) -> dict:
@@ -111,14 +102,15 @@ def _reraise(prefix: str):
 
 
 def _build(cls, node, where: str):
-    """Build dataclass `cls` from a mapping keyed by its file keys.  Fields
+    """Build dataclass `cls` from a mapping keyed by its field names.  Fields
     without a default are required, a null counts as absent where the default
     is None (an Optional field), and nested dataclass fields recurse."""
     node = _as_map(node, where)
     fields = _fields(cls)
-    _check_keys(node, [key for _, key, _ in fields], where)
+    _check_keys(node, [f.name for f, _ in fields], where)
     kwargs = {}
-    for f, key, kind in fields:
+    for f, kind in fields:
+        key = f.name
         value = node.get(key)
         if value is None and (key not in node or f.default is None):
             if f.default is dataclasses.MISSING:
@@ -205,16 +197,16 @@ def load_scenario(path: Union[str, Path]) -> Scenario:
 
 
 def _doc(obj) -> dict:
-    """`obj` as a mapping keyed by its file keys, in field order: the inverse
-    of `_build`.  Nested dataclasses nest; int fields are written as int and
-    every other field as float."""
+    """`obj` as a mapping keyed by its field names, in field order: the
+    inverse of `_build`.  Nested dataclasses nest; int fields are written as
+    int and every other field as float."""
     doc = {}
-    for f, key, kind in _fields(type(obj)):
+    for f, kind in _fields(type(obj)):
         value = getattr(obj, f.name)
         if dataclasses.is_dataclass(kind):
-            doc[key] = _doc(value)
+            doc[f.name] = _doc(value)
         else:
-            doc[key] = int(value) if kind is int else float(value)
+            doc[f.name] = int(value) if kind is int else float(value)
     return doc
 
 

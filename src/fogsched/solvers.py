@@ -54,6 +54,10 @@ class TooLarge(SolverError):
     """The task count exceeds the exhaustive-search cap."""
 
 
+# the most tasks exhaustive search takes: 3^14 placements
+_BRUTE_CAP = 14
+
+
 @dataclass(frozen=True)
 class SolveOutcome:
     """A solver's answer: `result`, the evaluation of the returned placement,
@@ -386,15 +390,13 @@ def brute_force_solve(scenario: Scenario) -> SolveOutcome:
     the leaf code).  Every placement is tested and nothing is pruned, so
     `iterations` is 3^N (1 for a graph with no tasks).  Ties keep the
     optimum whose tiers, read in task-id order, come first lexicographically
-    (local < fog < cloud).  Raises TooLarge above the configured cap and
-    Infeasible when nothing qualifies.
+    (local < fog < cloud).  Raises TooLarge above 14 tasks and Infeasible
+    when nothing qualifies.
     """
     t_start = time.perf_counter()
-    cfg = scenario.solver_config
-    cap = cfg.cap if isinstance(cfg, BruteForceConfig) else BruteForceConfig().cap
     n = len(scenario.graph)
-    if n > cap:
-        raise TooLarge(f"{n} tasks exceed the exhaustive-search cap of {cap}")
+    if n > _BRUTE_CAP:
+        raise TooLarge(f"{n} tasks exceed the exhaustive-search cap of {_BRUTE_CAP}")
     ctx = eval_context(scenario.graph, scenario.platform)
     if not n:
         # the empty placement, within every budget

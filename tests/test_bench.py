@@ -255,11 +255,15 @@ def test_sweep_does_not_mutate_source(tmp_path):
 
 
 def test_sweep_task_count_regenerates_chains(tmp_path):
-    spec = bench.SweepSpec(
-        parameter="task_count", start=3, stop=7, steps=3, task_size_range=(10.0, 20.0)
-    )
+    spec = bench.SweepSpec(parameter="task_count", start=3, stop=7, steps=3)
+    base = load_scenario(bundled_scenario("fig4.scn"))
     rows = bench.sweep(bundled_scenario("fig4.scn"), spec, tmp_path / "t.csv", workers=1)
     assert [r.n_tasks for r in rows] == [3, 5, 7]
+    # each task's workload equals its data size, drawn from [100, 1000]
+    for vi, value in enumerate(spec.values()):
+        tasks = bench._apply_sweep_value(base, spec, value, vi).graph.tasks
+        assert len(tasks) == value
+        assert all(t.workload == t.data_size and 100.0 <= t.workload <= 1000.0 for t in tasks)
 
 
 def test_sweep_data_size_scales_both(tmp_path):
@@ -442,53 +446,28 @@ def test_cli_sweep_and_exit_codes(tmp_path, capsys):
 
 
 def test_sweep_rejects_bad_ranges_up_front(tmp_path, capsys):
-    # a non-finite end point, or task sizes outside 0 <= lo <= hi, fail when
-    # the sweep is specified rather than inside its cells
-    for start, stop, sizes in [
-        (0.0, math.inf, (100.0, 1000.0)),
-        (math.nan, 1.0, (100.0, 1000.0)),
-        (5.0, 6.0, (math.nan, 10.0)),
-        (5.0, 6.0, (0.0, math.inf)),
-        (5.0, 6.0, (1000.0, 100.0)),
-        (5.0, 6.0, (-50.0, 10.0)),
-        (5.0, 6.0, (1.0, 2.0, 3.0)),
-    ]:
+    # a non-finite end point fails when the sweep is specified rather than
+    # inside its cells
+    for start, stop in [(0.0, math.inf), (math.nan, 1.0)]:
         with pytest.raises(ValueError):
-            bench.SweepSpec("task_count", start, stop, 2, task_size_range=sizes)
-    bench.SweepSpec("task_count", 5.0, 5.0, 1, task_size_range=(0.0, 0.0))
+            bench.SweepSpec("task_count", start, stop, 2)
     out = tmp_path / "x.csv"
     argv = ["sweep", "--scenario", "fig4.scn", "--from", "5", "--steps", "2", "--out", str(out)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for extra in (
-            ["--param", "task_count", "--to", "6", "--task-size-range", "nan,10"],
-            ["--param", "task_count", "--to", "6", "--task-size-range=-50,10"],
-            ["--param", "budget", "--to", "inf"],
-        ):
-            assert cli.main(argv + extra) == 2
+        assert cli.main(argv + ["--param", "budget", "--to", "inf"]) == 2
     assert not out.exists()
-    assert capsys.readouterr().err == (
-        "error: task_size_range must be finite lo,hi with 0 <= lo <= hi, got (nan, 10.0)\n"
-        "error: task_size_range must be finite lo,hi with 0 <= lo <= hi, got (-50.0, 10.0)\n"
-        "error: sweep stop must be finite, got inf\n"
-    )
+    assert capsys.readouterr().err == "error: sweep stop must be finite, got inf\n"
 
 
 def test_cli_names_malformed_sweep_inputs(tmp_path, capsys, monkeypatch):
     out = tmp_path / "x.csv"
     argv = ["sweep", "--scenario", "fig4.scn", "--param", "task_count", "--from", "5",
             "--to", "6", "--steps", "2", "--out", str(out)]
-    for sizes in ("100", "1,2,3", "a,b"):
-        assert cli.main(argv + ["--task-size-range", sizes]) == 2
     monkeypatch.setenv("FOGSCHED_WORKERS", "two")
     assert cli.main(argv) == 2
     assert not out.exists()
-    assert capsys.readouterr().err == (
-        "error: --task-size-range must be two numbers lo,hi, got '100'\n"
-        "error: --task-size-range must be two numbers lo,hi, got '1,2,3'\n"
-        "error: --task-size-range must be two numbers lo,hi, got 'a,b'\n"
-        "error: FOGSCHED_WORKERS must be an integer, got 'two'\n"
-    )
+    assert capsys.readouterr().err == "error: FOGSCHED_WORKERS must be an integer, got 'two'\n"
 
 
 def test_cli_run_with_solver_errors_exits_zero(tmp_path, capsys):

@@ -29,10 +29,12 @@ from fogsched import (
     load_scenario,
     parse_scenario,
     render_scenario,
+    sa_solve,
     save_scenario,
     validate_graph,
     validate_placement,
 )
+from fogsched.model import solver_kind
 from fogsched.scenario_io import bundled_scenario
 from fogsched.schedule import EvalContext
 import gen
@@ -362,8 +364,6 @@ def test_integer_fields_reject_what_they_would_coerce():
             SAConfig(neighbor_range=bad)
         with pytest.raises(TypeError, match="max_restarts must be an integer"):
             SAConfig(max_restarts=bad)
-        with pytest.raises(TypeError, match="cap must be an integer"):
-            BruteForceConfig(cap=bad)
         with pytest.raises(TypeError, match="steps must be an integer"):
             bench.SweepSpec("budget", 1.0, 2.0, bad)
         with pytest.raises(TypeError, match="reps must be an integer"):
@@ -371,9 +371,8 @@ def test_integer_fields_reject_what_they_would_coerce():
     # numpy integers are integers, kept as plain ints
     scn = Scenario(graph=g, platform=platform, seed=np.uint32(7))
     cfg = SAConfig(neighbor_range=np.int64(2), max_restarts=np.int8(4))
-    cap = BruteForceConfig(cap=np.int16(9)).cap
-    assert (scn.seed, cfg.neighbor_range, cfg.max_restarts, cap) == (7, 2, 4, 9)
-    assert {type(scn.seed), type(cfg.neighbor_range), type(cfg.max_restarts), type(cap)} == {int}
+    assert (scn.seed, cfg.neighbor_range, cfg.max_restarts) == (7, 2, 4)
+    assert {type(scn.seed), type(cfg.neighbor_range), type(cfg.max_restarts)} == {int}
     spec = bench.SweepSpec("budget", 1.0, 2.0, np.int64(3), reps=np.uint8(2))
     assert (spec.steps, spec.reps, spec.values()) == (3, 2, [1.0, 1.5, 2.0])
     with pytest.raises(ValueError, match="neighbor_range must be >= 1"):
@@ -418,10 +417,6 @@ def test_task_ids_and_edge_endpoints_reject_what_they_would_coerce():
             TaskGraph(tasks, [(1, bad)])
         with pytest.raises(TypeError, match="id must be an integer"):
             TaskSpec(bad, 1.0, 1.0)
-    with pytest.raises(TypeError, match="task_size_range must hold numbers"):
-        bench.SweepSpec("task_count", 1.0, 5.0, 2, task_size_range=(True, 5.0))
-    with pytest.raises(TypeError, match="task_size_range must hold numbers"):
-        bench.SweepSpec("task_count", 1.0, 5.0, 2, task_size_range=(1.0, False))
     # numpy integers are task ids, kept as plain ints
     g = TaskGraph([TaskSpec(np.int64(2), 1.0, 1.0), TaskSpec(1, 1.0, 1.0)],
                   [(np.int32(1), np.uint8(2))])
@@ -448,7 +443,7 @@ def test_scenario_file_roundtrip_bit_exact(tmp_path):
     scn = gen.random_scenario(rng)
     # random_scenario always anneals; the other kinds render differently
     cases = [replace(scn, solver_config=cfg)
-             for cfg in (scn.solver_config, GreedyConfig(), BruteForceConfig(cap=9))]
+             for cfg in (scn.solver_config, GreedyConfig(), BruteForceConfig())]
     cases += [load_scenario(bundled_scenario(name))
               for name in ("defaults.scn", "fig4.scn", "chain40.scn", "dag9.scn")]
     path = tmp_path / "roundtrip.scn"
@@ -470,7 +465,7 @@ def test_libyaml_loader_reads_the_same_scenarios(monkeypatch):
     rng = np.random.default_rng(12)
     texts = [bundled_scenario(name).read_text(encoding="utf-8")
              for name in ("defaults.scn", "fig4.scn", "chain40.scn", "dag9.scn")]
-    kinds = (SAConfig(), GreedyConfig(), BruteForceConfig(cap=9))
+    kinds = (SAConfig(), GreedyConfig(), BruteForceConfig())
     for k in range(300):
         scn = gen.random_scenario(rng, n_max=12, benign=k % 5 == 0)
         texts.append(render_scenario(replace(scn, solver_config=kinds[k % 3])))
@@ -543,10 +538,11 @@ def test_plain_exponent_floats_accepted():
 
 def _assert_typed(node, obj):
     """Each field of dataclass `obj` is a YAML int or float in `node`, equal
-    to the field; file keys are field names except the exhaustive cap."""
+    to the field, and the keys of `node` are the field names, in order."""
+    assert list(node) == [f.name for f in fields(obj)]
     for f in fields(obj):
         value = getattr(obj, f.name)
-        got = node[{"cap": "brute_cap"}.get(f.name, f.name)]
+        got = node[f.name]
         if is_dataclass(value):
             _assert_typed(got, value)
         else:
@@ -558,7 +554,7 @@ def test_rendered_numbers_are_typed_yaml():
     """Any YAML reader, not only ours, reads each number of a written
     scenario as the number it is."""
     rng = np.random.default_rng(14)
-    kinds = (SAConfig(), GreedyConfig(), BruteForceConfig(cap=9))
+    kinds = (SAConfig(), GreedyConfig(), BruteForceConfig())
     for k in range(90):
         scn = gen.random_scenario(rng, n_max=10, benign=k % 5 == 0)
         scn = replace(scn, solver_config=kinds[k % 3],
@@ -572,7 +568,9 @@ def test_rendered_numbers_are_typed_yaml():
         _assert_typed(doc["platform"], scn.platform)
         assert type(doc["budget"]) is float and doc["budget"] == scn.budget
         assert type(doc["seed"]) is int and doc["seed"] == scn.seed
-        _assert_typed(doc["solver"], scn.solver_config)
+        solver = dict(doc["solver"])
+        assert solver.pop("kind") == solver_kind(scn.solver_config)
+        _assert_typed(solver, scn.solver_config)
         assert parse_scenario(text) == scn
         # whichever emitter wrote it, the text is PyYAML's pure-Python one's
         assert text == yaml.safe_dump(doc, sort_keys=False, default_flow_style=None)
@@ -597,7 +595,9 @@ def test_physical_ranges_rejected():
 
 
 @pytest.mark.parametrize(
-    "solver", ["{kind: greedy, t0: 5}", "{kind: sa, brute_cap: 3}", "{kind: brute, cap: 3}"]
+    "solver",
+    ["{kind: greedy, t0: 5}", "{kind: sa, brute_cap: 3}", "{kind: brute, cap: 3}",
+     "{kind: brute, brute_cap: 14}"],
 )
 def test_parse_rejects_keys_of_another_solver_kind(solver):
     from fogsched import ParseError
@@ -606,6 +606,26 @@ def test_parse_rejects_keys_of_another_solver_kind(solver):
     assert "solver: {kind: greedy}" in text
     with pytest.raises(ParseError, match="unknown keys"):
         parse_scenario(text.replace("solver: {kind: greedy}", f"solver: {solver}", 1))
+
+
+def test_neighbor_range_within_the_annealing_stream(tmp_path, capsys):
+    # a move draws one of 2 * neighbor_range + 1 steps, and the stream draws
+    # from at most 2^32 values: the widest range still anneals
+    fig4 = load_scenario(bundled_scenario("fig4.scn"))
+    widest = replace(fig4, solver_config=SAConfig(neighbor_range=2**31 - 1))
+    assert sa_solve(widest).result.makespan > 0
+    with pytest.raises(ValueError, match=r"neighbor_range must be <= 2\*\*31 - 1, got 2147483648"):
+        SAConfig(neighbor_range=2**31)
+    text = bundled_scenario("fig4.scn").read_text()
+    text = text.replace("solver: {kind: greedy}", "solver: {kind: sa, neighbor_range: 2147483648}")
+    with pytest.raises(ParseError, match="neighbor_range"):
+        parse_scenario(text)
+    path = tmp_path / "wide.scn"
+    path.write_text(text)
+    for argv in (["validate"], ["run", "--solver", "sa"], ["run", "--solver", "greedy"]):
+        assert cli.main(argv + ["--scenario", str(path)]) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: solver: neighbor_range must be <= 2**31 - 1"), argv
 
 
 def test_null_is_absent_only_for_optional_fields():

@@ -688,10 +688,8 @@ def test_brute_infeasible_when_budget_zero():
 
 def test_brute_too_large():
     g = gen.chain_graph([1.0] * 15)
-    scn = Scenario(
-        graph=g, platform=gen.desk_platform(), solver_config=BruteForceConfig(cap=14)
-    )
-    with pytest.raises(TooLarge):
+    scn = Scenario(graph=g, platform=gen.desk_platform(), solver_config=BruteForceConfig())
+    with pytest.raises(TooLarge, match="15 tasks exceed the exhaustive-search cap of 14"):
         brute_force_solve(scn)
 
 
