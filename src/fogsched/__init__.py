@@ -11,10 +11,8 @@ from .costs import (
     fog_cloud_time,
     local_energy,
     local_exec_time,
-    server_energy,
     server_exec_time,
     uplink_rate,
-    uplink_time,
 )
 from .model import (
     BruteForceConfig,

@@ -36,16 +36,6 @@ def energy_coefficient(server: ServerSpec) -> float:
     return server.alpha * server.cpu**server.epsilon + server.beta
 
 
-def server_energy(task: TaskSpec, server: ServerSpec) -> float:
-    """(alpha * cpu^epsilon + beta) * execution time on the fog node or cloud server."""
-    return energy_coefficient(server) * server_exec_time(task, server)
-
-
-def uplink_time(task: TaskSpec, link: RadioLink) -> float:
-    """data_size / uplink rate."""
-    return task.data_size / uplink_rate(link)
-
-
 def fog_cloud_time(task: TaskSpec, platform: Platform) -> float:
     """data_size / fog-to-cloud bandwidth."""
     return task.data_size / platform.fog_cloud_bandwidth

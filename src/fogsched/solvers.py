@@ -383,15 +383,19 @@ def brute_force_solve(scenario: Scenario) -> SolveOutcome:
     cost is within budget (precedence constraints hold by construction),
     and only a feasible leaf's makespan is compared with the optimum's.  A
     node at the second-to-last depth tests its children's leaves in its own
-    loop, so no last-depth node costs a call: the limits read only the
-    running sums, and only a child with a leaf within them goes on to the
-    leaf code, which computes the last task's finish times at the first
-    such leaf and updates the optimum (on a one-task graph the root runs
-    the leaf code).  Every placement is tested and nothing is pruned, so
-    `iterations` is 3^N (1 for a graph with no tasks).  Ties keep the
-    optimum whose tiers, read in task-id order, come first lexicographically
-    (local < fog < cloud).  Raises TooLarge above 14 tasks and Infeasible
-    when nothing qualifies.
+    loop, so no last-depth node costs a call, and the limits read only the
+    running sums.  It first tests each child against one bound per limit,
+    taken once per solve from the last task's three leaves: its largest
+    fog-utility and cloud-utility terms and its smallest cost term.  A
+    child that fails the bound has no leaf within the limits, since float
+    addition is monotone in each operand.  A child that passes tests each
+    leaf once; if a leaf passes, the last task's finish times are computed
+    once, and the child's best passing leaf is compared with the optimum
+    (on a one-task graph the root tests its three leaves).  Every placement
+    is tested and nothing is pruned, so `iterations` is 3^N (1 for a graph
+    with no tasks).  Ties keep the optimum whose tiers, read in task-id
+    order, come first lexicographically (local < fog < cloud).  Raises
+    TooLarge above 14 tasks and Infeasible when nothing qualifies.
     """
     t_start = time.perf_counter()
     n = len(scenario.graph)
@@ -416,31 +420,19 @@ def brute_force_solve(scenario: Scenario) -> SolveOutcome:
     # its local, fog and cloud leaves
     last, _, leaf_terms = rows[-1]
     (_, c1, f1, g1), (_, c2, f2, g2), (_, c3, f3, g3) = leaf_terms
+    # the bound: a prefix whose running sums fail it has no leaf within the
+    # limits
+    fmax = max(f1, f2, f3)
+    gmax = max(g1, g2, g3)
+    cmin = min(c1, c2, c3)
     fold = n - 2
     tiers = [_LOCAL] * n
     chosen = [0.0] * n
     best_obj = inf
     best_tiers = None
 
-    def leaves(makespan, cost, u_f, u_c):
-        # the last task's leaves under a prefix with these running sums; its
-        # finish times are computed at the first leaf within the limits
-        nonlocal best_obj, best_tiers
-        fins = None
-        for k, (t, c, df, dc) in enumerate(leaf_terms):
-            if u_f + df < floor or u_c + dc < floor or cost + c > limit:
-                continue
-            if fins is None:
-                fins = _finishes(ctx, last, tiers, chosen)
-            fin = fins[k]
-            tiers[last] = t
-            obj = fin if fin > makespan else makespan
-            if obj < best_obj or (obj == best_obj and best_tiers is not None
-                                  and tiers < best_tiers):
-                best_obj = obj
-                best_tiers = list(tiers)
-
     def visit(d, makespan, cost, u_f, u_c):
+        nonlocal best_obj, best_tiers
         i, sink, terms = rows[d]
         fins = _finishes(ctx, i, tiers, chosen)
         if d < fold:
@@ -450,25 +442,49 @@ def brute_force_solve(scenario: Scenario) -> SolveOutcome:
                 visit(d + 1, fin if sink and fin > makespan else makespan, cost + c,
                       u_f + df, u_c + dc)
             return
-        # the second-to-last depth: each child's three leaves are tested
-        # here, and only a child with a leaf within the limits goes on to
-        # the leaf code
+        # the second-to-last depth: a child passes the bound, then each of
+        # its three leaves is tested once, and the last task's finish times
+        # are computed only for a child with a leaf within the limits
         for (t, c, df, dc), fin in zip(terms, fins):
             c = cost + c
             df = u_f + df
             dc = u_c + dc
-            if ((df + f1 < floor or dc + g1 < floor or c + c1 > limit)
-                    and (df + f2 < floor or dc + g2 < floor or c + c2 > limit)
-                    and (df + f3 < floor or dc + g3 < floor or c + c3 > limit)):
+            if df + fmax < floor or dc + gmax < floor or c + cmin > limit:
+                continue
+            ok1 = df + f1 >= floor and dc + g1 >= floor and c + c1 <= limit
+            ok2 = df + f2 >= floor and dc + g2 >= floor and c + c2 <= limit
+            ok3 = df + f3 >= floor and dc + g3 >= floor and c + c3 <= limit
+            if not (ok1 or ok2 or ok3):
                 continue
             tiers[i] = t
             chosen[i] = fin
-            leaves(fin if sink and fin > makespan else makespan, c, df, dc)
+            ms = fin if sink and fin > makespan else makespan
+            # the child's best passing leaf: the smallest makespan, the first
+            # (lowest tier) on ties; then the optimum's update
+            fl, ff, fc = _finishes(ctx, last, tiers, chosen)
+            obj = inf
+            if ok1:
+                obj = fl if fl > ms else ms
+                tiers[last] = _LOCAL
+            if ok2 and (ff if ff > ms else ms) < obj:
+                obj = ff if ff > ms else ms
+                tiers[last] = _FOG
+            if ok3 and (fc if fc > ms else ms) < obj:
+                obj = fc if fc > ms else ms
+                tiers[last] = _CLOUD
+            if obj < best_obj or (obj == best_obj and best_tiers is not None
+                                  and tiers < best_tiers):
+                best_obj = obj
+                best_tiers = list(tiers)
 
     if fold >= 0:
         visit(0, 0.0, 0.0, 0.0, 0.0)
     else:
-        leaves(0.0, 0.0, 0.0, 0.0)
+        # one task: the root's three leaves, whose prefix sums are all 0
+        for (t, c, df, dc), fin in zip(leaf_terms, _finishes(ctx, last, tiers, chosen)):
+            if df >= floor and dc >= floor and c <= limit and fin < best_obj:
+                best_obj = fin
+                best_tiers = [t]
     if best_tiers is None:
         raise Infeasible("no placement satisfies the utility and budget constraints")
     return _outcome(scenario, _core_eval(ctx, best_tiers), 3 ** n, t_start)

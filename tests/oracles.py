@@ -14,7 +14,9 @@ that the package's lazily built ScheduleResult must read as.  The feasibility re
 rows, where the package reads the evaluation's per-task lists.  The step
 reference is the one-task recurrence that the package's walk inlines, as a
 function of one task and one tier; the placement reference is the checked
-path that `Placement` must take for every input, written out again.
+path that `Placement` must take for every input, written out again.  The
+uplink-time and server-energy references are the per-task formulas behind
+EvalContext's columns, which the package derives in place.
 """
 from __future__ import annotations
 
@@ -28,6 +30,7 @@ import numpy as np
 
 from fogsched import (
     Infeasible,
+    Placement,
     RestartsExhausted,
     SAConfig,
     Tier,
@@ -136,7 +139,7 @@ def fixed_point_times(graph, placement, platform, sweeps=None):
                     tf_local[n] = new
                     changed = True
             elif tier[n] is Tier.FOG:
-                tx = costs.uplink_time(t, platform.radio) + max(
+                tx = uplink_time(t, platform.radio) + max(
                     (tf_local[k] for k in ps), default=0.0
                 )
                 ready = max(
@@ -151,7 +154,7 @@ def fixed_point_times(graph, placement, platform, sweeps=None):
                     changed = True
             else:
                 forward = costs.fog_cloud_time(t, platform)
-                tx = costs.uplink_time(t, platform.radio) + max(
+                tx = uplink_time(t, platform.radio) + max(
                     (tf_local[k] for k in ps), default=0.0
                 )
                 fwd = forward + max((tf_fog[k] for k in ps), default=0.0)
@@ -236,6 +239,30 @@ def all_local_longest_path(graph, platform):
     return max(finish(t.id) for t in graph.tasks)
 
 
+def server_energy(task, server):
+    """(alpha * cpu^epsilon + beta) * execution time on the fog node or cloud
+    server: the reference formula behind EvalContext's fog and cloud energy
+    columns."""
+    return costs.energy_coefficient(server) * costs.server_exec_time(task, server)
+
+
+def uplink_time(task, link):
+    """data_size / uplink rate: the reference formula behind EvalContext's
+    uplink time column."""
+    return task.data_size / costs.uplink_rate(link)
+
+
+def cheapest_placement(graph, platform):
+    """Each task on the tier where the device pays least for it, the lowest
+    tier on ties."""
+    def cost(t, tier):
+        if tier is Tier.LOCAL:
+            return costs.local_energy(t, platform)
+        return (platform.fog if tier is Tier.FOG else platform.cloud).price * t.data_size
+
+    return Placement({t.id: min(Tier, key=lambda tier: cost(t, tier)) for t in graph.tasks})
+
+
 def cheapest_assignment_cost(graph, platform):
     """Sum over tasks of the cheapest single-tier cost, for budget prescreens."""
     total = 0.0
@@ -255,7 +282,7 @@ def fog_utility(placement, graph, platform):
     for t in graph.tasks:
         tier = Tier(placement.assignment[t.id])
         if tier is Tier.FOG:
-            total += platform.fog.price * t.data_size - costs.server_energy(t, platform.fog)
+            total += platform.fog.price * t.data_size - server_energy(t, platform.fog)
         elif tier is Tier.CLOUD:
             total -= costs.fog_cloud_energy(t, platform)
     return total
@@ -266,7 +293,7 @@ def cloud_utility(placement, graph, platform):
     total = 0.0
     for t in graph.tasks:
         if Tier(placement.assignment[t.id]) is Tier.CLOUD:
-            total += platform.cloud.price * t.data_size - costs.server_energy(
+            total += platform.cloud.price * t.data_size - server_energy(
                 t, platform.cloud
             )
     return total

@@ -27,6 +27,7 @@ from fogsched import (
     SAConfig,
     Scenario,
     bundled_scenario,
+    evaluate,
     load_scenario,
     save_scenario,
 )
@@ -246,6 +247,25 @@ def test_sweep_builds_one_context_per_value(monkeypatch, tmp_path):
         assert (tmp_path / "p.csv").read_bytes() == (tmp_path / "s.csv").read_bytes()
 
 
+def test_run_and_compare_build_the_context_before_the_first_solve(monkeypatch):
+    # every solve, the first included, finds its graph holding the context
+    # for its platform, so no solve's wall time pays for the build
+    seen = []
+    original_solve = bench._solvers.solve
+
+    def checking_solve(scn):
+        kept = scn.graph.__dict__.get("_eval_context")
+        seen.append(kept is not None and kept[0] == scn.platform)
+        return original_solve(scn)
+
+    monkeypatch.setattr(bench._solvers, "solve", checking_solve)
+    for name in ("fig4.scn", "dag9.scn"):
+        bench.run(bundled_scenario(name), solver="greedy", reps=2)
+        bench.run(bundled_scenario(name), solver="brute", reps=1)
+        bench.compare(bundled_scenario(name), reps=1)
+    assert seen == [True] * 12
+
+
 def test_sweep_does_not_mutate_source(tmp_path):
     src = bundled_scenario("fig4.scn")
     before = src.read_bytes()
@@ -393,6 +413,49 @@ def test_validate_budget_prescreen(tmp_path):
     floor = oracles.cheapest_assignment_cost(scn.graph, scn.platform)
     assert floor > scn.budget
     assert any(f"already costs {floor!r}, above" in w for w in diag.warnings)
+
+
+def _infeasible_warnings(path):
+    return [w for w in bench.validate(path).warnings if "likely infeasible" in w]
+
+
+def test_validate_prescreen_adds_in_topological_order(tmp_path):
+    # the prescreen's floor is the cheapest placement's evaluated cost, to
+    # the bit; on permuted ids the id-order sum of the cheapest terms can
+    # differ from it by an ulp
+    rng = np.random.default_rng(4501)
+    id_order_differs = 0
+    for k in range(60):
+        graph = gen.permute_ids(rng, gen.random_dag(rng, int(rng.integers(3, 8)), p_edge=0.4))
+        scn = Scenario(graph=graph, platform=gen.desk_platform(rng), budget=0.0)
+        result = evaluate(graph, oracles.cheapest_placement(graph, scn.platform), scn.platform)
+        id_order_differs += (oracles.cheapest_assignment_cost(graph, scn.platform)
+                             != result.total_cost)
+        path = save_scenario(scn, tmp_path / f"c{k}.scn")
+        assert _infeasible_warnings(path) == [
+            f"likely infeasible: cheapest per-task assignment already costs "
+            f"{result.total_cost!r}, above the budget 0.0"
+        ]
+        path = save_scenario(replace(scn, budget=result.total_cost), path)
+        assert not _infeasible_warnings(path)
+    assert id_order_differs > 0
+
+
+def test_validate_prescreen_allows_the_budget_tolerance(tmp_path):
+    # C7 admits a cost up to the budget plus TIME_TOL, so a budget half a
+    # tolerance under the cheapest cost is solved feasibly and draws no
+    # warning; two tolerances under it do
+    scn = load_scenario(bundled_scenario("fig4.scn"))
+    result = evaluate(scn.graph, oracles.cheapest_placement(scn.graph, scn.platform),
+                      scn.platform)
+    tol = schedule.TIME_TOL
+    for budget, warned in ((result.total_cost - tol / 2, False),
+                           (result.total_cost - 2 * tol, True)):
+        at = replace(scn, budget=budget)
+        path = save_scenario(at, tmp_path / "tight.scn")
+        assert bool(_infeasible_warnings(path)) == warned
+        if not warned:
+            assert solvers.greedy_solve(at).feasible
 
 
 def test_validate_epsilon_warning(tmp_path):

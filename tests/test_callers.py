@@ -10,8 +10,6 @@ from pathlib import Path
 import fogsched
 
 ROOT = Path(__file__).resolve().parents[1]
-# reference formulas that tests/test_costs.py checks EvalContext's columns against
-REFERENCE_ONLY = {"uplink_time", "server_energy"}
 
 
 def _referenced(path: Path) -> list[tuple[str | None, set[str]]]:
@@ -49,4 +47,4 @@ def test_every_exported_function_has_a_caller():
         ) or re.search(rf"\b{name}\b", workflow)
         if not called:
             uncalled.append(name)
-    assert uncalled == sorted(REFERENCE_ONLY), uncalled
+    assert uncalled == []

@@ -20,13 +20,12 @@ from fogsched import (
     fog_cloud_time,
     local_energy,
     local_exec_time,
-    server_energy,
     server_exec_time,
     uplink_rate,
-    uplink_time,
 )
 from fogsched.schedule import EvalContext
 import gen
+from oracles import server_energy, uplink_time
 
 mpmath.mp.dps = 50
 

@@ -913,6 +913,63 @@ def test_brute_second_to_last_depth_matches_oracle():
             assert set(brute_force_solve(scn).placement.assignment.values()) == {tier}
 
 
+def _straddling_platform(rng, graph):
+    """A desk platform whose prices put each offloaded tier's per-task
+    utility term near zero, above it on some tasks and below it on others,
+    and whose device energy puts the local cost term near the fog's, so
+    that each limit binds at many prefixes and on every tier.  Forwarding
+    is free on about half of them, so that a cloud leaf can lift the cloud
+    utility without lowering the fog's."""
+    platform = gen.desk_platform(rng)
+    ctx = schedule.EvalContext(graph, platform)
+
+    def median_ratio(num, den):
+        return float(np.median([a / b for a, b in zip(num, den)])) * rng.uniform(0.9, 1.1)
+
+    data = [t.data_size for t in graph.tasks]
+    fog = median_ratio(ctx.e_f, data)
+    cloud = median_ratio(ctx.e_c, data)
+    kappa = median_ratio([fog * d for d in data], [t.workload * platform.device_cpu**2
+                                                   for t in graph.tasks])
+    forward = 0.0 if rng.random() < 0.5 else platform.fog_forward_power
+    return replace(platform, kappa=kappa, fog_forward_power=forward,
+                   fog=replace(platform.fog, price=fog), cloud=replace(platform.cloud, price=cloud))
+
+
+def test_brute_leaf_bound_matches_oracle():
+    # a second-to-last-depth child is ruled out on one bound per limit from
+    # the last task's three leaves; at budgets at, one ulp and one tolerance
+    # either side of the costs of random placements and of the cheapest
+    # one, on platforms whose utility terms straddle zero, the walk must
+    # agree with full enumeration
+    rng = np.random.default_rng(2032)
+    tol = schedule.TIME_TOL
+    graphs = []
+    for n in (1, 2, 3, 1, 2, 3, 4, 5, 6):
+        w = rng.uniform(50.0, 1000.0, size=n)
+        graphs.append(gen.chain_graph(w, w * rng.uniform(0.5, 2.0, size=n)))
+        graphs.append(gen.random_dag(rng, n, p_edge=0.5))
+        graphs.append(gen.permute_ids(rng, gen.random_dag(rng, n, p_edge=0.5)))
+    outcomes = Counter()
+    for graph in graphs:
+        platform = _straddling_platform(rng, graph)
+        budgets = [math.inf]
+        for placement in (gen.random_placement(rng, graph), gen.random_placement(rng, graph),
+                          oracles.cheapest_placement(graph, platform)):
+            cost = evaluate(graph, placement, platform).total_cost
+            # the last budget is one ulp under cost - TIME_TOL, about where
+            # C7 starts to refuse the placement
+            budgets += [cost, math.nextafter(cost, -math.inf), math.nextafter(cost, math.inf),
+                        cost - tol, cost + tol, math.nextafter(cost - tol, -math.inf)]
+        for budget in budgets:
+            if budget >= 0:
+                scn = Scenario(graph=graph, platform=platform, budget=budget,
+                               solver_config=BruteForceConfig())
+                outcomes[(len(graph), _assert_brute_matches_oracle(scn))] += 1
+    assert all(outcomes[(n, True)] > 10 for n in range(1, 4))
+    assert sum(outcomes[(n, False)] for n in range(1, 7)) > 20
+
+
 def test_brute_matches_oracle_when_infeasible():
     rng = np.random.default_rng(2027)
     for k in range(20):
