@@ -152,12 +152,11 @@ class Diagnostics:
         return not self.errors
 
 
-def _solver_config(name: str, scenario: Scenario):
-    """The scenario's own settings when it names this solver, else defaults."""
+def _solver_config(name: str):
+    """The configuration of the solver named `name`."""
     if name not in SOLVER_KINDS:
         raise ValueError(f"unknown solver {name!r}")
-    cfg = scenario.solver_config
-    return cfg if solver_kind(cfg) == name else SOLVER_KINDS[name]()
+    return SOLVER_KINDS[name]()
 
 
 def _solve_one(
@@ -168,9 +167,7 @@ def _solve_one(
     sweep_value: float,
     verify: bool,
 ) -> ResultRow:
-    scn = replace(
-        scenario, seed=seed, solver_config=_solver_config(solver, scenario)
-    )
+    scn = replace(scenario, seed=seed, solver_config=_solver_config(solver))
     row = partial(ResultRow, scenario_id, solver, seed, len(scn.graph), sweep_value)
     t_start = time.perf_counter()
     try:

@@ -341,41 +341,21 @@ class GreedyConfig:
 
 @dataclass(frozen=True)
 class SAConfig:
-    """Simulated-annealing schedule and restart policy.
+    """Simulated annealing has no tunables: its schedule is fixed.
 
     One annealing run cools `t0 -> t_stop` by the multiplicative factor
-    `cool`; each move perturbs one task's tier code by a uniform integer in
-    [-neighbor_range, neighbor_range] clamped to [1, 3].  Runs whose final
-    placement violates the budget restart from a fresh random placement, at
-    most `max_restarts` times.
+    `cool`, 342 proposals; each move perturbs one task's tier code by a
+    uniform integer in [-neighbor_range, neighbor_range] clamped to [1, 3].
+    Runs whose final placement violates the budget restart from a fresh
+    random placement, at most `max_restarts` times.  The values are class
+    constants (Kirkpatrick et al., Science 1983), readable on an instance.
     """
 
-    t0: float = 100.0
-    cool: float = 0.98
-    t_stop: float = 0.1
-    neighbor_range: int = 3
-    max_restarts: int = 50
-
-    def __post_init__(self):
-        _require_int(self, ("neighbor_range", "max_restarts"))
-        # an infinite t0 would never cool down to t_stop
-        _require_finite("", self, ("t0", "t_stop"))
-        if not 0 < self.cool < 1:
-            raise ValueError("cool must be in (0, 1)")
-        if self.t_stop <= 0:
-            raise ValueError("t_stop must be > 0")
-        if self.neighbor_range < 1:
-            raise ValueError("neighbor_range must be >= 1")
-        # a move draws one of 2 * neighbor_range + 1 steps, and the annealing
-        # stream draws from at most 2^32 values
-        if self.neighbor_range > 2**31 - 1:
-            raise ValueError(f"neighbor_range must be <= 2**31 - 1, got {self.neighbor_range}")
-        if self.max_restarts < 0:
-            raise ValueError("max_restarts must be >= 0")
-        if self.t0 <= self.t_stop:
-            # Degenerate schedule: the annealing loop never runs and the
-            # solver returns budget-feasible random placements as-is.
-            warnings.warn("t0 <= t_stop: annealing loop is empty", stacklevel=2)
+    t0 = 100.0
+    cool = 0.98
+    t_stop = 0.1
+    neighbor_range = 3
+    max_restarts = 50
 
 
 @dataclass(frozen=True)

@@ -2,12 +2,10 @@
 
 A scenario file is a YAML document (conventionally `.scn`) with the sections
 `graph`, `platform`, `budget`, `seed` and `solver`.  Tasks, the platform with
-its fog, cloud and radio specs, and the settings of each solver kind are read
-and written from the fields of their dataclasses, so the file keys are the
-field names.  Unknown keys are rejected so typos fail loudly.  Files written
-by earlier versions carry `objective_mode: makespan`; the reader accepts that
-key with that value only, since the makespan is the one objective, and the
-writer no longer emits it.
+its fog, cloud and radio specs are read and written from the fields of their
+dataclasses, so the file keys are the field names.  The `solver` section
+holds only the solver's `kind`: no solver has settings.  Unknown keys are
+rejected so typos fail loudly.
 
 The reader coerces numeric fields with float()/int() after YAML parsing, so
 plain exponent notation like `1e-11` is accepted even where YAML would read
@@ -148,9 +146,8 @@ def _parse_solver(node) -> SolverConfig:
     if not isinstance(kind, str) or kind not in SOLVER_KINDS:
         kinds = tuple(SOLVER_KINDS)
         raise ParseError(f"solver.kind must be one of {kinds}, got {kind!r}")
-    settings = {k: v for k, v in node.items() if k != "kind"}
-    with _reraise("solver: "):
-        return _build(SOLVER_KINDS[kind], settings, "solver")
+    _check_keys(node, ("kind",), "solver")
+    return SOLVER_KINDS[kind]()
 
 
 # libyaml's safe loader and emitter when PyYAML was built with them: the same
@@ -170,18 +167,11 @@ def _document(text: str) -> dict:
 def parse_scenario(text: str) -> Scenario:
     """Parse a scenario document.  Validates the graph (including acyclicity)."""
     doc = _document(text)
-    _check_keys(
-        doc,
-        ("graph", "platform", "budget", "objective_mode", "seed", "solver"),
-        "scenario",
-    )
+    _check_keys(doc, ("graph", "platform", "budget", "seed", "solver"), "scenario")
     graph = _parse_graph(_get(doc, "graph", "scenario"))
     validate_graph(graph)
     with _reraise("platform: "):
         platform = _build(Platform, _get(doc, "platform", "scenario"), "platform")
-    mode = doc.get("objective_mode", "makespan")
-    if mode != "makespan":
-        raise ParseError(f"objective_mode: makespan is the only objective, got {mode!r}")
     with _reraise(""):
         return Scenario(
             graph=graph,
@@ -216,7 +206,6 @@ def render_scenario(scenario: Scenario) -> str:
     PyYAML writes floats with repr (`1.0e-11`, `.inf`), so a load/save/load
     cycle is bit-exact and every number reads back as a typed YAML number.
     """
-    cfg = scenario.solver_config
     doc = {
         "graph": {
             "tasks": [_doc(t) for t in scenario.graph.tasks],
@@ -225,7 +214,7 @@ def render_scenario(scenario: Scenario) -> str:
         "platform": _doc(scenario.platform),
         "budget": float(scenario.budget),
         "seed": scenario.seed,
-        "solver": {"kind": solver_kind(cfg), **_doc(cfg)},
+        "solver": {"kind": solver_kind(scenario.solver_config)},
     }
     return yaml.dump(doc, Dumper=_DUMPER, sort_keys=False, default_flow_style=None)
 

@@ -262,8 +262,10 @@ def greedy_solve(scenario: Scenario, trace: list | None = None) -> SolveOutcome:
     If `trace` is given, (phase, task_id, total_cost) is appended per move;
     the phase-3 cost totals are then re-added by replaying its moves from
     the tiers after phase 2.
-    Raises Infeasible when all tasks are local and the budget still cannot be
-    met.
+    Raises Infeasible only when the evaluated all-local placement costs more
+    than budget + TIME_TOL: it raises once phase 2 has moved every task to
+    the device, and the repair adds its cost total as that evaluation adds
+    it.
     """
     t_start = time.perf_counter()
     ctx = eval_context(scenario.graph, scenario.platform)
@@ -302,8 +304,10 @@ def greedy_solve(scenario: Scenario, trace: list | None = None) -> SolveOutcome:
 def sa_solve(scenario: Scenario) -> SolveOutcome:
     """Simulated annealing over tier codes {1, 2, 3}.
 
-    Starts from a uniformly random placement.  Each iteration perturbs one
-    uniformly chosen task by a uniform integer step in
+    The schedule is SAConfig's, fixed: t0 = 100, cool = 0.98,
+    t_stop = 0.1, neighbor_range = 3, max_restarts = 50, read once per
+    solve.  Starts from a uniformly random placement.  Each iteration
+    perturbs one uniformly chosen task by a uniform integer step in
     [-neighbor_range, neighbor_range] clamped to [1, 3], cools the
     temperature, and applies the Metropolis rule to the change in makespan,
     the one objective.
@@ -311,13 +315,14 @@ def sa_solve(scenario: Scenario) -> SolveOutcome:
     utilities of the last accepted placement are non-negative, so accepting a
     placement that turns a utility negative stops the run early.  The guard
     starts from u_f = u_c = 0, not from the random start's utilities, so the
-    start itself never stops a run: every run makes at least one proposal
-    when t0 > t_stop, except on a graph with no task to perturb, which makes
-    none.  The guard compares with >= 0 exactly, without the TIME_TOL slack
-    that check_feasibility allows.  If the final placement exceeds the
-    budget the whole process restarts from a fresh random placement, up to
-    max_restarts times; restart k draws from the dedicated stream
-    Stream(seed, (k,)), numpy's PCG64 stream for that seed and spawn key.
+    start itself never stops a run: every run makes at least one proposal,
+    and 342 when no accepted placement stops it, except on a graph with no
+    task to perturb, which makes none.  The guard compares with >= 0
+    exactly, without the TIME_TOL slack that check_feasibility allows.  If
+    the final placement exceeds the budget the whole process restarts from a
+    fresh random placement, up to max_restarts times; restart k draws from
+    the dedicated stream Stream(seed, (k,)), numpy's PCG64 stream for that
+    seed and spawn key.
     The seed is mixed once per solve (`mix_entropy`), and each restart mixes
     only its key into that pool; a run draws its start tiers in one call.  A
     proposal is evaluated by resuming the walk of the current placement's
@@ -325,29 +330,28 @@ def sa_solve(scenario: Scenario) -> SolveOutcome:
     nothing when the clamped step leaves the task's tier unchanged.
     """
     t_start = time.perf_counter()
-    cfg = scenario.solver_config
-    if not isinstance(cfg, SAConfig):
-        raise TypeError("sa_solve needs a Scenario carrying an SAConfig")
+    t0, cool, t_stop = SAConfig.t0, SAConfig.cool, SAConfig.t_stop
+    neighbor_range, max_restarts = SAConfig.neighbor_range, SAConfig.max_restarts
     ctx = eval_context(scenario.graph, scenario.platform)
     n = ctx.n
     budget = scenario.budget
     total_iterations = 0
     pool = mix_entropy(scenario.seed)
 
-    for restart in range(cfg.max_restarts + 1):
+    for restart in range(max_restarts + 1):
         rng = Stream.from_pool(pool, (restart,))
         # a graph with no tasks draws nothing
         tiers = rng.integers(1, 4, n) if n else []
         core = _core_eval(ctx, tiers)
         u_f = 0.0
         u_c = 0.0
-        tem = cfg.t0
-        while n and tem > cfg.t_stop and u_f >= 0 and u_c >= 0:
-            step = rng.integers(-cfg.neighbor_range, cfg.neighbor_range + 1)
+        tem = t0
+        while n and tem > t_stop and u_f >= 0 and u_c >= 0:
+            step = rng.integers(-neighbor_range, neighbor_range + 1)
             idx = rng.integers(0, n)
             cand = list(tiers)
             cand[idx] = min(_CLOUD, max(_LOCAL, cand[idx] + step))
-            tem *= cfg.cool
+            tem *= cool
             # re-walk from the moved task's position, or nothing when the
             # clamped step left its tier as it was
             start = ctx.pos[idx] if cand[idx] != tiers[idx] else n
@@ -364,7 +368,7 @@ def sa_solve(scenario: Scenario) -> SolveOutcome:
             return _outcome(scenario, core, total_iterations, t_start)
 
     raise RestartsExhausted(
-        f"no budget-feasible placement in {cfg.max_restarts + 1} annealing runs"
+        f"no budget-feasible placement in {max_restarts + 1} annealing runs"
     )
 
 

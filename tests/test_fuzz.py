@@ -5,18 +5,40 @@ a value a field check must catch or the model must survive.  The boundary
 holds when every mutant is either refused with one of the package's own
 errors, or loads, round-trips through `render_scenario` bit-exactly and
 gives greedy a usable scenario: a SolverError or finite totals.
+
+Greedy's Infeasible and exhaustive search's answer keep three promises:
+(a) greedy raises Infeasible only when the evaluated all-local placement
+costs more than budget + TIME_TOL; and on mutants small enough for
+exhaustive search, (b) when that raises Infeasible, greedy raises too or
+returns an infeasible placement, and (c) when both are feasible, its
+makespan is at most greedy's.  (b) and (c) are checked at the mutant's own
+budget, at 0, and at the all-local cost and half of it.
 """
 import math
 import random
 import re
 import warnings
+from collections import Counter
+from dataclasses import replace
 
-from fogsched import GraphError, ParseError, greedy_solve, parse_scenario, render_scenario
+from fogsched import (
+    GraphError,
+    Infeasible,
+    ParseError,
+    Placement,
+    Tier,
+    brute_force_solve,
+    evaluate,
+    greedy_solve,
+    parse_scenario,
+    render_scenario,
+)
 from fogsched.scenario_io import bundled_scenario
-from fogsched.schedule import DerivedValueError
-from fogsched.solvers import SolverError
+from fogsched.schedule import TIME_TOL, DerivedValueError
 
 SCENARIOS = ("fig4.scn", "chain40.scn", "dag9.scn")
+# the scenarios within the exhaustive-search cap
+EXHAUSTIVE = ("fig4.scn", "dag9.scn")
 REPLACEMENTS = ("nan", ".inf", "-.inf", "1e308", "1e400", "5e-324", "-1", "0", "true", "null",
                 "[1]", '"x"')
 MUTANTS_PER_SCENARIO = 120
@@ -48,9 +70,48 @@ def _mutants(rng: random.Random, text: str, count: int):
         yield mutant, swaps
 
 
-def _outcome(text: str) -> str:
+def _local_cost(scenario) -> float:
+    """The total cost of the evaluated all-local placement."""
+    local = Placement({t.id: Tier.LOCAL for t in scenario.graph.tasks})
+    return evaluate(scenario.graph, local, scenario.platform).total_cost
+
+
+def _greedy(scenario):
+    """greedy_solve's outcome, or None when it raises Infeasible, which
+    keeps promise (a)."""
+    try:
+        return greedy_solve(scenario)
+    except Infeasible:
+        cost = _local_cost(scenario)
+        assert cost > scenario.budget + TIME_TOL, (cost, scenario.budget)
+        return None
+
+
+def _against_exhaustive(scenario, seen: Counter) -> None:
+    """Promises (a)-(c) at four budgets; each pair of outcomes is counted in
+    `seen` as (exhaustive's, greedy's): 'raised', 'infeasible' or
+    'feasible'."""
+    local = _local_cost(scenario)
+    for budget in (scenario.budget, 0.0, local, local / 2):
+        scn = replace(scenario, budget=budget)
+        greedy = _greedy(scn)
+        verdict = "raised" if greedy is None else ("feasible" if greedy.feasible else "infeasible")
+        try:
+            best = brute_force_solve(scn)
+        except Infeasible:
+            assert verdict != "feasible"
+            seen["raised", verdict] += 1
+            continue
+        if verdict == "feasible":
+            assert best.result.makespan <= greedy.result.makespan
+        seen["feasible", verdict] += 1
+
+
+def _outcome(text: str, seen: Counter, exhaustive: bool) -> str:
     """How the package takes one scenario text: 'refused', 'infeasible' or
-    'solved'; any other exception, or a broken promise, fails the test."""
+    'solved'; any other exception, or a broken promise, fails the test.
+    With `exhaustive`, a usable scenario is also checked against exhaustive
+    search."""
     try:
         scenario = parse_scenario(text)
     except (ParseError, GraphError):
@@ -60,10 +121,12 @@ def _outcome(text: str) -> str:
     assert repr(again) == repr(scenario)
     assert render_scenario(again) == rendered
     try:
-        outcome = greedy_solve(scenario)
+        outcome = _greedy(scenario)
     except DerivedValueError:
         return "refused"
-    except SolverError:
+    if exhaustive:
+        _against_exhaustive(scenario, seen)
+    if outcome is None:
         return "infeasible"
     r = outcome.result
     totals = (r.makespan, r.sum_finish, r.total_cost, r.fog_utility, r.cloud_utility)
@@ -73,17 +136,20 @@ def _outcome(text: str) -> str:
 
 def test_numeric_token_mutants_are_refused_or_usable():
     rng = random.Random(20240)
-    seen = {"refused": 0, "infeasible": 0, "solved": 0}
+    seen = Counter()
     for name in SCENARIOS:
         text = bundled_scenario(name).read_text(encoding="utf-8")
-        assert _outcome(text) == "solved"
+        exhaustive = name in EXHAUSTIVE
+        assert _outcome(text, seen, exhaustive) == "solved"
         for mutant, swaps in _mutants(rng, text, MUTANTS_PER_SCENARIO):
             with warnings.catch_warnings():
                 # out-of-range power exponents load with a warning
                 warnings.simplefilter("ignore")
                 try:
-                    seen[_outcome(mutant)] += 1
+                    seen[_outcome(mutant, seen, exhaustive)] += 1
                 except Exception as exc:
                     raise AssertionError(f"{name} with {swaps}: {exc!r}") from exc
-    # the mutants reach both sides of the boundary
+    # the mutants reach both sides of the boundary, and exhaustive search
+    # meets greedy on both sides of the budget
     assert seen["refused"] and seen["solved"], seen
+    assert seen["raised", "raised"] and seen["feasible", "feasible"], seen

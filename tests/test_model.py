@@ -29,7 +29,6 @@ from fogsched import (
     load_scenario,
     parse_scenario,
     render_scenario,
-    sa_solve,
     save_scenario,
     validate_graph,
     validate_placement,
@@ -272,9 +271,6 @@ def test_non_finite_inputs_rejected(bad):
     for name in ("device_cpu", "kappa", "fog_cloud_bandwidth", "fog_forward_power"):
         with pytest.raises(ValueError, match="finite"):
             replace(base, **{name: bad})
-    for name in ("t0", "t_stop"):
-        with pytest.raises(ValueError, match="finite"):
-            SAConfig(**{name: bad})
 
 
 def test_scenario_budget_nan_rejected_inf_allowed():
@@ -294,8 +290,6 @@ def test_scenario_budget_nan_rejected_inf_allowed():
         ("price: 0.004", "price: .nan"),
         ("bandwidth: 5.0", "bandwidth: .inf"),
         ("budget: 6.0", "budget: .nan"),
-        ("solver: {kind: greedy}", "solver: {kind: sa, t0: .inf}"),
-        ("solver: {kind: greedy}", "solver: {kind: sa, t_stop: .nan}"),
     ],
 )
 def test_parse_rejects_non_finite_values(old, new):
@@ -311,8 +305,6 @@ def test_parse_rejects_non_finite_values(old, new):
     "old, new, where",
     [
         ("seed: 1", "seed: true", "seed"),
-        ("solver: {kind: greedy}", "solver: {kind: sa, neighbor_range: true}",
-         "solver.neighbor_range"),
         ("{id: 1, workload", "{id: true, workload", r"graph.tasks\[\].id"),
         ("workload: 170.4", "workload: false", r"graph.tasks\[\].workload"),
         ("budget: 6.0", "budget: true", "budget"),
@@ -337,17 +329,6 @@ def test_parse_rejects_edge_endpoints_that_are_not_integers(end):
         parse_scenario(text.replace("    - [1, 2]", f"    - [1, {end}]", 1))
 
 
-def test_sa_config_invariants():
-    with pytest.raises(ValueError):
-        SAConfig(cool=1.0)
-    with pytest.raises(ValueError):
-        SAConfig(t_stop=0.0)
-    with pytest.raises(ValueError):
-        SAConfig(max_restarts=-1)
-    with pytest.warns(UserWarning):
-        SAConfig(t0=0.05, t_stop=0.1)
-
-
 def test_scenario_rejects_negative_budget():
     g = TaskGraph(_tasks(1))
     with pytest.raises(ValueError):
@@ -360,23 +341,15 @@ def test_integer_fields_reject_what_they_would_coerce():
     for bad in (1.5, 2.0, True, "3", None):
         with pytest.raises(TypeError, match="seed must be an integer"):
             Scenario(graph=g, platform=platform, seed=bad)
-        with pytest.raises(TypeError, match="neighbor_range must be an integer"):
-            SAConfig(neighbor_range=bad)
-        with pytest.raises(TypeError, match="max_restarts must be an integer"):
-            SAConfig(max_restarts=bad)
         with pytest.raises(TypeError, match="steps must be an integer"):
             bench.SweepSpec("budget", 1.0, 2.0, bad)
         with pytest.raises(TypeError, match="reps must be an integer"):
             bench.SweepSpec("budget", 1.0, 2.0, 2, reps=bad)
     # numpy integers are integers, kept as plain ints
     scn = Scenario(graph=g, platform=platform, seed=np.uint32(7))
-    cfg = SAConfig(neighbor_range=np.int64(2), max_restarts=np.int8(4))
-    assert (scn.seed, cfg.neighbor_range, cfg.max_restarts) == (7, 2, 4)
-    assert {type(scn.seed), type(cfg.neighbor_range), type(cfg.max_restarts)} == {int}
+    assert scn.seed == 7 and type(scn.seed) is int
     spec = bench.SweepSpec("budget", 1.0, 2.0, np.int64(3), reps=np.uint8(2))
     assert (spec.steps, spec.reps, spec.values()) == (3, 2, [1.0, 1.5, 2.0])
-    with pytest.raises(ValueError, match="neighbor_range must be >= 1"):
-        SAConfig(neighbor_range=np.int64(0))
 
 
 def test_float_fields_reject_booleans():
@@ -387,10 +360,6 @@ def test_float_fields_reject_booleans():
     for bad in (True, False):
         with pytest.raises(TypeError, match="budget must be a number"):
             Scenario(graph=g, platform=platform, budget=bad)
-        with pytest.raises(TypeError, match="t0 must be a number"):
-            SAConfig(t0=bad, t_stop=0.1)
-        with pytest.raises(TypeError, match="t_stop must be a number"):
-            SAConfig(t_stop=bad)
         with pytest.raises(TypeError, match="task 1: workload must be a number"):
             TaskSpec(1, bad, 1.0)
         with pytest.raises(TypeError, match="data_size must be a number"):
@@ -403,7 +372,7 @@ def test_float_fields_reject_booleans():
             bench.SweepSpec("budget", bad, 2.0, 3)
     # ints and numpy floats stay numbers
     assert Scenario(graph=g, platform=platform, budget=1).budget == 1
-    assert SAConfig(t0=np.float64(50.0)).t0 == 50.0
+    assert Scenario(graph=g, platform=platform, budget=np.float64(50.0)).budget == 50.0
 
 
 def test_task_ids_and_edge_endpoints_reject_what_they_would_coerce():
@@ -454,9 +423,6 @@ def test_scenario_file_roundtrip_bit_exact(tmp_path):
         assert repr(again) == repr(scn)
         # a second cycle is byte-stable
         assert render_scenario(again) == render_scenario(scn)
-        # older writers put `objective_mode: makespan` between budget and seed
-        older = render_scenario(scn).replace("\nseed: ", "\nobjective_mode: makespan\nseed: ")
-        assert "objective_mode" in older and parse_scenario(older) == scn
 
 
 def test_libyaml_loader_reads_the_same_scenarios(monkeypatch):
@@ -492,7 +458,7 @@ def test_infinite_budget_roundtrip(tmp_path):
     assert load_scenario(path).budget == math.inf
 
 
-def test_parse_rejects_unknown_keys():
+def test_parse_rejects_unknown_keys(tmp_path, capsys):
     from fogsched import ParseError
 
     scn = gen.random_scenario(np.random.default_rng(3))
@@ -506,24 +472,11 @@ def test_parse_rejects_unknown_keys():
     text = bundled_scenario("fig4.scn").read_text(encoding="utf-8")
     with pytest.raises(ParseError, match=r"scenario: unknown keys \['placement'\]"):
         parse_scenario(text + "placement: {1: local}\n")
-
-
-def test_parse_rejects_bad_objective(tmp_path, capsys):
-    # the makespan is the one objective: the writer leaves the key out, and
-    # the reader takes `objective_mode: makespan`, as older files carry it,
-    # but no other value
-    scn = gen.random_scenario(np.random.default_rng(3))
-    text = render_scenario(scn)
-    assert "objective_mode" not in text
-    assert parse_scenario(text + "objective_mode: makespan\n") == scn
-    for value in ("sum_finish", "latency", "null", "[makespan]"):
-        with pytest.raises(ParseError, match="makespan is the only objective"):
-            parse_scenario(text + f"objective_mode: {value}\n")
-    path = tmp_path / "sum_finish.scn"
-    path.write_text(text + "objective_mode: sum_finish\n", encoding="utf-8")
+    # nor an objective: the makespan is the one objective
+    path = tmp_path / "makespan.scn"
+    path.write_text(text + "objective_mode: makespan\n", encoding="utf-8")
     assert cli.main(["run", "--scenario", str(path)]) == 2
-    assert capsys.readouterr().err == (
-        "error: objective_mode: makespan is the only objective, got 'sum_finish'\n")
+    assert capsys.readouterr().err == "error: scenario: unknown keys ['objective_mode']\n"
 
 
 def test_plain_exponent_floats_accepted():
@@ -597,35 +550,21 @@ def test_physical_ranges_rejected():
 @pytest.mark.parametrize(
     "solver",
     ["{kind: greedy, t0: 5}", "{kind: sa, brute_cap: 3}", "{kind: brute, cap: 3}",
-     "{kind: brute, brute_cap: 14}"],
+     "{kind: brute, brute_cap: 14}", "{kind: sa, t0: 5}", "{kind: sa, neighbor_range: 3}"],
 )
-def test_parse_rejects_keys_of_another_solver_kind(solver):
+def test_parse_rejects_keys_of_another_solver_kind(solver, tmp_path, capsys):
+    # no solver kind has settings, annealing included: its schedule is fixed
     from fogsched import ParseError
 
     text = bundled_scenario("fig4.scn").read_text()
     assert "solver: {kind: greedy}" in text
-    with pytest.raises(ParseError, match="unknown keys"):
-        parse_scenario(text.replace("solver: {kind: greedy}", f"solver: {solver}", 1))
-
-
-def test_neighbor_range_within_the_annealing_stream(tmp_path, capsys):
-    # a move draws one of 2 * neighbor_range + 1 steps, and the stream draws
-    # from at most 2^32 values: the widest range still anneals
-    fig4 = load_scenario(bundled_scenario("fig4.scn"))
-    widest = replace(fig4, solver_config=SAConfig(neighbor_range=2**31 - 1))
-    assert sa_solve(widest).result.makespan > 0
-    with pytest.raises(ValueError, match=r"neighbor_range must be <= 2\*\*31 - 1, got 2147483648"):
-        SAConfig(neighbor_range=2**31)
-    text = bundled_scenario("fig4.scn").read_text()
-    text = text.replace("solver: {kind: greedy}", "solver: {kind: sa, neighbor_range: 2147483648}")
-    with pytest.raises(ParseError, match="neighbor_range"):
+    text = text.replace("solver: {kind: greedy}", f"solver: {solver}", 1)
+    with pytest.raises(ParseError, match=r"^solver: unknown keys \['\w+'\]$"):
         parse_scenario(text)
-    path = tmp_path / "wide.scn"
-    path.write_text(text)
-    for argv in (["validate"], ["run", "--solver", "sa"], ["run", "--solver", "greedy"]):
-        assert cli.main(argv + ["--scenario", str(path)]) == 2, argv
-        err = capsys.readouterr().err
-        assert err.startswith("error: solver: neighbor_range must be <= 2**31 - 1"), argv
+    path = tmp_path / "settings.scn"
+    path.write_text(text, encoding="utf-8")
+    assert cli.main(["validate", "--scenario", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: solver: unknown keys")
 
 
 def test_null_is_absent_only_for_optional_fields():
