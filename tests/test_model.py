@@ -458,7 +458,7 @@ def test_infinite_budget_roundtrip(tmp_path):
     assert load_scenario(path).budget == math.inf
 
 
-def test_parse_rejects_unknown_keys(tmp_path, capsys):
+def test_parse_rejects_unknown_keys():
     from fogsched import ParseError
 
     scn = gen.random_scenario(np.random.default_rng(3))
@@ -472,7 +472,17 @@ def test_parse_rejects_unknown_keys(tmp_path, capsys):
     text = bundled_scenario("fig4.scn").read_text(encoding="utf-8")
     with pytest.raises(ParseError, match=r"scenario: unknown keys \['placement'\]"):
         parse_scenario(text + "placement: {1: local}\n")
-    # nor an objective: the makespan is the one objective
+
+
+def test_parse_rejects_bad_objective(tmp_path, capsys):
+    # the makespan is the one objective: the writer leaves the key out, and
+    # the reader refuses it as an unknown key, whatever its value
+    scn = gen.random_scenario(np.random.default_rng(3))
+    text = render_scenario(scn)
+    assert "objective_mode" not in text
+    for value in ("makespan", "sum_finish", "latency", "null", "[makespan]"):
+        with pytest.raises(ParseError, match=r"scenario: unknown keys \['objective_mode'\]"):
+            parse_scenario(text + f"objective_mode: {value}\n")
     path = tmp_path / "makespan.scn"
     path.write_text(text + "objective_mode: makespan\n", encoding="utf-8")
     assert cli.main(["run", "--scenario", str(path)]) == 2
