@@ -49,7 +49,8 @@ from .model import (
     solver_kind,
 )
 from .scenario_io import load_scenario, parse_scenario, resolve_scenario_path
-from .schedule import TIME_TOL, DerivedValueError, check_feasibility, eval_context, evaluate
+from .schedule import (TIME_TOL, DerivedValueError, _core_eval, check_feasibility,
+                       eval_context, evaluate)
 
 SWEEP_PARAMETERS = ("data_size", "budget", "fog_price", "task_count")
 SOLVER_NAMES = tuple(SOLVER_KINDS)
@@ -57,9 +58,10 @@ SOLVER_NAMES = tuple(SOLVER_KINDS)
 
 @dataclass(frozen=True)
 class ResultRow:
-    """One solve, flattened for the CSV tables.  A solve that raised keeps
-    the defaults after its identity: NaN metrics, zero counts, infeasible,
-    and its measured `wall_time` and its `error`."""
+    """One solve, flattened for the CSV tables; `wall_time` spans the
+    `solvers.solve` call, which returned or raised.  A solve that raised
+    keeps the defaults after its identity: NaN metrics, zero counts,
+    infeasible, and its `wall_time` and its `error`."""
 
     scenario_id: str
     solver: str
@@ -175,6 +177,7 @@ def _solve_one(
     except (_solvers.SolverError, GraphError) as exc:
         return row(wall_time=time.perf_counter() - t_start,
                    error=f"{type(exc).__name__}: {exc}")
+    wall_time = time.perf_counter() - t_start
     r = outcome.result
     if verify:
         again = evaluate(scn.graph, outcome.placement, scn.platform)
@@ -197,7 +200,7 @@ def _solve_one(
         n_cloud=tiers.count(Tier.CLOUD),
         feasible=outcome.feasible,
         iterations=outcome.iterations,
-        wall_time=outcome.wall_time,
+        wall_time=wall_time,
     )
 
 
@@ -435,12 +438,10 @@ def validate(scenario_path: Union[str, Path]) -> Diagnostics:
         errors.append(f"{type(exc).__name__}: {exc}")
         return Diagnostics(errors=tuple(errors), warnings=tuple(warnings_))
     if math.isfinite(scenario.budget):
-        # the cost of the cheapest placement, added up in topological order
-        # as its evaluation adds it, against the budget as C7 reads it
-        cheapest = [min(terms) for terms in zip(*ctx.cost[1:])]
-        floor = 0.0
-        for i in ctx.topo:
-            floor += cheapest[i]
+        # the evaluated cost of the cheapest placement, each task on its
+        # cheapest tier, against the budget as C7 reads it
+        cheapest = [min(Tier, key=lambda t: ctx.cost[t][i]) for i in range(ctx.n)]
+        floor = _core_eval(ctx, cheapest).total_cost
         if floor > scenario.budget + TIME_TOL:
             warnings_.append(
                 f"likely infeasible: cheapest per-task assignment already costs "

@@ -180,9 +180,10 @@ class EvalContext:
     the budget repair's moves and cost totals, as far as made so far.
     What follows the budget repair depends only on k, the number of its
     moves a solve takes, so `greedy_tails` maps each k solved so far to
-    (the moves of greedy's fog-utility repair from there, the evaluation
-    of the final tiers).  A budget repair makes at most 2N moves, so it
-    holds at most 2N+1 entries of O(N) each.
+    (the moves of greedy's fog-utility repair from there, the fog-utility
+    total after 0, 1, ... of them, the evaluation of the final tiers).  A
+    budget repair makes at most 2N moves, so it holds at most 2N+1 entries
+    of O(N) each.
     """
 
     __slots__ = (

@@ -11,7 +11,6 @@ solved from two threads at once.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
@@ -68,13 +67,12 @@ class SolveOutcome:
     annealing: proposals across restarts, exhaustive: the placements its walk
     tested, which is all 3^N).  `placement` is derived from `result.tiers`
     on first read, through Placement's checked path, and kept; no solver
-    builds it.
+    builds it.  It holds no clock reading: `bench` times each solve.
     """
 
     result: ScheduleResult
     feasible: bool
     iterations: int
-    wall_time: float
 
     @cached_property
     def placement(self) -> Placement:
@@ -95,12 +93,11 @@ def metropolis_accept(delta: float, temperature: float, rng: Stream) -> bool:
     return rng.random() < exp(-delta / temperature)
 
 
-def _outcome(scenario, result, iterations, t_start) -> SolveOutcome:
+def _outcome(scenario, result, iterations) -> SolveOutcome:
     return SolveOutcome(
         result=result,
         feasible=check_feasibility(result, scenario).feasible,
         iterations=iterations,
-        wall_time=time.perf_counter() - t_start,
     )
 
 
@@ -198,8 +195,8 @@ class _Repair:
 
 
 def _greedy_tail(ctx, tiers) -> tuple:
-    """Phase 3 of greedy_solve from the tier codes `tiers`, and the
-    evaluation of its final tiers: (its moves, the ScheduleResult)."""
+    """Phase 3 of greedy_solve from the tier codes `tiers`: (its moves, the
+    fog-utility total after 0, 1, ... of them, its final tiers' evaluation)."""
     e_s, e_f, rev_f = ctx.e_s, ctx.e_f, ctx.rev_f
 
     def heavy(i):
@@ -215,7 +212,7 @@ def _greedy_tail(ctx, tiers) -> tuple:
     # no task left to move the utility stays negative, and the feasibility
     # check flags it
     k3 = fog.stop(ctx, lambda u_f: not u_f < -TIME_TOL, heavy, margin)
-    return fog.moves, _core_eval(ctx, fog.tiers(k3))
+    return fog.moves, fog.totals, _core_eval(ctx, fog.tiers(k3))
 
 
 def greedy_solve(scenario: Scenario, trace: list | None = None) -> SolveOutcome:
@@ -253,21 +250,20 @@ def greedy_solve(scenario: Scenario, trace: list | None = None) -> SolveOutcome:
     only when no kept total is.  Phase 3 starts from the tiers after those k
     moves and tracks only the fog utility, so it and the final evaluation
     depend only on k: they run for the first solve that takes k moves, and
-    what a later solve reads of them, phase 3's moves and the final
-    ScheduleResult, is kept on the context (`greedy_tails`, at most 2N+1
-    entries); a later solve that takes k moves shares the kept result and
-    reads its tiers from it.  Every solve runs its own phase-2 stop,
+    what a later solve reads of them, phase 3's moves and fog-utility totals
+    and the final ScheduleResult, is kept on the context (`greedy_tails`, at
+    most 2N+1 entries); a later solve that takes k moves shares the kept
+    result and reads its tiers from it.  Every solve runs its own phase-2 stop,
     Infeasible test and feasibility check, which read its budget.
 
-    If `trace` is given, (phase, task_id, total_cost) is appended per move;
-    the phase-3 cost totals are then re-added by replaying its moves from
-    the tiers after phase 2.
+    If `trace` is given, (phase, task_id, total) is appended per move: the
+    cost total in phase 2, the fog-utility total in phase 3, each as the
+    repair keeps it, which is the bits a full evaluation gives.
     Raises Infeasible only when the evaluated all-local placement costs more
     than budget + TIME_TOL: it raises once phase 2 has moved every task to
     the device, and the repair adds its cost total as that evaluation adds
     it.
     """
-    t_start = time.perf_counter()
     ctx = eval_context(scenario.graph, scenario.platform)
     budget = scenario.budget
     prefix = ctx.greedy_prefix
@@ -291,14 +287,11 @@ def greedy_solve(scenario: Scenario, trace: list | None = None) -> SolveOutcome:
     tail = ctx.greedy_tails.get(k)
     if tail is None:
         tail = ctx.greedy_tails[k] = _greedy_tail(ctx, prefix.tiers(k))
-    moves, result = tail
+    moves, totals, result = tail
     if trace is not None:
-        cost = _Repair(ctx, prefix.tiers(k), ctx.cost)
-        for i, tier in moves:
-            cost.add(ctx, i, tier)
-        trace.extend((3, i + 1, total) for (i, _), total in zip(moves, cost.totals[1:]))
+        trace.extend((3, i + 1, total) for (i, _), total in zip(moves, totals[1:]))
 
-    return _outcome(scenario, result, ctx.n + k + len(moves), t_start)
+    return _outcome(scenario, result, ctx.n + k + len(moves))
 
 
 def sa_solve(scenario: Scenario) -> SolveOutcome:
@@ -329,7 +322,6 @@ def sa_solve(scenario: Scenario) -> SolveOutcome:
     evaluation at the moved task's topological position, and re-walks
     nothing when the clamped step leaves the task's tier unchanged.
     """
-    t_start = time.perf_counter()
     t0, cool, t_stop = SAConfig.t0, SAConfig.cool, SAConfig.t_stop
     neighbor_range, max_restarts = SAConfig.neighbor_range, SAConfig.max_restarts
     ctx = eval_context(scenario.graph, scenario.platform)
@@ -365,7 +357,7 @@ def sa_solve(scenario: Scenario) -> SolveOutcome:
         if core.total_cost <= budget + TIME_TOL:
             # one evaluation call for the returned placement: resuming at n walks nothing
             core = _core_eval(ctx, tiers, core, n)
-            return _outcome(scenario, core, total_iterations, t_start)
+            return _outcome(scenario, core, total_iterations)
 
     raise RestartsExhausted(
         f"no budget-feasible placement in {max_restarts + 1} annealing runs"
@@ -401,14 +393,13 @@ def brute_force_solve(scenario: Scenario) -> SolveOutcome:
     order, come first lexicographically (local < fog < cloud).  Raises
     TooLarge above 14 tasks and Infeasible when nothing qualifies.
     """
-    t_start = time.perf_counter()
     n = len(scenario.graph)
     if n > _BRUTE_CAP:
         raise TooLarge(f"{n} tasks exceed the exhaustive-search cap of {_BRUTE_CAP}")
     ctx = eval_context(scenario.graph, scenario.platform)
     if not n:
         # the empty placement, within every budget
-        return _outcome(scenario, _core_eval(ctx, []), 1, t_start)
+        return _outcome(scenario, _core_eval(ctx, []), 1)
     limit = scenario.budget + TIME_TOL
     floor = -TIME_TOL
     sinks = set(ctx.sinks)
@@ -491,7 +482,7 @@ def brute_force_solve(scenario: Scenario) -> SolveOutcome:
                 best_tiers = [t]
     if best_tiers is None:
         raise Infeasible("no placement satisfies the utility and budget constraints")
-    return _outcome(scenario, _core_eval(ctx, best_tiers), 3 ** n, t_start)
+    return _outcome(scenario, _core_eval(ctx, best_tiers), 3 ** n)
 
 
 def solve(scenario: Scenario) -> SolveOutcome:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import time
 from dataclasses import dataclass
 from operator import index
 
@@ -326,8 +325,9 @@ def exhaustive_optimum(scenario):
 
 def greedy_reference(scenario, trace=None):
     """greedy_solve's phases, re-evaluating the whole placement after every
-    repair move and picking each move by a scan over all tasks."""
-    t_start = time.perf_counter()
+    repair move and picking each move by a scan over all tasks.  With
+    `trace`, (phase, task id, total) is appended per move: the evaluated
+    cost total in phase 2, the evaluated fog utility in phase 3."""
     ctx = schedule.EvalContext(scenario.graph, scenario.platform)
     n = ctx.n
     budget = scenario.budget
@@ -388,14 +388,13 @@ def greedy_reference(scenario, trace=None):
         core = schedule._core_eval(ctx, tiers)
         iterations += 1
         if trace is not None:
-            trace.append((3, moved + 1, core.total_cost))
+            trace.append((3, moved + 1, core.fog_utility))
 
-    return solvers._outcome(scenario, schedule._core_eval(ctx, tiers), iterations, t_start)
+    return solvers._outcome(scenario, schedule._core_eval(ctx, tiers), iterations)
 
 
 def anneal_reference(scenario):
     """sa_solve's loop, evaluating every proposal with a full walk."""
-    t_start = time.perf_counter()
     cfg = scenario.solver_config
     assert isinstance(cfg, SAConfig)
     ctx = schedule.EvalContext(scenario.graph, scenario.platform)
@@ -429,9 +428,7 @@ def anneal_reference(scenario):
                 u_c = cand_core.cloud_utility
             total_iterations += 1
         if cost_cur <= scenario.budget + schedule.TIME_TOL:
-            return solvers._outcome(
-                scenario, schedule._core_eval(ctx, tiers), total_iterations, t_start
-            )
+            return solvers._outcome(scenario, schedule._core_eval(ctx, tiers), total_iterations)
     raise RestartsExhausted(
         f"no budget-feasible placement in {cfg.max_restarts + 1} annealing runs"
     )

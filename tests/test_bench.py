@@ -581,6 +581,18 @@ def test_cli_run_stdout_is_the_csv_file(tmp_path, capsys, monkeypatch):
     assert [float(r[bench.CSV_COLUMNS.index("wall_time")]) for r in rows[1:]] == [0.25, 0.25]
 
 
+def test_solved_rows_are_timed_by_the_harness(capsys, monkeypatch):
+    # bench reads a clock that moves 0.25 s per reading, right before and
+    # right after each solve, and the solver reads none: a feasible greedy
+    # row and a verified exhaustive row each span one step of it
+    clock = itertools.count(0.0, 0.25)
+    monkeypatch.setattr(bench, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
+    for argv in (["--solver", "greedy"], ["--solver", "brute", "--verify"]):
+        assert cli.main(["run", "--scenario", "fig4.scn", *argv]) == 0
+        (row,) = csv.DictReader(io.StringIO(capsys.readouterr().out))
+        assert (row["error"], row["feasible"], row["wall_time"]) == ("", "true", "0.25"), argv
+
+
 def _raising_solve(calls):
     """A stand-in for solvers.solve that counts its calls, takes at least
     10 ms and raises Infeasible."""

@@ -4,7 +4,10 @@ Each mutant of a bundled scenario swaps one or two of its numeric tokens for
 a value a field check must catch or the model must survive.  The boundary
 holds when every mutant is either refused with one of the package's own
 errors, or loads, round-trips through `render_scenario` bit-exactly and
-gives greedy a usable scenario: a SolverError or finite totals.
+gives greedy a usable scenario: a SolverError or finite totals.  In-range
+mutants of the scenarios small enough for exhaustive search scale one or two
+decimal tokens (never an id, an edge or the seed, which are integers) by a
+factor in [0.5, 2], and are held to the same promises.
 
 Greedy's Infeasible and exhaustive search's answer keep three promises:
 (a) greedy raises Infeasible only when the evaluated all-local placement
@@ -20,6 +23,7 @@ import re
 import warnings
 from collections import Counter
 from dataclasses import replace
+from itertools import chain
 
 from fogsched import (
     GraphError,
@@ -42,6 +46,7 @@ EXHAUSTIVE = ("fig4.scn", "dag9.scn")
 REPLACEMENTS = ("nan", ".inf", "-.inf", "1e308", "1e400", "5e-324", "-1", "0", "true", "null",
                 "[1]", '"x"')
 MUTANTS_PER_SCENARIO = 120
+SCALED_PER_SCENARIO = 20
 # an unsigned integer or decimal with an optional exponent, standing alone
 NUMBER = re.compile(r"(?<![\w.])\d+(?:\.\d*)?(?:e[-+]?\d+)?(?![\w.])")
 
@@ -57,14 +62,15 @@ def _numeric_spans(text: str) -> list[tuple[int, int]]:
     return spans
 
 
-def _mutants(rng: random.Random, text: str, count: int):
-    spans = _numeric_spans(text)
+def _mutants(rng: random.Random, text: str, count: int, spans, new_value):
+    """`count` copies of `text`, each with one or two of the token `spans`
+    swapped for `new_value(token)`, and the (token, value) swaps made."""
     for _ in range(count):
         picked = sorted(rng.sample(spans, rng.choice((1, 2))), reverse=True)
         mutant = text
         swaps = []
         for start, end in picked:
-            value = rng.choice(REPLACEMENTS)
+            value = new_value(text[start:end])
             swaps.append((text[start:end], value))
             mutant = mutant[:start] + value + mutant[end:]
         yield mutant, swaps
@@ -104,6 +110,7 @@ def _against_exhaustive(scenario, seen: Counter) -> None:
             continue
         if verdict == "feasible":
             assert best.result.makespan <= greedy.result.makespan
+            seen["exhaustive below greedy"] += best.result.makespan < greedy.result.makespan
         seen["feasible", verdict] += 1
 
 
@@ -136,12 +143,21 @@ def _outcome(text: str, seen: Counter, exhaustive: bool) -> str:
 
 def test_numeric_token_mutants_are_refused_or_usable():
     rng = random.Random(20240)
+    scaled = random.Random(20241)
     seen = Counter()
     for name in SCENARIOS:
         text = bundled_scenario(name).read_text(encoding="utf-8")
         exhaustive = name in EXHAUSTIVE
         assert _outcome(text, seen, exhaustive) == "solved"
-        for mutant, swaps in _mutants(rng, text, MUTANTS_PER_SCENARIO):
+        spans = _numeric_spans(text)
+        mutants = _mutants(rng, text, MUTANTS_PER_SCENARIO, spans,
+                           lambda _: rng.choice(REPLACEMENTS))
+        if exhaustive:
+            decimals = [(start, end) for start, end in spans if "." in text[start:end]]
+            mutants = chain(mutants, _mutants(
+                scaled, text, SCALED_PER_SCENARIO, decimals,
+                lambda token: repr(float(token) * scaled.uniform(0.5, 2.0))))
+        for mutant, swaps in mutants:
             with warnings.catch_warnings():
                 # out-of-range power exponents load with a warning
                 warnings.simplefilter("ignore")
@@ -149,7 +165,8 @@ def test_numeric_token_mutants_are_refused_or_usable():
                     seen[_outcome(mutant, seen, exhaustive)] += 1
                 except Exception as exc:
                     raise AssertionError(f"{name} with {swaps}: {exc!r}") from exc
-    # the mutants reach both sides of the boundary, and exhaustive search
-    # meets greedy on both sides of the budget
+    # the mutants reach both sides of the boundary, exhaustive search meets
+    # greedy on both sides of the budget, and it beats greedy's makespan
     assert seen["refused"] and seen["solved"], seen
     assert seen["raised", "raised"] and seen["feasible", "feasible"], seen
+    assert seen["exhaustive below greedy"], seen
