@@ -97,7 +97,8 @@ class SweepSpec:
     `data_size` scales every task's workload and data size by the sweep value
     (a multiplicative factor); `budget` and `fog_price` set those parameters
     directly; `task_count` regenerates a chain of round(value) tasks whose
-    workload = data_size is drawn i.i.d. uniformly from [100, 1000].
+    workload = data_size is drawn i.i.d. uniformly from [100, 1000], and
+    refuses a start that rounds below 1.
     """
 
     parameter: str
@@ -117,6 +118,8 @@ class SweepSpec:
         _require_finite("sweep ", self, ("start", "stop"))
         if self.start > self.stop:
             raise ValueError("start must be <= stop")
+        if self.parameter == "task_count" and round(self.start) < 1:
+            raise ValueError(f"task_count start {self.start!r} rounds to fewer than 1 task")
         if not self.solvers:
             raise ValueError("solvers must name at least one solver")
         bad = [s for s in self.solvers if s not in SOLVER_NAMES]
@@ -265,7 +268,7 @@ def _apply_sweep_value(
         # the graph, which shares the graph's structure
         return replace(base, graph=copy(base.graph), platform=replace(base.platform, fog=fog))
     # task_count: fresh chain per sweep value, sizes from a dedicated stream
-    n = max(1, int(round(value)))
+    n = round(value)
     rng = Stream(base.seed, (1000, value_index))
     lo, hi = _TASK_SIZES
     sizes = [lo + (hi - lo) * u for u in rng.random(n)]

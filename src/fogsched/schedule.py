@@ -176,8 +176,9 @@ class EvalContext:
     energy on the cloud) and `du_c` what it adds to the cloud's (revenue
     minus execution energy on the cloud).
     `greedy_prefix` is None until the first greedy solve on the context,
-    which keeps there its budget-independent work: the phase-1 tiers and
-    the budget repair's moves and cost totals, as far as made so far.
+    which keeps there its budget-independent work: the phase-1 tiers, the
+    order of every move the budget repair can make, sorted once, and the
+    cost totals after its moves, as far as made so far.
     What follows the budget repair depends only on k, the number of its
     moves a solve takes, so `greedy_tails` maps each k solved so far to
     (the moves of greedy's fog-utility repair from there, the fog-utility
@@ -200,8 +201,6 @@ class EvalContext:
         "e_f",
         "e_c",
         "e_s",
-        "rev_f",
-        "rev_c",
         "cost",
         "du_f",
         "du_c",
@@ -228,8 +227,8 @@ class EvalContext:
         self.e_f = tuple(coef_f * tau for tau in self.tau_f)
         self.e_c = tuple(coef_c * tau for tau in self.tau_c)
         self.e_s = tuple(_costs.fog_cloud_energy(t, platform) for t in tasks)
-        self.rev_f = tuple(fog.price * t.data_size for t in tasks)
-        self.rev_c = tuple(cloud.price * t.data_size for t in tasks)
+        rev_f = tuple(fog.price * t.data_size for t in tasks)
+        rev_c = tuple(cloud.price * t.data_size for t in tasks)
         zero = (0.0,) * n
         try:
             local = tuple(_costs.local_energy(t, platform) for t in tasks)
@@ -242,16 +241,16 @@ class EvalContext:
             "fog execution time": self.tau_f, "fog-cloud transfer time": self.tau_r,
             "cloud execution time": self.tau_c, "fog execution energy": self.e_f,
             "cloud execution energy": self.e_c, "fog forwarding energy": self.e_s,
-            "local energy": local, "fog price": self.rev_f, "cloud price": self.rev_c,
+            "local energy": local, "fog price": rev_f, "cloud price": rev_c,
         })
-        self.cost = (None, local, self.rev_f, self.rev_c)
+        self.cost = (None, local, rev_f, rev_c)
         self.du_f = (
             None,
             zero,
-            tuple(map(sub, self.rev_f, self.e_f)),
+            tuple(map(sub, rev_f, self.e_f)),
             tuple(map(neg, self.e_s)),
         )
-        self.du_c = (None, zero, zero, tuple(map(sub, self.rev_c, self.e_c)))
+        self.du_c = (None, zero, zero, tuple(map(sub, rev_c, self.e_c)))
         _require_finite_totals(self)
         self.greedy_prefix = None
         self.greedy_tails = {}

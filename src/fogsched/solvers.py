@@ -2,18 +2,17 @@
 search.
 
 All solvers are deterministic given the scenario seed.  Greedy's budget and
-fog-utility repairs are one mechanism (_Repair) with different keys and term
-tables.  The solvers share mutable state through the graph: the EvalContext
-kept on it, and on that context greedy's budget repair and what follows it
-per repair length, which a greedy solve extends.  Scenarios on different
-graph objects may be solved from parallel threads, but one graph must not be
-solved from two threads at once.
+fog-utility repairs are one mechanism (_Repair) with different term tables
+and orders of moves, each sorted once.  The solvers share mutable state
+through the graph: the EvalContext kept on it, and on that context greedy's
+budget repair and what follows it per repair length, which a greedy solve
+extends.  Scenarios on different graph objects may be solved from parallel
+threads, but one graph must not be solved from two threads at once.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from heapq import heapify, heappop, heappush
 from itertools import accumulate
 from math import exp, inf
 
@@ -111,93 +110,79 @@ def _greedy_start(ctx) -> list:
         fin_l, fin_f, fin_c = _finishes(ctx, i, tiers, chosen)
         if fin_l < fin_f and fin_l < fin_c:
             tiers[i], chosen[i] = _LOCAL, fin_l
-        elif ctx.rev_c[i] >= ctx.e_c[i]:
+        elif ctx.cost[_CLOUD][i] >= ctx.e_c[i]:
             tiers[i], chosen[i] = _CLOUD, fin_c
         else:
             tiers[i], chosen[i] = _FOG, fin_f
     return tiers
 
 
+def _demotions(tiers, cloud_key, fog_key) -> list:
+    """Every move a repair from the tier codes `tiers` can make, in the order
+    it makes them, as (task index, new tier code): each cloud task whose
+    `cloud_key` is not None to the fog, by (key, index), then every fog task,
+    those moved included, to the device by (`fog_key`, index).  The keys are
+    fixed per task, so the order does not depend on the repair's totals."""
+    cloud = sorted((key, i) for i, t in enumerate(tiers)
+                   if t == _CLOUD and (key := cloud_key(i)) is not None)
+    fog = sorted([(fog_key(i), i) for i, t in enumerate(tiers) if t == _FOG]
+                 + [(fog_key(i), i) for _, i in cloud])
+    return [(i, _FOG) for _, i in cloud] + [(i, _LOCAL) for _, i in fog]
+
+
 class _Repair:
     """One of greedy_solve's repairs: demotions of the tier codes `start`,
-    as (task index, new tier code) in the order they are made (`moves`),
-    and `totals[k]`, the total of one term table (`ctx.cost` or `ctx.du_f`)
-    after the first k moves.  The totals are added up as the running sums of
-    a full evaluation add them: a move re-adds the sums before each
-    topological position from the moved task's position on.
-
-    Moves are made only as far as a `stop` call needs, from two heaps built
-    on the first move, so every call must pass the same keys.  The key
-    functions are not kept, so an instance kept on the graph's EvalContext
-    pickles with it.
+    made in the order `order` (from _demotions; empty until its owner sets
+    it), and `totals[k]`, the total of one term table (`ctx.cost` or
+    `ctx.du_f`) after the first k moves.  The totals are added up as the
+    running sums of a full evaluation add them: a move re-adds the sums
+    before each topological position from the moved task's position on.
+    Moves are made only as far as a `stop` call needs.
     """
 
-    __slots__ = ("start", "moves", "totals", "_table", "_terms", "_sums", "_heaps")
+    __slots__ = ("start", "order", "totals", "_table", "_terms", "_sums")
 
     def __init__(self, ctx, tiers, table):
         self.start = tuple(tiers)
-        self.moves = []
+        self.order = []
         self._table = table
         # term of the task at each topological position, and the running
         # sums before each position (index n: the total)
         self._terms = [table[tiers[i]][i] for i in ctx.topo]
         self._sums = list(accumulate(self._terms, initial=0.0))
         self.totals = [self._sums[-1]]
-        self._heaps = None
 
     def tiers(self, k: int) -> list:
         """The tier codes after the first k moves."""
         tiers = list(self.start)
-        for i, tier in self.moves[:k]:
+        for i, tier in self.order[:k]:
             tiers[i] = tier
         return tiers
 
-    def add(self, ctx, i: int, tier: int) -> None:
-        """Move task i to `tier`, re-adding the sums from its position."""
-        d = ctx.pos[i]
-        terms, sums = self._terms, self._sums
-        terms[d] = self._table[tier][i]
-        sums[d:] = accumulate(terms[d:], initial=sums[d])
-        self.moves.append((i, tier))
-        self.totals.append(sums[-1])
-
-    def stop(self, ctx, done, cloud_key, fog_key) -> int:
+    def stop(self, ctx, done) -> int:
         """The fewest moves after which `done(total)` holds, making moves
-        until it does or no task is left to move; in the latter case it does
-        not hold after the returned count.  A move takes the cloud task with
-        the smallest `cloud_key` (None: the task stays) to the fog, or once
-        none is left, the fog task with the smallest `fog_key` to the
-        device; ties go to the lowest index.  Each heap entry leaves only
-        through the heap that holds it, so none goes stale."""
+        until it does or the order runs out; in the latter case it does not
+        hold after the returned count."""
         totals = self.totals
         for k, total in enumerate(totals):
             if done(total):
                 return k
-        if self._heaps is None:
-            start = self.start
-            cloud = [(key, i) for i, t in enumerate(start)
-                     if t == _CLOUD and (key := cloud_key(i)) is not None]
-            fog = [(fog_key(i), i) for i, t in enumerate(start) if t == _FOG]
-            heapify(cloud)
-            heapify(fog)
-            self._heaps = cloud, fog
-        cloud, fog = self._heaps
-        while not done(totals[-1]):
-            if cloud:
-                i = heappop(cloud)[1]
-                heappush(fog, (fog_key(i), i))
-                self.add(ctx, i, _FOG)
-            elif fog:
-                self.add(ctx, heappop(fog)[1], _LOCAL)
-            else:
+        table, terms, sums = self._table, self._terms, self._sums
+        for i, tier in self.order[len(totals) - 1:]:
+            d = ctx.pos[i]
+            terms[d] = table[tier][i]
+            sums[d:] = accumulate(terms[d:], initial=sums[d])
+            totals.append(sums[-1])
+            if done(sums[-1]):
                 break
         return len(totals) - 1
 
 
 def _greedy_tail(ctx, tiers) -> tuple:
     """Phase 3 of greedy_solve from the tier codes `tiers`: (its moves, the
-    fog-utility total after 0, 1, ... of them, its final tiers' evaluation)."""
-    e_s, e_f, rev_f = ctx.e_s, ctx.e_f, ctx.rev_f
+    fog-utility total after 0, 1, ... of them, its final tiers' evaluation).
+    The order of moves is sorted only when the starting total needs one."""
+    e_s, e_f, rev_f = ctx.e_s, ctx.e_f, ctx.cost[_FOG]
 
     def heavy(i):
         if e_s[i] <= e_f[i]:
@@ -208,11 +193,13 @@ def _greedy_tail(ctx, tiers) -> tuple:
         return rev_f[i] / e_f[i] if e_f[i] > 0 else inf
 
     fog = _Repair(ctx, tiers, ctx.du_f)
+    if fog.totals[0] < -TIME_TOL:
+        fog.order = _demotions(tiers, heavy, margin)
     # the negated repair test, so that a NaN total asks for no repair; with
     # no task left to move the utility stays negative, and the feasibility
     # check flags it
-    k3 = fog.stop(ctx, lambda u_f: not u_f < -TIME_TOL, heavy, margin)
-    return fog.moves, fog.totals, _core_eval(ctx, fog.tiers(k3))
+    k3 = fog.stop(ctx, lambda u_f: not u_f < -TIME_TOL)
+    return fog.order[:k3], fog.totals, _core_eval(ctx, fog.tiers(k3))
 
 
 def greedy_solve(scenario: Scenario, trace: list | None = None) -> SolveOutcome:
@@ -235,12 +222,17 @@ def greedy_solve(scenario: Scenario, trace: list | None = None) -> SolveOutcome:
     cloud->fog or fog->local, so the loop count is bounded by 2N.  Ties
     between candidate tasks go to the lowest task id.
 
-    Both repairs are one mechanism (_Repair) with their own heap keys and
-    term table.  A repair re-adds its table's running sums from the moved
-    task's topological position with the evaluator's additions in the
-    evaluator's order, so every repair decision sees the bits a full
-    evaluation would give; the schedule itself is evaluated only for the
-    returned placement.
+    Both repairs are one mechanism (_Repair) with their own term table and
+    order of moves.  Every key is fixed per task, and a cloud task moved to
+    the fog moves on only after every cloud move is made, so the order is
+    sorted once (_demotions): the cloud moves by key, then the fog moves by
+    key, ties to the lowest index, and each move reads the next entry.
+    Phase 2 sorts its order when it builds its repair, phase 3 only when the
+    fog utility it starts from needs a move.  A repair re-adds its table's
+    running sums from the moved task's topological position with the
+    evaluator's additions in the evaluator's order, so every repair decision
+    sees the bits a full evaluation would give; the schedule itself is
+    evaluated only for the returned placement.
 
     Phase 1 and the order of the phase-2 moves do not depend on the budget,
     which only decides how many of those moves to make.  So phase 2's repair
@@ -268,15 +260,16 @@ def greedy_solve(scenario: Scenario, trace: list | None = None) -> SolveOutcome:
     budget = scenario.budget
     prefix = ctx.greedy_prefix
     if prefix is None:
-        prefix = ctx.greedy_prefix = _Repair(ctx, _greedy_start(ctx), ctx.cost)
+        start = _greedy_start(ctx)
+        prefix = ctx.greedy_prefix = _Repair(ctx, start, ctx.cost)
+        prefix.order = _demotions(start, ctx.e_c.__getitem__, ctx.e_f.__getitem__)
 
     # Phase 2 from the kept repair: k budget-repair moves.
     limit = budget + TIME_TOL
-    k = prefix.stop(ctx, lambda total: total <= limit, ctx.e_c.__getitem__,
-                    ctx.e_f.__getitem__)
+    k = prefix.stop(ctx, lambda total: total <= limit)
     if trace is not None:
         trace.extend((2, i + 1, total)
-                     for (i, _), total in zip(prefix.moves[:k], prefix.totals[1:]))
+                     for (i, _), total in zip(prefix.order[:k], prefix.totals[1:]))
     if prefix.totals[k] > limit:
         raise Infeasible(
             f"all tasks local, total energy {prefix.totals[k]} still exceeds "

@@ -341,7 +341,7 @@ def greedy_reference(scenario, trace=None):
         fin_c = tier_step(ctx, i, cloud, tiers, chosen)[3]
         if fin_l < fin_f and fin_l < fin_c:
             tiers[i], chosen[i] = local, fin_l
-        elif ctx.rev_c[i] >= ctx.e_c[i]:
+        elif ctx.cost[3][i] >= ctx.e_c[i]:
             tiers[i], chosen[i] = cloud, fin_c
         else:
             tiers[i], chosen[i] = fog, fin_f
@@ -382,7 +382,7 @@ def greedy_reference(scenario, trace=None):
                 break
             moved = min(
                 fog_idx,
-                key=lambda i: ctx.rev_f[i] / ctx.e_f[i] if ctx.e_f[i] > 0 else math.inf,
+                key=lambda i: ctx.cost[2][i] / ctx.e_f[i] if ctx.e_f[i] > 0 else math.inf,
             )
             tiers[moved] = local
         core = schedule._core_eval(ctx, tiers)

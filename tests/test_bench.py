@@ -533,6 +533,22 @@ def test_cli_names_malformed_sweep_inputs(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == "error: FOGSCHED_WORKERS must be an integer, got 'two'\n"
 
 
+def test_task_counts_below_one_rejected_at_the_boundary(tmp_path, capsys):
+    # a chain length is round(value), so a start that rounds below 1 task
+    # (0.5 rounds to 0) is refused before any solve
+    for start, stop, steps in ((-5, 3, 3), (0.5, 3, 2)):
+        with pytest.raises(ValueError, match="task_count start"):
+            bench.SweepSpec("task_count", start, stop, steps)
+    assert [r.n_tasks for r in bench.sweep("fig4.scn", bench.SweepSpec("task_count", 0.51, 2, 2),
+                                           tmp_path / "ok.csv", workers=1)] == [1, 2]
+    out = tmp_path / "x.csv"
+    argv = ["sweep", "--scenario", "fig4.scn", "--param", "task_count", "--from", "-5",
+            "--to", "3", "--steps", "3", "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == "error: task_count start -5.0 rounds to fewer than 1 task\n"
+
+
 def test_cli_run_with_solver_errors_exits_zero(tmp_path, capsys):
     sizes = np.linspace(100, 2000, 20)
     scn = Scenario(
@@ -919,6 +935,8 @@ SWEEP_SHA256 = {
     "fig4 budget sweep": "80b83a28f9871d587cebd2a55dd6d1180e489ff5186f981c68f3cbf714a64930",
     "dag9 budget sweep": "0c579969707b8b4437623ebe3fd1d89fcbff40165d2d4d94ff8ad0ed136d5399",
     "dag9 compare": "ac69b8fba0dd33f1484dd7751da9e2736bf84dac242c9c1ad068c3bf472dac4a",
+    "chain40 long greedy task_count sweep":
+        "272becca9a8c0d17f79614191447f9d11aebc79ac7e2a9d011c6edba043e9b58",
 }
 
 
@@ -939,6 +957,9 @@ def test_sweep_output_digests(tmp_path, capsys):
         # at 24
         "dag9 budget sweep": ("dag9.scn", bench.SweepSpec(
             "budget", 0.0, 24.0, 9, reps=2, solvers=("greedy", "sa", "brute"))),
+        # chains of 100 to 1000 tasks: long budget repairs, up to 1970 moves
+        "chain40 long greedy task_count sweep": ("chain40.scn", bench.SweepSpec(
+            "task_count", 100.0, 1000.0, 5, solvers=("greedy",))),
     }
     got = {}
     for name, (scenario, spec) in sweeps.items():

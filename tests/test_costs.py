@@ -157,7 +157,7 @@ def test_fog_cloud_time_and_energy():
 
 def _columns(ctx):
     """EvalContext's per-task columns, by the quantity each one holds (local
-    energy is the device's cost on the local tier)."""
+    energy and the two revenues are the device's cost on each tier)."""
     return {
         "local_time": ctx.tau_l,
         "local_energy": ctx.cost[1],
@@ -168,8 +168,8 @@ def _columns(ctx):
         "fog_cloud_energy": ctx.e_s,
         "cloud_time": ctx.tau_c,
         "cloud_energy": ctx.e_c,
-        "fog_revenue": ctx.rev_f,
-        "cloud_revenue": ctx.rev_c,
+        "fog_revenue": ctx.cost[2],
+        "cloud_revenue": ctx.cost[3],
     }
 
 

@@ -1,4 +1,5 @@
 """Solvers: greedy phases, annealing contract, exhaustive search."""
+import hashlib
 import math
 import pickle
 
@@ -177,7 +178,7 @@ def _outcome_or_error(solver, scn, *trace):
 
 
 def test_greedy_matches_reference_loop():
-    # running sums and heaps against full re-evaluation and rescans: same
+    # running sums and sorted orders against full re-evaluation and rescans: same
     # moves in the same order, same outcome or the same error
     rng = np.random.default_rng(61)
     seen = Counter()
@@ -313,30 +314,49 @@ def test_greedy_prefix_makes_only_the_moves_a_budget_needs():
             needs = sum(phase == 2 for phase, _, _ in trace)
             _outcome_or_error(greedy_solve, replace(one, budget=b))
             made = max(made, needs)
-            assert len(schedule.eval_context(one.graph, one.platform).greedy_prefix.moves) == made
-    # repair-heavy desk chains with no budget: phase 3 only, no phase-2 move
+            prefix = schedule.eval_context(one.graph, one.platform).greedy_prefix
+            assert len(prefix.totals) - 1 == made
+    # repair-heavy desk chains with no budget: phase 3 only, no phase-2 move;
+    # the 300-task chain against the reference, the 3000-task one (where the
+    # reference takes seconds) against values it gave
     for n in (300, 3000):
         sizes = np.random.default_rng(n).uniform(100, 1000, size=n)
         scn = Scenario(graph=gen.chain_graph(sizes), platform=gen.desk_platform(),
                        budget=float("inf"))
-        out = greedy_solve(scn)
-        assert out.iterations > n
-        assert schedule.eval_context(scn.graph, scn.platform).greedy_prefix.moves == []
+        got = _full_outcome(greedy_solve, scn)
+        assert len(schedule.eval_context(scn.graph, scn.platform).greedy_prefix.totals) == 1
+        if n == 300:
+            assert got == _full_outcome(oracles.greedy_reference, scn)
+            continue
+        (_, result, _, _, iterations), trace = got
+        assert iterations == 4631 and trace.count("(3, ") == 1631 and "(2, " not in trace
+        assert result.makespan.hex() == "0x1.0e2e2f195bd87p+18"
+        assert result.fog_utility.hex() == "0x1.ed7710f0aa124p-3"
+        assert hashlib.sha256(bytes(result.tiers)).hexdigest().startswith("955a08e8cc88e12f")
 
 
-def test_greedy_builds_repair_heaps_only_for_a_move(monkeypatch):
-    # chain40 at budget 20: the first solve makes the budget repair's moves
-    # and keeps them; a second solve reads the kept totals and needs no
-    # fog-utility move, so it builds no heap at all
+def test_greedy_sorts_repair_orders_only_for_a_move(monkeypatch):
+    # chain40 at budget 20: the first solve on a fresh graph sorts the budget
+    # repair's order once and keeps it with its totals, and its fog utility
+    # needs no move; a second solve reads the kept totals and sorts nothing
     scn = replace(load_scenario(bundled_scenario("chain40.scn")), budget=20.0)
+    calls = []
+    original = solvers._demotions
+
+    def counting(*args):
+        calls.append(tuple(args[0]))
+        return original(*args)
+
+    monkeypatch.setattr(solvers, "_demotions", counting)
     trace: list = []
     first = greedy_solve(scn, trace)
-    assert not any(phase == 3 for phase, _, _ in trace)
-    calls = []
-    monkeypatch.setattr(solvers, "heapify", lambda heap: calls.append(len(heap)))
+    assert trace and not any(phase == 3 for phase, _, _ in trace)
+    prefix = schedule.eval_context(scn.graph, scn.platform).greedy_prefix
+    assert calls == [prefix.start]
+    calls.clear()
     second = greedy_solve(scn)
     assert calls == []
-    assert second.placement == first.placement and second.iterations == first.iterations
+    assert second == first
 
 
 def _kept_totals(scn):
