@@ -46,6 +46,7 @@ from .model import (
     Tier,
     _require_finite,
     _require_int,
+    _to_int,
     solver_kind,
 )
 from .scenario_io import load_scenario, parse_scenario, resolve_scenario_path
@@ -85,11 +86,6 @@ class ResultRow:
 CSV_COLUMNS = tuple(f.name for f in fields(ResultRow))
 
 
-def _check_reps(reps: int) -> None:
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
-
-
 @dataclass(frozen=True)
 class SweepSpec:
     """A one-parameter sweep: `steps` evenly spaced values in [start, stop].
@@ -111,10 +107,7 @@ class SweepSpec:
     def __post_init__(self):
         if self.parameter not in SWEEP_PARAMETERS:
             raise ValueError(f"parameter must be one of {SWEEP_PARAMETERS}")
-        _require_int(self, ("steps", "reps"))
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
-        _check_reps(self.reps)
+        _require_int(self, ("steps", "reps"), 1)
         _require_finite("sweep ", self, ("start", "stop"))
         if self.start > self.stop:
             raise ValueError("start must be <= stop")
@@ -212,7 +205,7 @@ def _load(scenario_path: Union[str, Path], seed: Optional[int]) -> tuple[Scenari
     id (the file's stem) and the base seed: `seed`, else the scenario's own."""
     path = resolve_scenario_path(scenario_path)
     scenario = load_scenario(path)
-    return scenario, path.stem, scenario.seed if seed is None else seed
+    return scenario, path.stem, scenario.seed if seed is None else _to_int("seed", seed)
 
 
 def run(
@@ -227,7 +220,7 @@ def run(
     Solver errors are recorded per row (feasible=false, error column) rather
     than aborting the batch.
     """
-    _check_reps(reps)
+    reps = _to_int("reps", reps, 1)
     scenario, scenario_id, base_seed = _load(scenario_path, seed)
     # built before the first solve, so that no solve's wall time pays for it
     eval_context(scenario.graph, scenario.platform)
@@ -380,7 +373,7 @@ def compare(
 ) -> dict:
     """Run greedy, sa and brute on the same scenario and report mean makespan
     per solver and the relative gap (solver - brute) / brute."""
-    _check_reps(reps)
+    reps = _to_int("reps", reps, 1)
     scenario, scenario_id, base_seed = _load(scenario_path, seed)
     # built before the first solve, so that no solve's wall time pays for it
     eval_context(scenario.graph, scenario.platform)

@@ -55,9 +55,10 @@ class UnknownTask(PlacementError):
     """The placement mentions a task id not present in the graph."""
 
 
-def _require_finite(where: str, obj, names=None) -> None:
-    """Reject NaN and +-inf fields (by default every numeric field).  NaN
-    passes every range check (each comparison with it is False) and an
+def _require_finite(where: str, obj, names=None, positive=(), nonneg=()) -> None:
+    """Reject NaN and +-inf fields (by default every numeric field), then
+    each `positive` field that is not > 0 and each `nonneg` field below 0.
+    NaN passes every range check (each comparison with it is False) and an
     infinity breaks the cost model, so either would silently switch a
     constraint off.  A bool is a Real that would pass as 0 or 1, so it is
     refused, as _require_int refuses it."""
@@ -67,21 +68,31 @@ def _require_finite(where: str, obj, names=None) -> None:
             raise TypeError(f"{where}{name} must be a number, got {value!r}")
         if isinstance(value, Real) and not math.isfinite(value):
             raise ValueError(f"{where}{name} must be finite, got {value!r}")
+    for name in positive:
+        if getattr(obj, name) <= 0:
+            raise ValueError(f"{where}{name} must be > 0")
+    for name in nonneg:
+        if getattr(obj, name) < 0:
+            raise ValueError(f"{where}{name} must be >= 0")
 
 
-def _to_int(name: str, value) -> int:
-    """`value` as an int.  operator.index takes ints and numpy integers
-    (whose types define __index__) and refuses what int() would truncate or
-    parse (1.5, '2'); a bool is an int to it, so it is refused first."""
+def _to_int(name: str, value, minimum=None) -> int:
+    """`value` as an int, refused below `minimum` if one is given.
+    operator.index takes ints and numpy integers (whose types define
+    __index__) and refuses what int() would truncate or parse (1.5, '2'); a
+    bool is an int to it, so it is refused first."""
     if isinstance(value, bool) or not hasattr(type(value), "__index__"):
         raise TypeError(f"{name} must be an integer, got {value!r}")
-    return index(value)
+    value = index(value)
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}")
+    return value
 
 
-def _require_int(obj, names) -> None:
+def _require_int(obj, names, minimum=None) -> None:
     """Store each named field as an int, as _to_int takes it."""
     for name in names:
-        object.__setattr__(obj, name, _to_int(name, getattr(obj, name)))
+        object.__setattr__(obj, name, _to_int(name, getattr(obj, name), minimum))
 
 
 @dataclass(frozen=True)
@@ -94,11 +105,7 @@ class TaskSpec:
 
     def __post_init__(self):
         _require_int(self, ("id",))
-        _require_finite(f"task {self.id}: ", self)
-        if self.workload < 0:
-            raise ValueError(f"task {self.id}: workload must be >= 0")
-        if self.data_size < 0:
-            raise ValueError(f"task {self.id}: data_size must be >= 0")
+        _require_finite(f"task {self.id}: ", self, nonneg=("workload", "data_size"))
 
 
 class GraphStructure(NamedTuple):
@@ -212,16 +219,9 @@ class ServerSpec:
     label = "server"
 
     def __post_init__(self):
-        _require_finite(f"{self.label} ", self)
-        if self.cpu <= 0:
-            raise ValueError(f"{self.label} cpu must be > 0")
         # negative coefficients give negative energies, inflating the utility
-        if self.alpha < 0:
-            raise ValueError(f"{self.label} alpha must be >= 0")
-        if self.beta < 0:
-            raise ValueError(f"{self.label} beta must be >= 0")
-        if self.price < 0:
-            raise ValueError(f"{self.label} price must be >= 0")
+        _require_finite(f"{self.label} ", self, positive=("cpu",),
+                        nonneg=("alpha", "beta", "price"))
         if not 2.5 <= self.epsilon <= 3.0:
             warnings.warn(
                 f"{self.label} power exponent {self.epsilon} outside the usual "
@@ -259,15 +259,8 @@ class RadioLink:
     def __post_init__(self):
         if self.tx_power is None:
             object.__setattr__(self, "tx_power", self.tx_power_max)
-        _require_finite("link ", self)
-        if self.bandwidth <= 0:
-            raise ValueError("link bandwidth must be > 0")
-        if self.channel_gain <= 0:
-            raise ValueError("link channel_gain must be > 0")
-        if self.noise <= 0:
-            raise ValueError("link noise must be > 0")
-        if self.interference < 0:
-            raise ValueError("link interference must be >= 0")
+        _require_finite("link ", self, positive=("bandwidth", "channel_gain", "noise"),
+                        nonneg=("interference",))
         if not 0 < self.tx_power <= self.tx_power_max:
             raise ValueError("tx_power must satisfy 0 < tx_power <= tx_power_max")
 
@@ -285,15 +278,8 @@ class Platform:
     radio: RadioLink
 
     def __post_init__(self):
-        _require_finite("", self)
-        if self.device_cpu <= 0:
-            raise ValueError("device_cpu must be > 0")
-        if self.kappa < 0:
-            raise ValueError("kappa must be >= 0")
-        if self.fog_cloud_bandwidth <= 0:
-            raise ValueError("fog_cloud_bandwidth must be > 0")
-        if self.fog_forward_power < 0:
-            raise ValueError("fog_forward_power must be >= 0")
+        _require_finite("", self, positive=("device_cpu", "fog_cloud_bandwidth"),
+                        nonneg=("kappa", "fog_forward_power"))
 
 
 @dataclass(frozen=True)

@@ -54,6 +54,15 @@ def _as_map(node, where: str) -> dict:
     return node
 
 
+def _as_list(node, where: str) -> list:
+    """A YAML sequence as a list; null reads as the empty list."""
+    if node is None:
+        return []
+    if not isinstance(node, list):
+        raise ParseError(f"{where}: expected a list, got {node!r}")
+    return node
+
+
 def _check_keys(node: dict, allowed, where: str) -> None:
     unknown = sorted(set(node) - set(allowed), key=str)
     if unknown:
@@ -128,10 +137,10 @@ def _parse_graph(node) -> TaskGraph:
     with _reraise("graph: "):
         tasks = [
             _build(TaskSpec, entry, "graph.tasks[]")
-            for entry in _get(node, "tasks", "graph") or []
+            for entry in _as_list(_get(node, "tasks", "graph"), "graph.tasks")
         ]
         edges = []
-        for pair in node.get("edges") or []:
+        for pair in _as_list(node.get("edges"), "graph.edges"):
             if not isinstance(pair, (list, tuple)) or len(pair) != 2:
                 raise ParseError(f"graph.edges: expected [pred, succ] pairs, got {pair!r}")
             edges.append((_as_int(pair[0], "edge pred"), _as_int(pair[1], "edge succ")))

@@ -200,7 +200,6 @@ class EvalContext:
         "tau_c",
         "e_f",
         "e_c",
-        "e_s",
         "cost",
         "du_f",
         "du_c",
@@ -226,7 +225,7 @@ class EvalContext:
         self.tau_c = tuple(_costs.server_exec_time(t, cloud) for t in tasks)
         self.e_f = tuple(coef_f * tau for tau in self.tau_f)
         self.e_c = tuple(coef_c * tau for tau in self.tau_c)
-        self.e_s = tuple(_costs.fog_cloud_energy(t, platform) for t in tasks)
+        e_s = tuple(_costs.fog_cloud_energy(t, platform) for t in tasks)
         rev_f = tuple(fog.price * t.data_size for t in tasks)
         rev_c = tuple(cloud.price * t.data_size for t in tasks)
         zero = (0.0,) * n
@@ -240,7 +239,7 @@ class EvalContext:
             "local execution time": self.tau_l, "uplink time": self.tau_t,
             "fog execution time": self.tau_f, "fog-cloud transfer time": self.tau_r,
             "cloud execution time": self.tau_c, "fog execution energy": self.e_f,
-            "cloud execution energy": self.e_c, "fog forwarding energy": self.e_s,
+            "cloud execution energy": self.e_c, "fog forwarding energy": e_s,
             "local energy": local, "fog price": rev_f, "cloud price": rev_c,
         })
         self.cost = (None, local, rev_f, rev_c)
@@ -248,7 +247,7 @@ class EvalContext:
             None,
             zero,
             tuple(map(sub, rev_f, self.e_f)),
-            tuple(map(neg, self.e_s)),
+            tuple(map(neg, e_s)),
         )
         self.du_c = (None, zero, zero, tuple(map(sub, rev_c, self.e_c)))
         _require_finite_totals(self)

@@ -182,12 +182,14 @@ def _greedy_tail(ctx, tiers) -> tuple:
     """Phase 3 of greedy_solve from the tier codes `tiers`: (its moves, the
     fog-utility total after 0, 1, ... of them, its final tiers' evaluation).
     The order of moves is sorted only when the starting total needs one."""
-    e_s, e_f, rev_f = ctx.e_s, ctx.e_f, ctx.cost[_FOG]
+    # du_f on the cloud is the negated forwarding energy
+    du_f_c, e_f, rev_f = ctx.du_f[_CLOUD], ctx.e_f, ctx.cost[_FOG]
 
     def heavy(i):
-        if e_s[i] <= e_f[i]:
+        d = du_f_c[i]
+        if -d <= e_f[i]:
             return None
-        return -(e_s[i] / e_f[i]) if e_f[i] > 0 else -inf
+        return d / e_f[i] if e_f[i] > 0 else -inf
 
     def margin(i):
         return rev_f[i] / e_f[i] if e_f[i] > 0 else inf

@@ -332,6 +332,7 @@ def greedy_reference(scenario, trace=None):
     n = ctx.n
     budget = scenario.budget
     local, fog, cloud = int(Tier.LOCAL), int(Tier.FOG), int(Tier.CLOUD)
+    e_s = [costs.fog_cloud_energy(t, scenario.platform) for t in scenario.graph.tasks]
 
     tiers = [0] * n
     chosen = [0.0] * n
@@ -370,10 +371,10 @@ def greedy_reference(scenario, trace=None):
             trace.append((2, moved + 1, total_cost))
 
     while core.fog_utility < -schedule.TIME_TOL:
-        heavy = [i for i in range(n) if tiers[i] == cloud and ctx.e_s[i] > ctx.e_f[i]]
+        heavy = [i for i in range(n) if tiers[i] == cloud and e_s[i] > ctx.e_f[i]]
         if heavy:
             moved = max(
-                heavy, key=lambda i: ctx.e_s[i] / ctx.e_f[i] if ctx.e_f[i] > 0 else math.inf
+                heavy, key=lambda i: e_s[i] / ctx.e_f[i] if ctx.e_f[i] > 0 else math.inf
             )
             tiers[moved] = fog
         else:

@@ -833,6 +833,61 @@ def test_reps_below_one_rejected(capsys):
     assert captured.err == "error: reps must be >= 1\n" * 2
 
 
+@pytest.mark.parametrize(
+    "call, kwargs, exc, message",
+    [
+        ("run", {"reps": True}, TypeError, "reps must be an integer, got True"),
+        ("run", {"reps": 2.0}, TypeError, "reps must be an integer, got 2.0"),
+        ("run", {"seed": True}, TypeError, "seed must be an integer, got True"),
+        ("compare", {"reps": True}, TypeError, "reps must be an integer, got True"),
+        ("compare", {"reps": 2.0}, TypeError, "reps must be an integer, got 2.0"),
+        ("compare", {"seed": True}, TypeError, "seed must be an integer, got True"),
+        ("run", {"solver": "x"}, ValueError, "unknown solver 'x'"),
+    ],
+)
+def test_run_and_compare_refuse_bad_arguments(call, kwargs, exc, message):
+    # reps and seed are taken as SweepSpec takes steps and reps: a bool
+    # would run as 0 or 1, and a float would fail inside range()
+    with pytest.raises(exc) as err:
+        getattr(bench, call)(bundled_scenario("fig4.scn"), **kwargs)
+    assert type(err.value) is exc and str(err.value) == message
+
+
+def test_run_and_compare_take_numpy_integers():
+    fig4 = bundled_scenario("fig4.scn")
+    rows = bench.run(fig4, solver="greedy", seed=np.int64(4), reps=np.uint8(2))
+    assert [(r.seed, type(r.seed)) for r in rows] == [(4, int), (5, int)]
+    summary = bench.compare(fig4, seed=np.int32(1), reps=np.int64(1))
+    assert [(v, type(v)) for v in (summary["seed"], summary["reps"])] == [(1, int), (1, int)]
+
+
+@pytest.mark.parametrize(
+    "kwargs, exc, message",
+    [
+        ({"parameter": "x"}, ValueError,
+         "parameter must be one of ('data_size', 'budget', 'fog_price', 'task_count')"),
+        ({"steps": 0}, ValueError, "steps must be >= 1"),
+        ({"reps": 0}, ValueError, "reps must be >= 1"),
+        ({"start": 3.0}, ValueError, "start must be <= stop"),
+        ({"solvers": ("greedy", "x", "y")}, ValueError, "unknown solvers ['x', 'y']"),
+    ],
+)
+def test_sweep_spec_refusals(kwargs, exc, message):
+    with pytest.raises(exc) as err:
+        bench.SweepSpec(**{"parameter": "budget", "start": 1.0, "stop": 2.0, "steps": 2,
+                           **kwargs})
+    assert type(err.value) is exc and str(err.value) == message
+
+
+def test_cli_compare_names_solver_errors(capsys):
+    # exhaustive search refuses chain40's 40 tasks: its row reads error and a
+    # line under the table names the error
+    assert cli.main(["compare", "--scenario", "chain40.scn", "--reps", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2].split() == ["brute", "error", "n/a", "n/a", "0%"]
+    assert lines[-1] == "  brute: TooLarge: 40 tasks exceed the exhaustive-search cap of 14"
+
+
 def test_cli_validate_bad_file_nonzero(tmp_path, capsys):
     path = tmp_path / "junk.scn"
     path.write_text("]]]")

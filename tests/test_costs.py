@@ -157,7 +157,8 @@ def test_fog_cloud_time_and_energy():
 
 def _columns(ctx):
     """EvalContext's per-task columns, by the quantity each one holds (local
-    energy and the two revenues are the device's cost on each tier)."""
+    energy and the two revenues are the device's cost on each tier, and
+    forwarding energy is negated in the fog's utility on the cloud)."""
     return {
         "local_time": ctx.tau_l,
         "local_energy": ctx.cost[1],
@@ -165,7 +166,7 @@ def _columns(ctx):
         "fog_time": ctx.tau_f,
         "fog_energy": ctx.e_f,
         "fog_cloud_time": ctx.tau_r,
-        "fog_cloud_energy": ctx.e_s,
+        "fog_cloud_energy": tuple(-d for d in ctx.du_f[3]),
         "cloud_time": ctx.tau_c,
         "cloud_energy": ctx.e_c,
         "fog_revenue": ctx.cost[2],

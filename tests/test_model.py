@@ -1,6 +1,7 @@
 """Domain types: graph/placement validation and scenario file round-trips."""
 import math
 import pickle
+import re
 from collections import Counter
 from dataclasses import fields, is_dataclass, replace
 
@@ -584,3 +585,127 @@ def test_null_is_absent_only_for_optional_fields():
     assert parsed.platform.radio.tx_power == 2.0
     with pytest.raises(ParseError, match="expected a number"):
         parse_scenario(text.replace("epsilon: 3.0, price: 0.001", "epsilon: ~, price: 0.001", 1))
+    # a null solver section, or one without a kind, reads as greedy
+    for solver, config in (("~", GreedyConfig()), ("{}", GreedyConfig()), ("{kind: sa}", SAConfig())):
+        parsed = parse_scenario(text.replace("solver: {kind: greedy}", f"solver: {solver}", 1))
+        assert type(parsed.solver_config) is type(config)
+
+
+def _bounded_cases():
+    """(constructor, field, message, bound) for every bounded field of the
+    model's types: a `> 0` field refuses its bound, a `>= 0` one keeps it."""
+    from fogsched import CloudSpec, FogSpec, RadioLink
+
+    base = gen.desk_platform()
+    cases = [(lambda v, f=f: TaskSpec(1, **{"workload": 1.0, "data_size": 1.0, f: v}),
+              f"task 1: {f} must be >= 0", ">=") for f in ("workload", "data_size")]
+    for spec, label in ((FogSpec, "fog"), (CloudSpec, "cloud")):
+        for f, op in (("cpu", ">"), ("alpha", ">="), ("beta", ">="), ("price", ">=")):
+            cases.append((lambda v, spec=spec, f=f: spec(**{"cpu": 1.0, "alpha": 0.0,
+                                                            "beta": 0.0, f: v}),
+                          f"{label} {f} must be {op} 0", op))
+    for f, op in (("bandwidth", ">"), ("channel_gain", ">"), ("noise", ">"),
+                  ("interference", ">=")):
+        cases.append((lambda v, f=f: RadioLink(**{"bandwidth": 1.0, "tx_power_max": 1.0, f: v}),
+                      f"link {f} must be {op} 0", op))
+    for f, op in (("device_cpu", ">"), ("kappa", ">="), ("fog_cloud_bandwidth", ">"),
+                  ("fog_forward_power", ">=")):
+        cases.append((lambda v, f=f: replace(base, **{f: v}), f"{f} must be {op} 0", op))
+    return cases
+
+
+def test_bounded_fields_refused_outside_and_at_their_bounds():
+    """Each bounded field, alone, just below its bound of 0 and exactly at
+    it: the refusal's type and text, or the field kept."""
+    from fogsched import RadioLink
+
+    cases = _bounded_cases()
+    assert len(cases) == 18
+    tiny = math.ulp(0.0)
+    for build, message, op in cases:
+        for value in (-tiny, -1.0):
+            with pytest.raises(ValueError) as err:
+                build(value)
+            assert type(err.value) is ValueError and str(err.value) == message
+        if op == ">":
+            with pytest.raises(ValueError) as err:
+                build(0.0)
+            assert type(err.value) is ValueError and str(err.value) == message
+            assert build(tiny) is not None
+        else:
+            assert build(0.0) is not None
+    # tx_power keeps its own range, (0, tx_power_max]
+    for value in (0.0, -tiny, 1.0 + 2**-52):
+        with pytest.raises(ValueError) as err:
+            RadioLink(bandwidth=1.0, tx_power_max=1.0, tx_power=value)
+        assert str(err.value) == "tx_power must satisfy 0 < tx_power <= tx_power_max"
+    assert RadioLink(bandwidth=1.0, tx_power_max=1.0, tx_power=1.0).tx_power == 1.0
+    assert RadioLink(bandwidth=1.0, tx_power_max=1.0, tx_power=tiny).tx_power == tiny
+
+
+_DELETE = object()
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("graph",), _DELETE, "scenario: missing required key 'graph'"),
+        (("platform",), _DELETE, "scenario: missing required key 'platform'"),
+        (("graph", "tasks", 0, "workload"), _DELETE,
+         "graph.tasks[]: missing required key 'workload'"),
+        (("platform", "radio", "bandwidth"), _DELETE,
+         "platform.radio: missing required key 'bandwidth'"),
+        (("graph",), [1], "graph: expected a mapping"),
+        (("platform",), 5, "platform: expected a mapping"),
+        (("platform", "fog"), 3.6, "platform.fog: expected a mapping"),
+        (("solver",), "greedy", "solver: expected a mapping"),
+        (("graph", "tasks", 0), [1, 2, 3], "graph.tasks[]: expected a mapping"),
+        (("graph", "edges", 0), [1, 2, 3],
+         "graph.edges: expected [pred, succ] pairs, got [1, 2, 3]"),
+        (("graph", "edges", 0), 5, "graph.edges: expected [pred, succ] pairs, got 5"),
+        (("solver", "kind"), "fast",
+         "solver.kind must be one of ('greedy', 'sa', 'brute'), got 'fast'"),
+        (("solver", "kind"), None,
+         "solver.kind must be one of ('greedy', 'sa', 'brute'), got None"),
+    ],
+)
+def test_parse_names_malformed_structure(path, value, message):
+    doc = yaml.safe_load(bundled_scenario("fig4.scn").read_text(encoding="utf-8"))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    if value is _DELETE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    with pytest.raises(ParseError) as err:
+        parse_scenario(yaml.safe_dump(doc))
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("key", ["tasks", "edges"])
+@pytest.mark.parametrize("value", ["0", "false", "true", "5", '""', "{1: 2}"])
+def test_graph_tasks_and_edges_must_be_lists(key, value, tmp_path, capsys):
+    # `edges: 0` once read as no edges, so a DAG solved as independent tasks
+    text = bundled_scenario("dag9.scn").read_text(encoding="utf-8")
+    text, n = re.subn(rf"^  {key}:\n(  - .*\n)+", f"  {key}: {value}\n", text, flags=re.M)
+    assert n == 1
+    message = f"graph.{key}: expected a list, got {yaml.safe_load(value)!r}"
+    with pytest.raises(ParseError) as err:
+        parse_scenario(text)
+    assert str(err.value) == message
+    path = tmp_path / "dag9.scn"
+    path.write_text(text, encoding="utf-8")
+    assert cli.main(["validate", "--scenario", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_graph_null_lists_read_as_empty():
+    text = bundled_scenario("dag9.scn").read_text(encoding="utf-8")
+    no_edges = re.sub(r"^  edges:\n(  - .*\n)+", "", text, flags=re.M)
+    scn = parse_scenario(text)
+    for edges in ("", "  edges: ~\n", "  edges: null\n"):
+        got = parse_scenario(no_edges.replace("platform:", edges + "platform:", 1))
+        assert got.graph.edges == () and got.graph.tasks == scn.graph.tasks
+    empty = re.sub(r"^  tasks:\n(  - .*\n)+", "  tasks: ~\n", no_edges, flags=re.M)
+    assert len(parse_scenario(empty).graph) == 0
