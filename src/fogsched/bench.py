@@ -13,9 +13,8 @@ built, before any cell is solved, so no solve's wall time pays for a build;
 a pool worker gets these scenarios, with their contexts, once, when it
 starts, and each cell only as (value index, solver, rep), so every cell of
 one value solved in one process shares one graph, with its EvalContext and
-the greedy work kept on it: the budget-independent prefix, and what follows
-it per budget-repair length (see solvers.greedy_solve).  Each pool worker
-keeps its own copy of that work.
+what the solvers keep on it (see fogsched.solvers); each pool worker keeps
+its own copy.
 Sweep CSV stores wall_time as 0.0 to keep files byte-identical across runs;
 `run` and `compare` report measured wall time, and also build the
 scenario's EvalContext before the first solve.
@@ -307,7 +306,7 @@ def _worker_cell(cell) -> ResultRow:
 
 def _worker_count(workers: Optional[int]) -> int:
     if workers is not None:
-        return max(1, workers)
+        return workers
     env = os.environ.get("FOGSCHED_WORKERS")
     if env:
         try:
@@ -335,9 +334,12 @@ def sweep(
     The source scenario file is never modified; each sweep value derives
     its scenario from it once.  Output rows are sorted by (sweep_value,
     solver, seed).  An `out_path` that cannot be written fails before the
-    first solve (`check_out_path`).
+    first solve (`check_out_path`), and so does a `workers` that is not an
+    int >= 1; a given `workers` takes the place of FOGSCHED_WORKERS.
     """
     check_out_path(out_path)
+    if workers is not None:
+        workers = _to_int("workers", workers, 1)
     base, scenario_id, _ = _load(scenario_path, None)
     solve_cell = _SweepCells(base, spec, scenario_id, verify)
     cells = [
@@ -354,7 +356,7 @@ def sweep(
         from concurrent.futures import ProcessPoolExecutor
 
         # each worker gets the value scenarios once, so it keeps one graph,
-        # one EvalContext, with greedy's kept work, per sweep value
+        # one EvalContext, with what the solvers keep on it, per sweep value
         with ProcessPoolExecutor(
             max_workers=n_workers, initializer=_init_worker, initargs=(solve_cell,)
         ) as pool:

@@ -174,17 +174,9 @@ class EvalContext:
     price for the task's data), `du_f` what the task adds to the fog's
     utility (revenue minus execution energy on the fog, minus forwarding
     energy on the cloud) and `du_c` what it adds to the cloud's (revenue
-    minus execution energy on the cloud).
-    `greedy_prefix` is None until the first greedy solve on the context,
-    which keeps there its budget-independent work: the phase-1 tiers, the
-    order of every move the budget repair can make, sorted once, and the
-    cost totals after its moves, as far as made so far.
-    What follows the budget repair depends only on k, the number of its
-    moves a solve takes, so `greedy_tails` maps each k solved so far to
-    (the moves of greedy's fog-utility repair from there, the fog-utility
-    total after 0, 1, ... of them, the evaluation of the final tiers).  A
-    budget repair makes at most 2N moves, so it holds at most 2N+1 entries
-    of O(N) each.
+    minus execution energy on the cloud).  `kept` is a dict, empty when
+    the context is built, in which the solvers keep what they reuse across
+    solves on this context; `fogsched.solvers` owns its keys and contents.
     """
 
     __slots__ = (
@@ -203,8 +195,7 @@ class EvalContext:
         "cost",
         "du_f",
         "du_c",
-        "greedy_prefix",
-        "greedy_tails",
+        "kept",
     )
 
     def __init__(self, graph: TaskGraph, platform: Platform):
@@ -251,8 +242,7 @@ class EvalContext:
         )
         self.du_c = (None, zero, zero, tuple(map(sub, rev_c, self.e_c)))
         _require_finite_totals(self)
-        self.greedy_prefix = None
-        self.greedy_tails = {}
+        self.kept = {}
 
 
 def _finishes(ctx, i, tiers, chosen):

@@ -3,10 +3,17 @@ search.
 
 All solvers are deterministic given the scenario seed.  Greedy's budget and
 fog-utility repairs are one mechanism (_Repair) with different term tables
-and orders of moves, each sorted once.  The solvers share mutable state
-through the graph: the EvalContext kept on it, and on that context greedy's
-budget repair and what follows it per repair length, which a greedy solve
-extends.  Scenarios on different graph objects may be solved from parallel
+and orders of moves, each sorted once.
+
+The solvers share mutable state through the graph: its EvalContext, and on
+that the `ctx.kept` dict, whose keys and contents this module alone sets.
+Under "greedy", greedy keeps (prefix, tails): the prefix is its budget
+repair from the phase-1 tiers, with the order of its moves and its cost
+totals as far as made so far; the tails map each number k of budget-repair
+moves solved so far to (the fog-utility repair's moves from there, the
+fog-utility total after 0, 1, ... of them, the final tiers' evaluation), at
+most 2N+1 entries of O(N) each.  Annealing and exhaustive search keep
+nothing.  Scenarios on different graph objects may be solved from parallel
 threads, but one graph must not be solved from two threads at once.
 """
 from __future__ import annotations
@@ -237,18 +244,16 @@ def greedy_solve(scenario: Scenario, trace: list | None = None) -> SolveOutcome:
     evaluated only for the returned placement.
 
     Phase 1 and the order of the phase-2 moves do not depend on the budget,
-    which only decides how many of those moves to make.  So phase 2's repair
-    is kept on the graph's EvalContext (`greedy_prefix`), and every solve on
-    the same graph and platform shares it: a solve takes the first k moves
-    after which the cost total is within the budget, making further moves
-    only when no kept total is.  Phase 3 starts from the tiers after those k
-    moves and tracks only the fog utility, so it and the final evaluation
-    depend only on k: they run for the first solve that takes k moves, and
-    what a later solve reads of them, phase 3's moves and fog-utility totals
-    and the final ScheduleResult, is kept on the context (`greedy_tails`, at
-    most 2N+1 entries); a later solve that takes k moves shares the kept
-    result and reads its tiers from it.  Every solve runs its own phase-2 stop,
-    Infeasible test and feasibility check, which read its budget.
+    which only decides how many of those moves, k, to make, and phase 3 and
+    the final evaluation depend only on k.  So all of them are kept on the
+    graph's EvalContext (`ctx.kept["greedy"]`, see the module docstring) and
+    shared by every solve on the same graph and platform: a solve takes the
+    first k moves after which the cost total is within the budget, making
+    further moves only when no kept total is, and runs phase 3 and the final
+    evaluation only for a k not solved before; a later solve that takes k
+    moves shares the kept result and reads its tiers from it.  Every solve
+    runs its own phase-2 stop, Infeasible test and feasibility check, which
+    read its budget.
 
     If `trace` is given, (phase, task_id, total) is appended per move: the
     cost total in phase 2, the fog-utility total in phase 3, each as the
@@ -260,11 +265,13 @@ def greedy_solve(scenario: Scenario, trace: list | None = None) -> SolveOutcome:
     """
     ctx = eval_context(scenario.graph, scenario.platform)
     budget = scenario.budget
-    prefix = ctx.greedy_prefix
-    if prefix is None:
+    kept = ctx.kept.get("greedy")
+    if kept is None:
         start = _greedy_start(ctx)
-        prefix = ctx.greedy_prefix = _Repair(ctx, start, ctx.cost)
+        prefix = _Repair(ctx, start, ctx.cost)
         prefix.order = _demotions(start, ctx.e_c.__getitem__, ctx.e_f.__getitem__)
+        kept = ctx.kept["greedy"] = (prefix, {})
+    prefix, tails = kept
 
     # Phase 2 from the kept repair: k budget-repair moves.
     limit = budget + TIME_TOL
@@ -279,9 +286,9 @@ def greedy_solve(scenario: Scenario, trace: list | None = None) -> SolveOutcome:
         )
 
     # Phase 3 and the final evaluation, kept per k.
-    tail = ctx.greedy_tails.get(k)
+    tail = tails.get(k)
     if tail is None:
-        tail = ctx.greedy_tails[k] = _greedy_tail(ctx, prefix.tiers(k))
+        tail = tails[k] = _greedy_tail(ctx, prefix.tiers(k))
     moves, totals, result = tail
     if trace is not None:
         trace.extend((3, i + 1, total) for (i, _), total in zip(moves, totals[1:]))

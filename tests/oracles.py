@@ -16,7 +16,9 @@ reference is the one-task recurrence that the package's walk inlines, as a
 function of one task and one tier; the placement reference is the checked
 path that `Placement` must take for every input, written out again.  The
 uplink-time and server-energy references are the per-task formulas behind
-EvalContext's columns, which the package derives in place.
+EvalContext's columns, which the package derives in place.  `greedy_kept`
+is no reference: it reads what greedy keeps on a context, so that the tests
+name that store once.
 """
 from __future__ import annotations
 
@@ -321,6 +323,13 @@ def exhaustive_optimum(scenario):
             best_obj = core.makespan
             best_tiers = tiers
     return best_tiers, count
+
+
+def greedy_kept(scenario):
+    """(prefix, tails): what greedy keeps on the context of `scenario`'s
+    graph and platform once a greedy solve has run there (see
+    fogsched.solvers)."""
+    return schedule.eval_context(scenario.graph, scenario.platform).kept["greedy"]
 
 
 def greedy_reference(scenario, trace=None):

@@ -862,6 +862,35 @@ def test_run_and_compare_take_numpy_integers():
 
 
 @pytest.mark.parametrize(
+    "workers, exc, message",
+    [
+        (True, TypeError, "workers must be an integer, got True"),
+        (2.5, TypeError, "workers must be an integer, got 2.5"),
+        (0, ValueError, "workers must be >= 1"),
+    ],
+)
+def test_sweep_refuses_bad_workers_before_any_work(workers, exc, message, tmp_path,
+                                                  monkeypatch):
+    # a bool would run serially, as would 0, and a float would fail in the
+    # pool once every context was built: each is refused before any context
+    # is built, and no file is written
+    built = []
+    original = schedule.EvalContext.__init__
+
+    def counting_init(ctx, graph, platform):
+        built.append(len(graph))
+        original(ctx, graph, platform)
+
+    monkeypatch.setattr(schedule.EvalContext, "__init__", counting_init)
+    out = tmp_path / "sweep.csv"
+    with pytest.raises(exc) as err:
+        bench.sweep(bundled_scenario("fig4.scn"), bench.SweepSpec("budget", 1.0, 2.0, 2), out,
+                    workers=workers)
+    assert type(err.value) is exc and str(err.value) == message
+    assert built == [] and not out.exists()
+
+
+@pytest.mark.parametrize(
     "kwargs, exc, message",
     [
         ({"parameter": "x"}, ValueError,

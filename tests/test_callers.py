@@ -1,7 +1,8 @@
 """Every function that fogsched exports has a caller outside the tests: in
 the package (outside its own definition), in perfbench's scripts or in the CI
-workflow.  References are read from the syntax tree of each Python file, so a
-name in a docstring or comment is no caller."""
+workflow; and the evaluator, which every solver shares, names no solver.
+References are read from the syntax tree of each Python file, so a name in a
+docstring or comment is no caller."""
 import ast
 import inspect
 import re
@@ -48,3 +49,21 @@ def test_every_exported_function_has_a_caller():
         if not called:
             uncalled.append(name)
     assert uncalled == []
+
+
+def test_the_evaluator_names_no_solver():
+    # schedule.py is the evaluator every solver shares: no name or attribute
+    # in it names a solver, and it imports nothing from the solvers, which
+    # own what they keep on its context; docstrings and comments do not count
+    tree = ast.parse((ROOT / "src" / "fogsched" / "schedule.py").read_text(encoding="utf-8"))
+    named = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            # the module imported from, and each name imported
+            modules = [getattr(node, "module", None) or ""] + [a.name for a in node.names]
+            assert "solvers" not in {m.rpartition(".")[2] for m in modules}, ast.dump(node)
+    assert sorted(n for n in named if re.search("greedy|anneal|brute|sa_", n)) == []

@@ -443,7 +443,7 @@ def test_check_feasibility_reads_the_context_of_its_result():
     # context, with greedy's kept prefix on it
     greedy_solve(scn)
     ctx = schedule.eval_context(scn.graph, scn.platform)
-    assert ctx.greedy_prefix is not None
+    assert oracles.greedy_kept(scn)[0] is not None
     check_feasibility(res, slow)
     assert schedule.eval_context(scn.graph, scn.platform) is ctx
 

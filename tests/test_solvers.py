@@ -314,7 +314,7 @@ def test_greedy_prefix_makes_only_the_moves_a_budget_needs():
             needs = sum(phase == 2 for phase, _, _ in trace)
             _outcome_or_error(greedy_solve, replace(one, budget=b))
             made = max(made, needs)
-            prefix = schedule.eval_context(one.graph, one.platform).greedy_prefix
+            prefix, _ = oracles.greedy_kept(one)
             assert len(prefix.totals) - 1 == made
     # repair-heavy desk chains with no budget: phase 3 only, no phase-2 move;
     # the 300-task chain against the reference, the 3000-task one (where the
@@ -324,7 +324,7 @@ def test_greedy_prefix_makes_only_the_moves_a_budget_needs():
         scn = Scenario(graph=gen.chain_graph(sizes), platform=gen.desk_platform(),
                        budget=float("inf"))
         got = _full_outcome(greedy_solve, scn)
-        assert len(schedule.eval_context(scn.graph, scn.platform).greedy_prefix.totals) == 1
+        assert len(oracles.greedy_kept(scn)[0].totals) == 1
         if n == 300:
             assert got == _full_outcome(oracles.greedy_reference, scn)
             continue
@@ -351,7 +351,7 @@ def test_greedy_sorts_repair_orders_only_for_a_move(monkeypatch):
     trace: list = []
     first = greedy_solve(scn, trace)
     assert trace and not any(phase == 3 for phase, _, _ in trace)
-    prefix = schedule.eval_context(scn.graph, scn.platform).greedy_prefix
+    prefix, _ = oracles.greedy_kept(scn)
     assert calls == [prefix.start]
     calls.clear()
     second = greedy_solve(scn)
@@ -364,27 +364,33 @@ def _kept_totals(scn):
     first, read from a fresh graph solved at budget 0."""
     one = _fresh_graph(replace(scn, budget=0.0))
     _outcome_or_error(greedy_solve, one)
-    return list(schedule.eval_context(one.graph, one.platform).greedy_prefix.totals)
+    return list(oracles.greedy_kept(one)[0].totals)
 
 
 def _full_outcome(solver, scn):
+    """`solver`'s outcome on `scn`, or its error, with the trace entries
+    of a solver that takes a trace."""
     trace: list = []
     try:
-        out = solver(scn, trace)
+        out = (solver(scn, trace) if solver in (greedy_solve, oracles.greedy_reference)
+               else solver(scn))
     except (SolverError, GraphError) as exc:
         return (type(exc), str(exc)), repr(trace)
     res = out.result
     return (out.placement, res, hash(res), out.feasible, out.iterations), repr(trace)
 
 
-def test_greedy_kept_tails_match_cold_solves_and_reference():
-    # one graph solved at a shuffled budget list, each budget twice, so that
-    # most solves read the fog-utility repair and final evaluation kept for
-    # their phase-2 length; every outcome matches a solve on a freshly
-    # unpickled copy of the unsolved graph and the reference, and so does
-    # every solve on an unpickled copy of the solved graph, which carries
-    # what was kept
+def test_any_solve_order_matches_cold_solves_and_reference():
+    # one graph solved by a shuffled sequence of (solver, budget, seed): each
+    # budget twice by greedy, so that most greedy solves read the fog-utility
+    # repair and final evaluation kept for their phase-2 length, with
+    # annealing and exhaustive solves (the latter on at most 9 tasks) at
+    # random places, budgets and seeds among them; every outcome matches a
+    # solve on a freshly unpickled copy of the unsolved graph, every greedy
+    # one the reference too, and so does every second solve of the sequence
+    # on an unpickled copy of the solved graph, which carries what was kept
     rng = np.random.default_rng(67)
+    mix = np.random.default_rng(68)
     seen = Counter()
     for k in range(40):
         scn = gen.random_scenario(rng, n_max=12, allow_infinite_budget=False)
@@ -397,31 +403,43 @@ def test_greedy_kept_tails_match_cold_solves_and_reference():
         for total in _kept_totals(scn):
             budgets.update(b for b in (total - schedule.TIME_TOL, total + schedule.TIME_TOL)
                            if b >= 0)
-        order = sorted(budgets) * 2
+        budgets = sorted(budgets)
+        order = budgets * 2
         rng.shuffle(order)
+        order = [(greedy_solve, b, scn.seed) for b in order]
+        others = (sa_solve, brute_force_solve) if len(scn.graph) <= 9 else (sa_solve,)
+        for _ in range(3):
+            order.insert(mix.integers(len(order) + 1),
+                         (others[mix.integers(len(others))],
+                          budgets[mix.integers(len(budgets))], scn.seed + int(mix.integers(2))))
         cold = pickle.dumps(scn)
         one = _fresh_graph(scn)
         want = {}
-        for b in order:
-            got = _full_outcome(greedy_solve, replace(one, budget=b))
-            fresh = _full_outcome(greedy_solve, replace(pickle.loads(cold), budget=b))
+        got = []
+        for solver, b, seed in order:
+            got.append(_full_outcome(solver, replace(one, budget=b, seed=seed)))
+            fresh = _full_outcome(solver, replace(pickle.loads(cold), budget=b, seed=seed))
+            assert got[-1] == fresh, (k, solver.__name__, b, seed)
+            seen[solver.__name__] += 1
+            if solver is not greedy_solve:
+                continue
             if b not in want:
                 want[b] = _full_outcome(oracles.greedy_reference,
                                         replace(_fresh_graph(scn), budget=b))
-            assert got == fresh == want[b], (k, b)
-            seen["error" if got[0][0] is Infeasible else "solved"] += 1
-        ctx = schedule.eval_context(one.graph, one.platform)
+            assert got[-1] == want[b], (k, b)
+            seen["error" if got[-1][0][0] is Infeasible else "solved"] += 1
+        _, tails = oracles.greedy_kept(one)
         # one tail per phase-2 length, and a budget repair makes at most 2N moves
-        assert len(ctx.greedy_tails) <= 2 * len(scn.graph) + 1
-        seen["tails"] += len(ctx.greedy_tails)
-        seen["solves"] += len(order)
+        assert len(tails) <= 2 * len(scn.graph) + 1
+        seen["tails"] += len(tails)
+        seen["solves"] += 2 * len(budgets)
         warm = pickle.loads(pickle.dumps(one))
-        assert len(schedule.eval_context(warm.graph, warm.platform).greedy_tails) == len(
-            ctx.greedy_tails)
-        for b in order[::2]:
-            assert _full_outcome(greedy_solve, replace(warm, budget=b)) == want[b], (k, b)
+        assert len(oracles.greedy_kept(warm)[1]) == len(tails)
+        for (solver, b, seed), outcome in list(zip(order, got))[::2]:
+            assert _full_outcome(solver, replace(warm, budget=b, seed=seed)) == outcome, (k, b)
     assert seen["error"] > 40 and seen["solved"] > 1000, seen
-    # most solves read a kept tail
+    assert seen["sa_solve"] >= 40 and seen["brute_force_solve"] >= 20, seen
+    # most greedy solves read a kept tail
     assert seen["tails"] < seen["solves"] // 3, seen
 
 
@@ -1145,11 +1163,12 @@ def test_greedy_tails_keep_moves_and_result():
         except Infeasible:
             pass
     ctx = schedule.eval_context(scn.graph, scn.platform)
-    assert len(ctx.greedy_tails) > 1
-    assert any(moves for moves, _, _ in ctx.greedy_tails.values())
-    for k, (moves, totals, result) in ctx.greedy_tails.items():
+    prefix, tails = oracles.greedy_kept(scn)
+    assert len(tails) > 1
+    assert any(moves for moves, _, _ in tails.values())
+    for k, (moves, totals, result) in tails.items():
         assert type(result) is schedule.ScheduleResult
-        tiers = ctx.greedy_prefix.tiers(k)
+        tiers = prefix.tiers(k)
         # the fog-utility total kept after each of the first j moves is
         # that placement's evaluated fog utility, bit for bit
         assert len(totals) == len(moves) + 1
