@@ -149,13 +149,6 @@ class Diagnostics:
         return not self.errors
 
 
-def _solver_config(name: str):
-    """The configuration of the solver named `name`."""
-    if name not in SOLVER_KINDS:
-        raise ValueError(f"unknown solver {name!r}")
-    return SOLVER_KINDS[name]()
-
-
 def _solve_one(
     scenario: Scenario,
     scenario_id: str,
@@ -164,7 +157,7 @@ def _solve_one(
     sweep_value: float,
     verify: bool,
 ) -> ResultRow:
-    scn = replace(scenario, seed=seed, solver_config=_solver_config(solver))
+    scn = replace(scenario, seed=seed, solver_config=SOLVER_KINDS[solver]())
     row = partial(ResultRow, scenario_id, solver, seed, len(scn.graph), sweep_value)
     t_start = time.perf_counter()
     try:
@@ -220,6 +213,8 @@ def run(
     than aborting the batch.
     """
     reps = _to_int("reps", reps, 1)
+    if solver and solver not in SOLVER_KINDS:
+        raise ValueError(f"unknown solver {solver!r}")
     scenario, scenario_id, base_seed = _load(scenario_path, seed)
     # built before the first solve, so that no solve's wall time pays for it
     eval_context(scenario.graph, scenario.platform)
@@ -305,14 +300,17 @@ def _worker_cell(cell) -> ResultRow:
 
 
 def _worker_count(workers: Optional[int]) -> int:
+    """`workers`, else FOGSCHED_WORKERS, else the CPUs this process may run
+    on; each refused unless an int >= 1."""
     if workers is not None:
-        return workers
+        return _to_int("workers", workers, 1)
     env = os.environ.get("FOGSCHED_WORKERS")
     if env:
         try:
-            return max(1, int(env))
+            value = int(env)
         except ValueError:
             raise ValueError(f"FOGSCHED_WORKERS must be an integer, got {env!r}") from None
+        return _to_int("FOGSCHED_WORKERS", value, 1)
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -334,12 +332,12 @@ def sweep(
     The source scenario file is never modified; each sweep value derives
     its scenario from it once.  Output rows are sorted by (sweep_value,
     solver, seed).  An `out_path` that cannot be written fails before the
-    first solve (`check_out_path`), and so does a `workers` that is not an
-    int >= 1; a given `workers` takes the place of FOGSCHED_WORKERS.
+    first solve (`check_out_path`), and so does a `workers`, or else a
+    FOGSCHED_WORKERS, that is not an int >= 1; a given `workers` takes the
+    place of FOGSCHED_WORKERS.
     """
     check_out_path(out_path)
-    if workers is not None:
-        workers = _to_int("workers", workers, 1)
+    workers = _worker_count(workers)
     base, scenario_id, _ = _load(scenario_path, None)
     solve_cell = _SweepCells(base, spec, scenario_id, verify)
     cells = [
@@ -349,7 +347,7 @@ def sweep(
         for rep in range(spec.reps)
     ]
     # a worker that would get no chunk is not started
-    n_workers = min(_worker_count(workers), math.ceil(len(cells) / _CHUNKSIZE))
+    n_workers = min(workers, math.ceil(len(cells) / _CHUNKSIZE))
     if n_workers > 1:
         # imported here: the pool pulls in multiprocessing (about 1 MB of
         # modules), which run, compare and validate never use

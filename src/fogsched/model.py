@@ -61,12 +61,13 @@ def _require_finite(where: str, obj, names=None, positive=(), nonneg=()) -> None
     NaN passes every range check (each comparison with it is False) and an
     infinity breaks the cost model, so either would silently switch a
     constraint off.  A bool is a Real that would pass as 0 or 1, so it is
-    refused, as _require_int refuses it."""
+    refused, as _require_int refuses it, and so is an int beyond float
+    range."""
     for name in names or [f.name for f in fields(obj)]:
         value = getattr(obj, name)
         if isinstance(value, bool):
             raise TypeError(f"{where}{name} must be a number, got {value!r}")
-        if isinstance(value, Real) and not math.isfinite(value):
+        if isinstance(value, Real) and not _float_test(math.isfinite, where + name, value):
             raise ValueError(f"{where}{name} must be finite, got {value!r}")
     for name in positive:
         if getattr(obj, name) <= 0:
@@ -74,6 +75,16 @@ def _require_finite(where: str, obj, names=None, positive=(), nonneg=()) -> None
     for name in nonneg:
         if getattr(obj, name) < 0:
             raise ValueError(f"{where}{name} must be >= 0")
+
+
+def _float_test(test, name: str, value) -> bool:
+    """`test(value)` for math.isfinite or math.isnan, which raise
+    OverflowError on an int too large for a float: that is a ValueError
+    naming `name`."""
+    try:
+        return test(value)
+    except OverflowError:
+        raise ValueError(f"{name} is out of float range") from None
 
 
 def _to_int(name: str, value, minimum=None) -> int:
@@ -351,13 +362,17 @@ class BruteForceConfig:
 
 SolverConfig = Union[GreedyConfig, SAConfig, BruteForceConfig]
 
-# solver kind, as named in scenario files and on the command line -> config
+# the one table of solver kinds, as named in scenario files and on the
+# command line -> config class
 SOLVER_KINDS = {"greedy": GreedyConfig, "sa": SAConfig, "brute": BruteForceConfig}
 
 
 def solver_kind(config: SolverConfig) -> str:
-    """The kind name of a solver configuration."""
-    return next(k for k, cls in SOLVER_KINDS.items() if isinstance(config, cls))
+    """The kind name of a solver config, an instance of a SOLVER_KINDS class."""
+    for kind, cls in SOLVER_KINDS.items():
+        if isinstance(config, cls):
+            return kind
+    raise TypeError(f"solver_config must be a solver config, got {config!r}")
 
 
 @dataclass(frozen=True)
@@ -376,7 +391,7 @@ class Scenario:
         # would pass as 0 or 1
         if isinstance(self.budget, bool):
             raise TypeError(f"budget must be a number, got {self.budget!r}")
-        if math.isnan(self.budget):
+        if _float_test(math.isnan, "budget", self.budget):
             raise ValueError("budget must be a number, got nan")
         if self.budget < 0:
             raise ValueError("budget must be >= 0")
@@ -385,3 +400,4 @@ class Scenario:
         # (fogsched._rng), which take no negative entropy
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        solver_kind(self.solver_config)  # a config of no kind has no solver

@@ -4,8 +4,9 @@ A scenario file is a YAML document (conventionally `.scn`) with the sections
 `graph`, `platform`, `budget`, `seed` and `solver`.  Tasks, the platform with
 its fog, cloud and radio specs are read and written from the fields of their
 dataclasses, so the file keys are the field names.  The `solver` section
-holds only the solver's `kind`: no solver has settings.  Unknown keys are
-rejected so typos fail loudly.
+holds its `kind`, a key of model.SOLVER_KINDS, and the fields of that
+kind's config class, read and written the same way; no config has fields
+today.  Unknown keys are rejected so typos fail loudly.
 
 The reader coerces numeric fields with float()/int() after YAML parsing, so
 plain exponent notation like `1e-11` is accepted even where YAML would read
@@ -26,7 +27,6 @@ import yaml
 
 from .model import (
     SOLVER_KINDS,
-    GreedyConfig,
     Platform,
     Scenario,
     SolverConfig,
@@ -83,6 +83,8 @@ def _as_float(value, where: str) -> float:
         return float(value)
     except (TypeError, ValueError):
         raise ParseError(f"{where}: expected a number, got {value!r}") from None
+    except OverflowError:
+        raise ParseError(f"{where}: integer out of float range") from None
 
 
 def _as_int(value, where: str) -> int:
@@ -148,15 +150,12 @@ def _parse_graph(node) -> TaskGraph:
 
 
 def _parse_solver(node) -> SolverConfig:
-    if node is None:
-        return GreedyConfig()
-    node = _as_map(node, "solver")
-    kind = node.get("kind", "greedy")
+    """The config of the section's `kind` (greedy if none) from its other keys."""
+    rest = dict(_as_map({} if node is None else node, "solver"))
+    kind = rest.pop("kind", "greedy")
     if not isinstance(kind, str) or kind not in SOLVER_KINDS:
-        kinds = tuple(SOLVER_KINDS)
-        raise ParseError(f"solver.kind must be one of {kinds}, got {kind!r}")
-    _check_keys(node, ("kind",), "solver")
-    return SOLVER_KINDS[kind]()
+        raise ParseError(f"solver.kind must be one of {tuple(SOLVER_KINDS)}, got {kind!r}")
+    return _build(SOLVER_KINDS[kind], rest, "solver")
 
 
 # libyaml's safe loader and emitter when PyYAML was built with them: the same
@@ -166,9 +165,11 @@ _DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 
 def _document(text: str) -> dict:
+    # a ValueError comes from a YAML constructor: an int of more digits than
+    # int() takes, or a date that does not exist
     try:
         doc = yaml.load(text, Loader=_LOADER)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:
         raise ParseError(f"not valid YAML: {exc}") from exc
     return _as_map(doc, "scenario")
 
@@ -215,6 +216,7 @@ def render_scenario(scenario: Scenario) -> str:
     PyYAML writes floats with repr (`1.0e-11`, `.inf`), so a load/save/load
     cycle is bit-exact and every number reads back as a typed YAML number.
     """
+    config = scenario.solver_config
     doc = {
         "graph": {
             "tasks": [_doc(t) for t in scenario.graph.tasks],
@@ -223,7 +225,7 @@ def render_scenario(scenario: Scenario) -> str:
         "platform": _doc(scenario.platform),
         "budget": float(scenario.budget),
         "seed": scenario.seed,
-        "solver": {"kind": solver_kind(scenario.solver_config)},
+        "solver": {"kind": solver_kind(config), **_doc(config)},
     }
     return yaml.dump(doc, Dumper=_DUMPER, sort_keys=False, default_flow_style=None)
 

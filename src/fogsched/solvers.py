@@ -24,12 +24,7 @@ from itertools import accumulate
 from math import exp, inf
 
 from ._rng import Stream, mix_entropy
-from .model import (
-    BruteForceConfig,
-    Placement,
-    SAConfig,
-    Scenario,
-)
+from .model import Placement, SAConfig, Scenario, solver_kind
 from .schedule import (
     _CLOUD,
     _FOG,
@@ -488,10 +483,14 @@ def brute_force_solve(scenario: Scenario) -> SolveOutcome:
 
 
 def solve(scenario: Scenario) -> SolveOutcome:
-    """Dispatch on the scenario's solver configuration."""
-    cfg = scenario.solver_config
-    if isinstance(cfg, SAConfig):
+    """Solve `scenario` with the solver of its config's kind, which a
+    Scenario always has (model.SOLVER_KINDS).  Each solver is called by its
+    module-global name, looked up at the call, not kept in a table: a caller
+    that rebinds the name (perfbench's tracer does, to time each solver as
+    its own layer) then sees every solve of that kind."""
+    kind = solver_kind(scenario.solver_config)
+    if kind == "sa":
         return sa_solve(scenario)
-    if isinstance(cfg, BruteForceConfig):
+    if kind == "brute":
         return brute_force_solve(scenario)
     return greedy_solve(scenario)

@@ -524,13 +524,25 @@ def test_sweep_rejects_bad_ranges_up_front(tmp_path, capsys):
 
 
 def test_cli_names_malformed_sweep_inputs(tmp_path, capsys, monkeypatch):
+    # FOGSCHED_WORKERS below 1 used to run serially; each bad value is
+    # refused before any context is built, and no file is written
+    built = []
+    original = schedule.EvalContext.__init__
+
+    def counting_init(ctx, graph, platform):
+        built.append(len(graph))
+        original(ctx, graph, platform)
+
+    monkeypatch.setattr(schedule.EvalContext, "__init__", counting_init)
     out = tmp_path / "x.csv"
     argv = ["sweep", "--scenario", "fig4.scn", "--param", "task_count", "--from", "5",
             "--to", "6", "--steps", "2", "--out", str(out)]
-    monkeypatch.setenv("FOGSCHED_WORKERS", "two")
-    assert cli.main(argv) == 2
-    assert not out.exists()
-    assert capsys.readouterr().err == "error: FOGSCHED_WORKERS must be an integer, got 'two'\n"
+    for env, message in (("two", "must be an integer, got 'two'"), ("0", "must be >= 1"),
+                         ("-2", "must be >= 1")):
+        monkeypatch.setenv("FOGSCHED_WORKERS", env)
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"error: FOGSCHED_WORKERS {message}\n"
+    assert built == [] and not out.exists()
 
 
 def test_task_counts_below_one_rejected_at_the_boundary(tmp_path, capsys):

@@ -44,7 +44,7 @@ SCENARIOS = ("fig4.scn", "chain40.scn", "dag9.scn")
 # the scenarios within the exhaustive-search cap
 EXHAUSTIVE = ("fig4.scn", "dag9.scn")
 REPLACEMENTS = ("nan", ".inf", "-.inf", "1e308", "1e400", "5e-324", "-1", "0", "true", "null",
-                "[1]", '"x"')
+                "[1]", '"x"', "9" * 400)
 MUTANTS_PER_SCENARIO = 120
 SCALED_PER_SCENARIO = 20
 # an unsigned integer or decimal with an optional exponent, standing alone

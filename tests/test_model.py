@@ -374,6 +374,45 @@ def test_float_fields_reject_booleans():
     assert Scenario(graph=g, platform=platform, budget=np.float64(50.0)).budget == 50.0
 
 
+def test_integers_beyond_float_range_refused_naming_the_field():
+    # math.isfinite and math.isnan raise OverflowError on such an int; a
+    # constructor refuses it with a ValueError naming the field, a scenario
+    # file with a ParseError naming the key
+    from fogsched import CloudSpec, FogSpec, RadioLink
+
+    g = TaskGraph(_tasks(1))
+    platform = gen.desk_platform()
+    scn = Scenario(graph=g, platform=platform)
+    for huge in (10 ** 400, -10 ** 400):
+        cases = [
+            (lambda: TaskSpec(id=1, workload=huge, data_size=1), "task 1: workload"),
+            (lambda: TaskSpec(id=1, workload=1, data_size=huge), "task 1: data_size"),
+            (lambda: FogSpec(cpu=huge, alpha=0.0, beta=0.0), "fog cpu"),
+            (lambda: CloudSpec(cpu=1.0, alpha=0.0, beta=0.0, price=huge), "cloud price"),
+            (lambda: RadioLink(bandwidth=1.0, tx_power_max=huge), "link tx_power_max"),
+            (lambda: replace(platform, kappa=huge), "kappa"),
+            (lambda: bench.SweepSpec("budget", huge, 10 ** 401, 3), "sweep start"),
+            (lambda: replace(scn, budget=huge), "budget"),
+        ]
+        for build, name in cases:
+            with pytest.raises(ValueError) as err:
+                build()
+            assert type(err.value) is ValueError
+            assert str(err.value) == f"{name} is out of float range"
+    text = bundled_scenario("fig4.scn").read_text(encoding="utf-8")
+    for old, key in (("budget: 6.0", "budget"), ("workload: 170.4", "graph.tasks[].workload")):
+        assert old in text
+        with pytest.raises(ParseError) as err:
+            parse_scenario(text.replace(old, f"{key.rpartition('.')[2]}: {'9' * 400}", 1))
+        assert str(err.value) == f"{key}: integer out of float range"
+    # YAML's own constructors refuse an int of more digits than int() takes
+    # and a date that does not exist, with a ValueError
+    for old, new in (("seed: 1", f"seed: {'9' * 5000}"), ("budget: 6.0", "budget: 2001-02-30")):
+        with pytest.raises(ParseError, match="^not valid YAML: ") as err:
+            parse_scenario(text.replace(old, new, 1))
+        assert type(err.value.__cause__) is ValueError
+
+
 def test_task_ids_and_edge_endpoints_reject_what_they_would_coerce():
     # int() would turn each of these into the id 1, so a bad endpoint
     # would silently name task 1
