@@ -25,7 +25,6 @@ import csv
 import math
 import os
 import time
-import warnings
 from copy import copy
 from dataclasses import dataclass, fields, replace
 from functools import partial
@@ -48,7 +47,7 @@ from .model import (
     _to_int,
     solver_kind,
 )
-from .scenario_io import load_scenario, parse_scenario, resolve_scenario_path
+from .scenario_io import load_scenario, resolve_scenario_path
 from .schedule import (TIME_TOL, DerivedValueError, _core_eval, check_feasibility,
                        eval_context, evaluate)
 
@@ -112,6 +111,10 @@ class SweepSpec:
             raise ValueError("start must be <= stop")
         if self.parameter == "task_count" and round(self.start) < 1:
             raise ValueError(f"task_count start {self.start!r} rounds to fewer than 1 task")
+        # a str is a sequence of one-letter names, and a list is unhashable
+        if isinstance(self.solvers, str):
+            raise TypeError(f"solvers must be a sequence of solver names, got {self.solvers!r}")
+        object.__setattr__(self, "solvers", tuple(self.solvers))
         if not self.solvers:
             raise ValueError("solvers must name at least one solver")
         bad = [s for s in self.solvers if s not in SOLVER_NAMES]
@@ -213,7 +216,7 @@ def run(
     than aborting the batch.
     """
     reps = _to_int("reps", reps, 1)
-    if solver and solver not in SOLVER_KINDS:
+    if solver is not None and solver not in SOLVER_KINDS:
         raise ValueError(f"unknown solver {solver!r}")
     scenario, scenario_id, base_seed = _load(scenario_path, seed)
     # built before the first solve, so that no solve's wall time pays for it
@@ -409,42 +412,36 @@ def compare(
 
 def validate(scenario_path: Union[str, Path]) -> Diagnostics:
     """Structural diagnostics: graph checks, derived quantities the model
-    cannot use (DerivedValueError), parameter-range warnings and a
+    cannot use (DerivedValueError), and two advisories: a fog or cloud
+    power exponent outside the usual [2.5, 3] range, and a
     budget-versus-minimum-cost prescreen, which warns only when the
     cheapest placement's evaluated cost exceeds the budget by more than
     C7's TIME_TOL.  Parse failures raise ParseError."""
-    path = resolve_scenario_path(scenario_path)
-    text = path.read_text(encoding="utf-8")
-    errors: list[str] = []
-    warnings_: list[str] = []
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            scenario = parse_scenario(text)
-        except (CycleDetected, DanglingEdge) as exc:
-            errors.append(f"{type(exc).__name__}: {exc}")
-            return Diagnostics(errors=tuple(errors), warnings=tuple(warnings_))
-        # ParseError propagates: an unreadable file is not a diagnosable scenario.
-    for w in caught:
-        warnings_.append(str(w.message))
-
+    try:
+        scenario = load_scenario(resolve_scenario_path(scenario_path))
+    except (CycleDetected, DanglingEdge) as exc:
+        return Diagnostics(errors=(f"{type(exc).__name__}: {exc}",), warnings=())
+    # ParseError propagates: an unreadable file is not a diagnosable scenario.
+    warnings = [
+        f"{spec.label} power exponent {spec.epsilon} outside the usual [2.5, 3] range"
+        for spec in (scenario.platform.fog, scenario.platform.cloud)
+        if not 2.5 <= spec.epsilon <= 3.0
+    ]
     try:
         ctx = eval_context(scenario.graph, scenario.platform)
     except DerivedValueError as exc:
-        errors.append(f"{type(exc).__name__}: {exc}")
-        return Diagnostics(errors=tuple(errors), warnings=tuple(warnings_))
+        return Diagnostics(errors=(f"{type(exc).__name__}: {exc}",), warnings=tuple(warnings))
     if math.isfinite(scenario.budget):
         # the evaluated cost of the cheapest placement, each task on its
         # cheapest tier, against the budget as C7 reads it
         cheapest = [min(Tier, key=lambda t: ctx.cost[t][i]) for i in range(ctx.n)]
         floor = _core_eval(ctx, cheapest).total_cost
         if floor > scenario.budget + TIME_TOL:
-            warnings_.append(
+            warnings.append(
                 f"likely infeasible: cheapest per-task assignment already costs "
                 f"{floor!r}, above the budget {scenario.budget!r}"
             )
-
-    return Diagnostics(errors=tuple(errors), warnings=tuple(warnings_))
+    return Diagnostics(errors=(), warnings=tuple(warnings))
 
 
 def _format_value(value) -> str:

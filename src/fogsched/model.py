@@ -9,7 +9,6 @@ parallel workers.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field, fields
 from enum import IntEnum
 from functools import cached_property
@@ -56,18 +55,18 @@ class UnknownTask(PlacementError):
 
 
 def _require_finite(where: str, obj, names=None, positive=(), nonneg=()) -> None:
-    """Reject NaN and +-inf fields (by default every numeric field), then
-    each `positive` field that is not > 0 and each `nonneg` field below 0.
-    NaN passes every range check (each comparison with it is False) and an
-    infinity breaks the cost model, so either would silently switch a
-    constraint off.  A bool is a Real that would pass as 0 or 1, so it is
-    refused, as _require_int refuses it, and so is an int beyond float
-    range."""
+    """Reject each field checked (by default every field) that is no real
+    number, NaN or +-inf, then each `positive` field that is not > 0 and
+    each `nonneg` field below 0.  NaN passes every range check (each
+    comparison with it is False) and an infinity breaks the cost model, so
+    either would silently switch a constraint off.  A bool is a Real that
+    would pass as 0 or 1, so it is refused, as _require_int refuses it, and
+    so is an int beyond float range."""
     for name in names or [f.name for f in fields(obj)]:
         value = getattr(obj, name)
-        if isinstance(value, bool):
+        if isinstance(value, bool) or not isinstance(value, Real):
             raise TypeError(f"{where}{name} must be a number, got {value!r}")
-        if isinstance(value, Real) and not _float_test(math.isfinite, where + name, value):
+        if not _float_test(math.isfinite, where + name, value):
             raise ValueError(f"{where}{name} must be finite, got {value!r}")
     for name in positive:
         if getattr(obj, name) <= 0:
@@ -219,7 +218,7 @@ def validate_graph(graph: TaskGraph) -> list[int]:
 class ServerSpec:
     """Fog node or cloud server: CPU speed, power model
     (alpha*cpu^epsilon + beta), per-bit price.  `label` names the tier in
-    error and warning messages."""
+    error messages."""
 
     cpu: float
     alpha: float
@@ -233,12 +232,6 @@ class ServerSpec:
         # negative coefficients give negative energies, inflating the utility
         _require_finite(f"{self.label} ", self, positive=("cpu",),
                         nonneg=("alpha", "beta", "price"))
-        if not 2.5 <= self.epsilon <= 3.0:
-            warnings.warn(
-                f"{self.label} power exponent {self.epsilon} outside the usual "
-                "[2.5, 3] range",
-                stacklevel=2,
-            )
 
 
 class FogSpec(ServerSpec):
@@ -289,7 +282,9 @@ class Platform:
     radio: RadioLink
 
     def __post_init__(self):
-        _require_finite("", self, positive=("device_cpu", "fog_cloud_bandwidth"),
+        _require_finite("", self, ("device_cpu", "kappa", "fog_cloud_bandwidth",
+                                   "fog_forward_power"),
+                        positive=("device_cpu", "fog_cloud_bandwidth"),
                         nonneg=("kappa", "fog_forward_power"))
 
 
@@ -389,7 +384,7 @@ class Scenario:
     def __post_init__(self):
         # budget = inf disables C7; NaN would do so silently, and a bool
         # would pass as 0 or 1
-        if isinstance(self.budget, bool):
+        if isinstance(self.budget, bool) or not isinstance(self.budget, Real):
             raise TypeError(f"budget must be a number, got {self.budget!r}")
         if _float_test(math.isnan, "budget", self.budget):
             raise ValueError("budget must be a number, got nan")

@@ -473,6 +473,42 @@ def test_validate_epsilon_warning(tmp_path):
     ]
 
 
+def test_out_of_range_exponent_is_advice_of_validate_alone(tmp_path, capsys, monkeypatch):
+    # the advice used to be a UserWarning from every spec built, which run,
+    # compare and sweep printed and which failed them where warnings are
+    # errors; the commands give the same bytes with warnings as errors
+    text = bundled_scenario("fig4.scn").read_text()
+    old = "fog: {cpu: 3.6, alpha: 1.0e-5, beta: 1.0e-4, epsilon: 3.0, price: 0.001}"
+    assert text.count(old) == 1
+    path = tmp_path / "eps.scn"
+    path.write_text(text.replace(old, old.replace("epsilon: 3.0", "epsilon: 3.2")))
+    monkeypatch.setenv("FOGSCHED_WORKERS", "1")
+    # run reports measured wall time; a frozen clock makes its bytes repeat
+    monkeypatch.setattr(bench, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+    out = tmp_path / "sweep.csv"
+    commands = (["run", "--solver", "greedy"], ["compare"], ["validate"],
+                ["sweep", "--param", "budget", "--from", "2", "--to", "8", "--steps", "3",
+                 "--out", str(out)])
+
+    def outputs():
+        out.unlink(missing_ok=True)
+        seen = []
+        for argv in commands:
+            assert cli.main(argv + ["--scenario", str(path)]) == 0, argv
+            seen.append((capsys.readouterr(), out.read_bytes() if out.exists() else None))
+        return seen
+
+    plain = outputs()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert outputs() == plain
+    assert [captured.err for captured, _ in plain] == [""] * 4
+    assert plain[2][0].out == (
+        "warning: fog power exponent 3.2 outside the usual [2.5, 3] range\nscenario ok\n"
+    )
+    assert plain[3][1].count(b"\n") == 4
+
+
 def test_validate_parse_error_propagates(tmp_path):
     path = tmp_path / "junk.scn"
     path.write_text("graph: [not, a, scenario")
@@ -721,7 +757,6 @@ UNUSABLE_DERIVED = {
 }
 
 
-@pytest.mark.filterwarnings("ignore:cloud power exponent")
 @pytest.mark.parametrize("name", sorted(UNUSABLE_DERIVED))
 def test_cli_rejects_unusable_derived_quantities(name, tmp_path, capsys, monkeypatch):
     edits, message = UNUSABLE_DERIVED[name]
@@ -855,6 +890,8 @@ def test_reps_below_one_rejected(capsys):
         ("compare", {"reps": 2.0}, TypeError, "reps must be an integer, got 2.0"),
         ("compare", {"seed": True}, TypeError, "seed must be an integer, got True"),
         ("run", {"solver": "x"}, ValueError, "unknown solver 'x'"),
+        # an empty name used to solve with the scenario's own kind
+        ("run", {"solver": ""}, ValueError, "unknown solver ''"),
     ],
 )
 def test_run_and_compare_refuse_bad_arguments(call, kwargs, exc, message):
@@ -911,6 +948,9 @@ def test_sweep_refuses_bad_workers_before_any_work(workers, exc, message, tmp_pa
         ({"reps": 0}, ValueError, "reps must be >= 1"),
         ({"start": 3.0}, ValueError, "start must be <= stop"),
         ({"solvers": ("greedy", "x", "y")}, ValueError, "unknown solvers ['x', 'y']"),
+        # a str used to be read as one-letter solver names
+        ({"solvers": "sa"}, TypeError,
+         "solvers must be a sequence of solver names, got 'sa'"),
     ],
 )
 def test_sweep_spec_refusals(kwargs, exc, message):
@@ -918,6 +958,14 @@ def test_sweep_spec_refusals(kwargs, exc, message):
         bench.SweepSpec(**{"parameter": "budget", "start": 1.0, "stop": 2.0, "steps": 2,
                            **kwargs})
     assert type(err.value) is exc and str(err.value) == message
+
+
+def test_sweep_spec_keeps_its_solvers_as_a_tuple():
+    # a list of solvers used to be kept, so the frozen spec could not be hashed
+    spec = bench.SweepSpec("budget", 1.0, 2.0, 2, solvers=["greedy", "sa"])
+    assert spec.solvers == ("greedy", "sa")
+    assert spec == bench.SweepSpec("budget", 1.0, 2.0, 2, solvers=("greedy", "sa"))
+    assert hash(spec) == hash(bench.SweepSpec("budget", 1.0, 2.0, 2, solvers=("greedy", "sa")))
 
 
 def test_cli_compare_names_solver_errors(capsys):

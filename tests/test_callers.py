@@ -1,6 +1,7 @@
 """Every function that fogsched exports has a caller outside the tests: in
 the package (outside its own definition), in perfbench's scripts or in the CI
-workflow; and the evaluator, which every solver shares, names no solver.
+workflow; the evaluator, which every solver shares, names no solver; and no
+module of the package imports `warnings`.
 References are read from the syntax tree of each Python file, so a name in a
 docstring or comment is no caller."""
 import ast
@@ -67,3 +68,19 @@ def test_the_evaluator_names_no_solver():
             modules = [getattr(node, "module", None) or ""] + [a.name for a in node.names]
             assert "solvers" not in {m.rpartition(".")[2] for m in modules}, ast.dump(node)
     assert sorted(n for n in named if re.search("greedy|anneal|brute|sa_", n)) == []
+
+
+def test_no_module_of_the_package_imports_warnings():
+    # a domain type accepts or refuses; advice is a diagnostic of `validate`
+    importers = []
+    for path in sorted((ROOT / "src" / "fogsched").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if "warnings" in {m.partition(".")[0] for m in modules}:
+                importers.append(path.name)
+    assert importers == []

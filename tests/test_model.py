@@ -2,6 +2,7 @@
 import math
 import pickle
 import re
+import warnings
 from collections import Counter
 from dataclasses import fields, is_dataclass, replace
 
@@ -374,6 +375,33 @@ def test_float_fields_reject_booleans():
     assert Scenario(graph=g, platform=platform, budget=np.float64(50.0)).budget == 50.0
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda p, g: TaskSpec(1, "5", 1.0), "task 1: workload must be a number, got '5'"),
+        (lambda p, g: replace(p.fog, cpu=None), "fog cpu must be a number, got None"),
+        (lambda p, g: replace(p.cloud, epsilon="3"), "cloud epsilon must be a number, got '3'"),
+        (lambda p, g: replace(p, device_cpu="1e9"), "device_cpu must be a number, got '1e9'"),
+        (lambda p, g: replace(p.radio, tx_power="0.5"),
+         "link tx_power must be a number, got '0.5'"),
+        (lambda p, g: bench.SweepSpec("budget", "0", 1, 2),
+         "sweep start must be a number, got '0'"),
+        (lambda p, g: bench.SweepSpec("budget", None, 1, 2),
+         "sweep start must be a number, got None"),
+        (lambda p, g: Scenario(graph=g, platform=p, budget="5"),
+         "budget must be a number, got '5'"),
+    ],
+    ids=["TaskSpec", "FogSpec", "CloudSpec", "Platform", "RadioLink", "SweepSpec-str",
+         "SweepSpec-None", "Scenario"],
+)
+def test_float_fields_refuse_what_is_no_number_naming_the_field(build, message):
+    # each of these used to fail on a bare comparison error; the exponent's
+    # was the range test of a warning that is gone
+    with pytest.raises(TypeError) as err:
+        build(gen.desk_platform(), TaskGraph(_tasks(1)))
+    assert type(err.value) is TypeError and str(err.value) == message
+
+
 def test_integers_beyond_float_range_refused_naming_the_field():
     # math.isfinite and math.isnan raise OverflowError on such an int; a
     # constructor refuses it with a ValueError naming the field, a scenario
@@ -438,11 +466,13 @@ def test_scenario_rejects_negative_seed():
     assert Scenario(graph=g, platform=gen.desk_platform(), seed=0).seed == 0
 
 
-def test_epsilon_warning_outside_range():
+def test_epsilon_outside_the_usual_range_builds_silently():
+    # the range is advice that `validate` gives; a spec accepts or refuses
     from fogsched import FogSpec
 
-    with pytest.warns(UserWarning):
-        FogSpec(cpu=1.0, alpha=0.1, beta=0.1, epsilon=3.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert FogSpec(cpu=1.0, alpha=0.1, beta=0.1, epsilon=3.5).epsilon == 3.5
 
 
 def test_scenario_file_roundtrip_bit_exact(tmp_path):
